@@ -37,7 +37,7 @@ from .geometry import (
     standard_block,
     validate_acs,
 )
-from .jets import Jet1, Jet2, JetDomainError, constant, jet_apply, seed_variable
+from .jets import Jet, JetDomainError, constant, jet_apply, seed_variable
 from .nijenhuis import (
     big_n,
     contraction_scalar,
@@ -78,8 +78,7 @@ __all__ = [
     "ExprSyntaxError",
     "GeometryError",
     "GridSpec",
-    "Jet1",
-    "Jet2",
+    "Jet",
     "JetDomainError",
     "JetMatrix",
     "MetricError",

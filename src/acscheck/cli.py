@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -58,35 +59,37 @@ def _load(spec: str) -> StructureFile:
     return load_structure(spec)
 
 
-def _parse_point(text: str, n: int) -> tuple[float, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != n:
-        raise ValueError(f"point has {len(parts)} coordinates, chart has {n}")
-    return tuple(float(p) for p in parts)
+def point(text: str) -> tuple[float, ...]:
+    """--point: comma-separated finite coordinates."""
+    coords = tuple(float(p) for p in text.split(",") if p.strip())
+    for k, value in enumerate(coords, start=1):
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"coordinate {k} is not finite: {value}")
+    return coords
 
 
-def _report_for(args) -> "tuple[int, str]":
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _cmd_check(args) -> int:
     sf = _load(args.structure)
-    point = _parse_point(args.point, sf.chart.n)
     rep = identity_report(
         sf.j_field,
         sf.metric,
         sf.chart,
-        point,
+        args.point,
         tol_alg=args.tol_alg,
         tol_identity=args.tol_identity,
     )
     if args.json:
-        text = json.dumps(rep.to_json_dict(), indent=2) + "\n"
+        sys.stdout.write(json.dumps(rep.to_json_dict(), indent=2) + "\n")
     else:
-        text = rep.render_text(ledger_detail=args.ledger_detail)
-    return _VERDICT_EXIT[rep.verdict], text
-
-
-def _cmd_check(args) -> int:
-    code, text = _report_for(args)
-    sys.stdout.write(text)
-    return code
+        sys.stdout.write(rep.render_text(ledger_detail=args.ledger_detail))
+    return _VERDICT_EXIT[rep.verdict]
 
 
 def _cmd_scan(args) -> int:
@@ -120,7 +123,10 @@ def _cmd_selftest(args) -> int:
 def _add_point_arguments(p: argparse.ArgumentParser, ledger_detail: bool) -> None:
     p.add_argument("structure", help="structure file path, or gallery:<name>")
     p.add_argument(
-        "--point", required=True, help="comma-separated coordinates, e.g. 0,0,0,0"
+        "--point",
+        required=True,
+        type=point,
+        help="comma-separated finite coordinates, e.g. 0,0,0,0",
     )
     p.add_argument("--json", action="store_true", help="emit the JSON report")
     p.add_argument(
@@ -180,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_selftest = sub.add_parser("selftest", help="randomised invariant suite and residual tables")
     p_selftest.add_argument("--dims", default="2,4", help="comma-separated even dims")
-    p_selftest.add_argument("--samples", type=int, default=25)
+    p_selftest.add_argument("--samples", type=positive_int, default=25)
     p_selftest.add_argument("--degree", type=int, default=2)
     p_selftest.add_argument("--seed", type=int, default=0)
     p_selftest.set_defaults(func=_cmd_selftest)

@@ -16,6 +16,8 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from . import jets
 
 __all__ = [
@@ -273,41 +275,46 @@ def free_variables(node: ExprNode) -> set[str]:
     return set()
 
 
+@np.errstate(all="ignore")  # overflow shows as a domain error or a non-finite entry
 def bind_and_eval(node: ExprNode, chart, point, order: int = 1) -> jets.Jet:
-    """Evaluate an AST as a jet at `point`.
+    """Evaluate an AST as a jet at `point`, one coordinate vector, or at a
+    batch of them (shape ``(..., n)``), walking the AST once.
 
     `chart` is either a ChartSpec or a plain sequence of variable names; the
     coordinate order of `point` follows it.
     """
     names = list(getattr(chart, "var_names", chart))
-    pt = [float(v) for v in point]
-    if len(pt) != len(names):
-        raise ValueError(f"point has {len(pt)} coordinates, chart has {len(names)}")
+    pts = np.asarray(point, dtype=float)
+    if pts.shape[-1:] != (len(names),):
+        raise ValueError(f"point has {pts.shape[-1]} coordinates, chart has {len(names)}")
     index = {name: i for i, name in enumerate(names)}
-    return _eval(node, index, pt, order)
+    out = _eval(node, index, pts, order, {})
+    if isinstance(out, jets.Jet):
+        return out
+    return jets.constant(np.full(pts.shape[:-1], out), len(names), order)
 
 
-def _eval(node: ExprNode, index: dict, pt: list, order: int) -> jets.Jet:
-    n = len(pt)
+def _eval(node: ExprNode, index: dict, pts: np.ndarray, order: int, seeds: dict):
+    """A jet, or a float where the subtree holds no variable."""
     if isinstance(node, Const):
-        return jets.constant(node.value, n, order)
+        return node.value
     if isinstance(node, Var):
         i = index.get(node.name)
         if i is None:
             raise ExprNameError(f"unbound variable {node.name!r}")
-        return jets.seed_variable(i, pt[i], n, order)
+        if i not in seeds:
+            seeds[i] = jets.seed_variable(i, pts[..., i], pts.shape[-1], order)
+        return seeds[i]
     if isinstance(node, Unary):
-        return jets.jet_apply(node.op, [_eval(node.operand, index, pt, order)])
+        return jets.jet_apply(node.op, [_eval(node.operand, index, pts, order, seeds)])
     if isinstance(node, Binary):
-        args = [_eval(node.left, index, pt, order), _eval(node.right, index, pt, order)]
-        try:
-            return jets.jet_apply(node.op, args)
-        except jets.JetDomainError as exc:
-            raise ExprDomainError(f"{exc} in {to_source(node)!r}") from exc
-    if isinstance(node, Call):
-        arg = _eval(node.arg, index, pt, order)
-        try:
-            return jets.jet_apply(node.func, [arg])
-        except jets.JetDomainError as exc:
-            raise ExprDomainError(f"{exc} in {to_source(node)!r}") from exc
-    raise TypeError(f"not an expression node: {node!r}")
+        op = node.op
+        values = [_eval(node.left, index, pts, order, seeds), _eval(node.right, index, pts, order, seeds)]
+    elif isinstance(node, Call):
+        op, values = node.func, [_eval(node.arg, index, pts, order, seeds)]
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    try:
+        return jets.jet_apply(op, values)
+    except jets.JetDomainError as exc:
+        raise ExprDomainError(f"{exc} in {to_source(node)!r}") from exc

@@ -75,11 +75,12 @@ class ChartSpec:
 
 @dataclass(frozen=True)
 class JetMatrix:
-    """Matrix values and their first partials at a point.
+    """Matrix values and their first partials at a point, or at a batch of
+    points along leading axes.
 
-    ``partials[k, i, j]`` is the derivative of entry (i, j) along coordinate k.
-    ``frame_cond`` carries the condition number of the frame that produced a
-    conjugation or pullback field, for diagnostics.
+    ``partials[..., k, i, j]`` is the derivative of entry (i, j) along
+    coordinate k.  ``frame_cond`` carries the condition number of the frame
+    that produced a conjugation or pullback field, for diagnostics.
     """
 
     values: np.ndarray
@@ -88,7 +89,7 @@ class JetMatrix:
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
 
 def standard_block(n: int) -> np.ndarray:
@@ -100,9 +101,47 @@ def standard_block(n: int) -> np.ndarray:
     return j0
 
 
+# Overflow in field evaluation is refused by the non-finite checks below, so
+# numpy's floating-point warnings are switched off there.
+_quiet = np.errstate(all="ignore")
+
+
 def _require_finite(values: np.ndarray, partials: np.ndarray) -> None:
     if not (np.isfinite(values).all() and np.isfinite(partials).all()):
         raise GeometryError("field evaluation produced non-finite entries")
+
+
+def _eval_table(rows, chart: ChartSpec, point, order: int = 1, upper: bool = False):
+    """Evaluate a table of expressions at a point or a batch of points.
+
+    Returns values ``(..., r, c)``, partials ``(..., n, r, c)`` and, at
+    order 2, Hessians ``(..., r, c, n, n)``.  With `upper`, entries below
+    the diagonal are not evaluated but copied from their mirror images.
+    """
+    pts = np.asarray(point, dtype=float)
+    batch, n, r, c = pts.shape[:-1], chart.n, len(rows), len(rows[0])
+    values = np.zeros(batch + (r, c))
+    partials = np.zeros(batch + (n, r, c))
+    hessians = np.zeros(batch + (r, c, n, n)) if order == 2 else None
+    for i in range(r):
+        for j in range(i if upper else 0, c):
+            jet = expr.bind_and_eval(rows[i][j], chart, pts, order=order)
+            for ij in {(i, j), (j, i)} if upper else ((i, j),):
+                values[(..., *ij)] = jet.value
+                partials[(..., slice(None), *ij)] = jet.grad
+            if hessians is not None:
+                hessians[..., i, j, :, :] = jet.hess
+    return values, partials, hessians
+
+
+def _frame_cond(frame: np.ndarray, what: str):
+    """Condition numbers of a frame; refuses one that is nearly singular."""
+    cond = np.linalg.cond(frame)
+    bad = ~(cond <= _MAX_FRAME_COND)
+    if np.any(bad):
+        worst = np.extract(bad, cond)[0]  # the first singular point of a batch
+        raise SingularFrameError(f"{what} is singular at the point (cond={worst:.3e})")
+    return cond
 
 
 @dataclass(frozen=True)
@@ -111,30 +150,11 @@ class ExplicitField:
 
     entries: tuple[tuple[expr.ExprNode, ...], ...]
 
+    @_quiet
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
-        n = chart.n
-        values = np.zeros((n, n))
-        partials = np.zeros((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                jet = expr.bind_and_eval(self.entries[i][j], chart, point, order=1)
-                values[i, j] = jet.value
-                partials[:, i, j] = jet.partials
+        values, partials, _ = _eval_table(self.entries, chart, point)
         _require_finite(values, partials)
         return JetMatrix(values, partials)
-
-
-def _eval_square(entries, chart, point, order):
-    """Evaluate an n x n table of expressions; returns (values, partials)."""
-    n = chart.n
-    values = np.zeros((n, n))
-    partials = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            jet = expr.bind_and_eval(entries[i][j], chart, point, order=order)
-            values[i, j] = jet.value
-            partials[:, i, j] = jet.partials
-    return values, partials
 
 
 @dataclass(frozen=True)
@@ -148,23 +168,21 @@ class ConjugationField:
     frame: tuple[tuple[expr.ExprNode, ...], ...]
     base: np.ndarray
 
+    @_quiet
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
-        av, ap = _eval_square(self.frame, chart, point, order=1)
+        av, ap, _ = _eval_table(self.frame, chart, point)
         if not np.isfinite(av).all():
             raise GeometryError("frame evaluation produced non-finite entries")
-        cond = float(np.linalg.cond(av))
-        if not np.isfinite(cond) or cond > _MAX_FRAME_COND:
-            raise SingularFrameError(
-                f"conjugation frame is singular at the point (cond={cond:.3e})"
-            )
+        cond = _frame_cond(av, "conjugation frame")
         ainv = np.linalg.inv(av)
         values = av @ self.base @ ainv
         core = self.base @ ainv
         partials = np.stack(
             [
-                ap[k] @ core - av @ core @ ap[k] @ ainv
+                ap[..., k, :, :] @ core - av @ core @ ap[..., k, :, :] @ ainv
                 for k in range(chart.n)
-            ]
+            ],
+            axis=-3,
         )
         _require_finite(values, partials)
         return JetMatrix(values, partials, frame_cond=cond)
@@ -182,29 +200,24 @@ class PullbackField:
     components: tuple[expr.ExprNode, ...]
     base: np.ndarray
 
+    @_quiet
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
-        n = chart.n
-        f = np.zeros((n, n))  # f[i, j] = d_j phi^i
-        h = np.zeros((n, n, n))  # h[i, j, k] = d_j d_k phi^i
-        for i in range(n):
-            jet = expr.bind_and_eval(self.components[i], chart, point, order=2)
-            f[i, :] = jet.partials
-            h[i] = jet.hessian
+        _, p, h = _eval_table([[c] for c in self.components], chart, point, order=2)
+        f = np.ascontiguousarray(np.swapaxes(p[..., 0], -1, -2))  # f[i, j] = d_j phi^i
+        h = h[..., 0, :, :]  # h[i, j, k] = d_j d_k phi^i
         if not np.isfinite(f).all():
             raise GeometryError("map Jacobian has non-finite entries")
-        cond = float(np.linalg.cond(f))
-        if not np.isfinite(cond) or cond > _MAX_FRAME_COND:
-            raise SingularFrameError(
-                f"pullback Jacobian is singular at the point (cond={cond:.3e})"
-            )
+        cond = _frame_cond(f, "pullback Jacobian")
         finv = np.linalg.inv(f)
         values = finv @ self.base @ f
-        partials = np.zeros((n, n, n))
-        for k in range(n):
-            df_k = h[:, :, k]  # d_k (Dphi)[i, j] = h[i, j, k]
-            partials[k] = (
-                -finv @ df_k @ finv @ self.base @ f + finv @ self.base @ df_k
-            )
+        # d_k (Dphi)[i, j] = h[i, j, k]
+        partials = np.stack(
+            [
+                -finv @ h[..., k] @ finv @ self.base @ f + finv @ self.base @ h[..., k]
+                for k in range(chart.n)
+            ],
+            axis=-3,
+        )
         _require_finite(values, partials)
         return JetMatrix(values, partials, frame_cond=cond)
 
@@ -222,15 +235,9 @@ class MetricField:
 
     entries: tuple[tuple[expr.ExprNode, ...], ...]
 
+    @_quiet
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
-        n = chart.n
-        values = np.zeros((n, n))
-        partials = np.zeros((n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                jet = expr.bind_and_eval(self.entries[i][j], chart, point, order=1)
-                values[i, j] = values[j, i] = jet.value
-                partials[:, i, j] = partials[:, j, i] = jet.partials
+        values, partials, _ = _eval_table(self.entries, chart, point, upper=True)
         _require_finite(values, partials)
         try:
             np.linalg.cholesky(values)
@@ -241,7 +248,7 @@ class MetricField:
 
 @dataclass(frozen=True)
 class AcsValidation:
-    """Verdict of the pointwise J^2 = -I check."""
+    """Verdict of the pointwise J^2 = -I check (arrays over a batch)."""
 
     ok: bool
     residual: float
@@ -251,7 +258,7 @@ class AcsValidation:
 def validate_acs(jm: JetMatrix, tol: float = 1e-9) -> AcsValidation:
     """Check ||J^2 + I||_max <= tol at the point."""
     r = jm.values @ jm.values + np.eye(jm.n)
-    res = float(np.max(np.abs(r)))
+    res = np.max(np.abs(r), axis=(-2, -1))
     return AcsValidation(res <= tol, res, r)
 
 
@@ -266,9 +273,9 @@ def christoffel(g: JetMatrix) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise MetricError("singular metric") from exc
     p = g.partials
-    t1 = np.einsum("kl,ijl->kij", ginv, p)
-    t2 = np.einsum("kl,jil->kij", ginv, p)
-    t3 = np.einsum("kl,lij->kij", ginv, p)
+    t1 = np.einsum("...kl,...ijl->...kij", ginv, p)
+    t2 = np.einsum("...kl,...jil->...kij", ginv, p)
+    t3 = np.einsum("...kl,...lij->...kij", ginv, p)
     return 0.5 * (t1 + t2 - t3)
 
 
@@ -281,7 +288,7 @@ class NormalChange:
     quad[k, b, c] = -Gamma^k_ij A^i_b A^j_c, which kills the transformed
     Christoffel symbols at the point.  Only the point values and first
     partials of transformed tensors are produced; no chart is actually
-    re-parameterised.
+    re-parameterised.  Every array may carry leading batch axes.
     """
 
     a: np.ndarray
@@ -295,29 +302,31 @@ class NormalChange:
             lo = np.linalg.cholesky(g.values)
         except np.linalg.LinAlgError as exc:
             raise MetricError("metric is not positive definite at the point") from exc
-        a = np.linalg.inv(lo).T
-        a_inv = lo.T
+        a = np.swapaxes(np.linalg.inv(lo), -1, -2)
+        a_inv = np.swapaxes(lo, -1, -2)
         gamma = christoffel(g)
-        quad = -np.einsum("kij,ib,jc->kbc", gamma, a, a)
+        quad = -np.einsum("...kij,...ib,...jc->...kbc", gamma, a, a)
         return cls(a, a_inv, gamma, quad)
 
     def transform_endomorphism(self, jm: JetMatrix) -> JetMatrix:
         """Values A^-1 J A plus partials with the quadratic-term corrections."""
-        vals = self.a_inv @ jm.values @ self.a
+        a, a_inv, gamma = self.a, self.a_inv, self.gamma
+        vals = a_inv @ jm.values @ a
         # d~_c J~^a_b = [A^-1]^a_i (d_k J^i_j) A^k_c A^j_b
         #             + [A^-1]^a_i Gamma^i_mn A^m_e A^n_c J~^e_b
         #             - J~^a_e [A^-1]^e_i Gamma^i_mn A^m_b A^n_c
-        t1 = np.einsum("ai,kij,kc,jb->cab", self.a_inv, jm.partials, self.a, self.a)
-        t2 = np.einsum("ai,imn,me,nc,eb->cab", self.a_inv, self.gamma, self.a, self.a, vals)
-        t3 = np.einsum("ae,ei,imn,mb,nc->cab", vals, self.a_inv, self.gamma, self.a, self.a)
+        t1 = np.einsum("...ai,...kij,...kc,...jb->...cab", a_inv, jm.partials, a, a)
+        t2 = np.einsum("...ai,...imn,...me,...nc,...eb->...cab", a_inv, gamma, a, a, vals)
+        t3 = np.einsum("...ae,...ei,...imn,...mb,...nc->...cab", vals, a_inv, gamma, a, a)
         return JetMatrix(vals, t1 + t2 - t3, frame_cond=jm.frame_cond)
 
     def transform_metric(self, g: JetMatrix) -> JetMatrix:
         """Values A^T g A (identity up to rounding) plus transformed partials."""
-        vals = self.a.T @ g.values @ self.a
-        t1 = np.einsum("iac,ij,jb->cab", self.quad, g.values, self.a)
-        t2 = np.einsum("ia,kij,kc,jb->cab", self.a, g.partials, self.a, self.a)
-        t3 = np.einsum("ia,ij,jbc->cab", self.a, g.values, self.quad)
+        a = self.a
+        vals = np.swapaxes(a, -1, -2) @ g.values @ a
+        t1 = np.einsum("...iac,...ij,...jb->...cab", self.quad, g.values, a)
+        t2 = np.einsum("...ia,...kij,...kc,...jb->...cab", a, g.partials, a, a)
+        t3 = np.einsum("...ia,...ij,...jbc->...cab", a, g.values, self.quad)
         return JetMatrix(vals, t1 + t2 + t3)
 
 

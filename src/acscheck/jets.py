@@ -1,28 +1,24 @@
-"""Forward-mode jets: scalars carrying exact first and second partials.
+"""Forward-mode jets over a batch of points ("vector forward mode",
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).
 
-Arithmetic on jets propagates derivatives through the chain rule, so any
-quantity composed from the supported operations comes out with
-machine-precision partials at the evaluation point.  Order 1 carries a
-gradient, order 2 adds a symmetric Hessian; storage is dense, sized for the
-small chart dimensions this package works with.
-
-The order-1 and order-2 code paths use textually identical value/gradient
-formulas, so truncating an order-2 result reproduces the order-1 result
-bit for bit.
+A :class:`Jet` carries a value per point of a batch (a float for a single
+point), gradients ``(..., n)`` and, at order 2, symmetric Hessians
+``(..., n, n)`` (``None`` at order 1); constants are plain floats.  Every
+entry has the bits a scalar evaluation at its own point gives: arithmetic is
+elementwise IEEE, and library functions and powers are evaluated point by
+point with :mod:`math` (numpy's vectorised ``exp``, ``log``, ``tanh`` and
+``power`` round differently).  Overflow raises :class:`JetDomainError`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "Jet",
-    "Jet1",
-    "Jet2",
     "JetDomainError",
     "constant",
     "seed_variable",
@@ -41,273 +37,237 @@ class JetDomainError(ValueError):
     """An operation left its real domain (division by zero, log(-1), ...)."""
 
 
-@dataclass(frozen=True, eq=False)
-class Jet1:
-    """Value plus gradient with respect to the chart coordinates."""
+class Jet:
+    """Values, gradients and optional Hessians over a batch of points; for a
+    single point the value is a float.  Operations return new jets."""
 
-    value: float
-    partials: np.ndarray
+    __slots__ = ("value", "grad", "hess")
 
-    @property
-    def n(self) -> int:
-        return self.partials.shape[0]
-
-    def truncate(self) -> "Jet1":
-        return self
-
-    def __neg__(self) -> "Jet1":
-        return Jet1(-self.value, -self.partials)
-
-    def __add__(self, other) -> "Jet1":
-        o = _lift(other, self)
-        return Jet1(self.value + o.value, self.partials + o.partials)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Jet1":
-        o = _lift(other, self)
-        return Jet1(self.value - o.value, self.partials - o.partials)
-
-    def __rsub__(self, other) -> "Jet1":
-        return _lift(other, self).__sub__(self)
-
-    def __mul__(self, other) -> "Jet1":
-        o = _lift(other, self)
-        return Jet1(
-            self.value * o.value,
-            self.value * o.partials + o.value * self.partials,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Jet1":
-        return self * _recip(_lift(other, self))
-
-    def __rtruediv__(self, other) -> "Jet1":
-        return _lift(other, self) * _recip(self)
-
-    def __pow__(self, other) -> "Jet1":
-        return power(self, other)
-
-
-@dataclass(frozen=True, eq=False)
-class Jet2:
-    """Value, gradient and symmetric Hessian."""
-
-    value: float
-    partials: np.ndarray
-    hessian: np.ndarray
+    def __init__(self, value, grad: np.ndarray, hess: Optional[np.ndarray] = None):
+        self.value, self.grad, self.hess = value, grad, hess
 
     @property
     def n(self) -> int:
-        return self.partials.shape[0]
+        return self.grad.shape[-1]
 
-    def truncate(self) -> Jet1:
-        return Jet1(self.value, self.partials)
+    def __neg__(self) -> "Jet":
+        return Jet(-self.value, -self.grad, None if self.hess is None else -self.hess)
 
-    def __neg__(self) -> "Jet2":
-        return Jet2(-self.value, -self.partials, -self.hessian)
-
-    def __add__(self, other) -> "Jet2":
-        o = _lift(other, self)
-        return Jet2(
-            self.value + o.value,
-            self.partials + o.partials,
-            self.hessian + o.hessian,
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Jet2":
-        o = _lift(other, self)
-        return Jet2(
-            self.value - o.value,
-            self.partials - o.partials,
-            self.hessian - o.hessian,
-        )
-
-    def __rsub__(self, other) -> "Jet2":
-        return _lift(other, self).__sub__(self)
-
-    def __mul__(self, other) -> "Jet2":
-        o = _lift(other, self)
-        # outer(p, q) + outer(q, p) keeps the Hessian exactly symmetric
-        return Jet2(
-            self.value * o.value,
-            self.value * o.partials + o.value * self.partials,
-            self.value * o.hessian
-            + o.value * self.hessian
-            + np.outer(self.partials, o.partials)
-            + np.outer(o.partials, self.partials),
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Jet2":
-        return self * _recip(_lift(other, self))
-
-    def __rtruediv__(self, other) -> "Jet2":
-        return _lift(other, self) * _recip(self)
-
-    def __pow__(self, other) -> "Jet2":
-        return power(self, other)
-
-
-Jet = Union[Jet1, Jet2]
-
-
-def constant(value: float, n: int, order: int = 1) -> Jet:
-    """Jet of a constant: zero gradient (and zero Hessian at order 2)."""
-    if order == 1:
-        return Jet1(float(value), np.zeros(n))
-    if order == 2:
-        return Jet2(float(value), np.zeros(n), np.zeros((n, n)))
-    raise ValueError("order must be 1 or 2")
-
-
-def seed_variable(index: int, value: float, n: int, order: int = 1) -> Jet:
-    """Jet of the coordinate variable `index` at the given value."""
-    if not 0 <= index < n:
-        raise ValueError(f"coordinate index {index} out of range for dimension {n}")
-    p = np.zeros(n)
-    p[index] = 1.0
-    if order == 1:
-        return Jet1(float(value), p)
-    if order == 2:
-        return Jet2(float(value), p, np.zeros((n, n)))
-    raise ValueError("order must be 1 or 2")
-
-
-def _lift(x, like: Jet) -> Jet:
-    if isinstance(x, (Jet1, Jet2)):
-        if type(x) is not type(like):
+    def __add__(self, other) -> "Jet":
+        if not isinstance(other, Jet):
+            return Jet(self.value + _float(other), self.grad, self.hess)
+        if (self.hess is None) != (other.hess is None):
             raise TypeError("cannot mix jets of different orders")
-        return x
+        hess = None if self.hess is None else self.hess + other.hess
+        return Jet(self.value + other.value, self.grad + other.grad, hess)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Jet":
+        return self + (-other)  # x - y is x + (-y) in IEEE arithmetic, bit for bit
+
+    def __rsub__(self, other) -> "Jet":
+        return (-self) + other
+
+    def __mul__(self, other) -> "Jet":
+        if not isinstance(other, Jet):
+            c = _float(other)
+            return Jet(self.value * c, c * self.grad, None if self.hess is None else c * self.hess)
+        if (self.hess is None) != (other.hess is None):
+            raise TypeError("cannot mix jets of different orders")
+        u, w = _along(self.value, 1), _along(other.value, 1)
+        hess = None
+        if self.hess is not None:
+            # outer(p, q) + outer(q, p) keeps the Hessian exactly symmetric
+            hess = (
+                _along(self.value, 2) * other.hess
+                + _along(other.value, 2) * self.hess
+                + _outer(self.grad, other.grad)
+                + _outer(other.grad, self.grad)
+            )
+        return Jet(self.value * other.value, u * other.grad + w * self.grad, hess)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Jet":
+        return self * _chain(other, _reciprocal)
+
+    def __rtruediv__(self, other) -> "Jet":
+        return _chain(self, _reciprocal) * _float(other)
+
+    def __pow__(self, other) -> "Jet":
+        return power(self, other)
+
+
+Operand = Union[Jet, float]
+
+
+def _float(x) -> float:
     if isinstance(x, (int, float)):
-        if isinstance(like, Jet2):
-            return constant(float(x), like.n, order=2)
-        return constant(float(x), like.n, order=1)
+        return float(x)
     raise TypeError(f"cannot use {type(x).__name__} as a jet operand")
 
 
-def _chain(u: Jet, f: float, df: float, d2f: float) -> Jet:
-    """Jet of a smooth unary function applied to `u`."""
-    if isinstance(u, Jet2):
-        return Jet2(
-            f,
-            df * u.partials,
-            df * u.hessian + d2f * np.outer(u.partials, u.partials),
-        )
-    return Jet1(f, df * u.partials)
+def _along(x, axes: int):
+    """Per-point scalars `x` broadcast against `axes` derivative axes."""
+    return x[(...,) + (None,) * axes] if isinstance(x, np.ndarray) else x
 
 
-def _recip(u: Jet) -> Jet:
-    v = u.value
+def _outer(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return p[..., :, None] * q[..., None, :]
+
+
+def constant(value, n: int, order: int = 1) -> Jet:
+    """Jet of a constant (a float, or an array of per-point values): zero
+    gradient, and zero Hessian at order 2."""
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    value = np.array(value, dtype=float)
+    grad = np.zeros(value.shape + (n,))
+    hess = np.zeros(grad.shape + (n,)) if order == 2 else None
+    return Jet(value if value.ndim else float(value), grad, hess)  # a float for one point
+
+
+def seed_variable(index: int, value, n: int, order: int = 1) -> Jet:
+    """Jet of the coordinate variable `index` at the given value(s)."""
+    if not 0 <= index < n:
+        raise ValueError(f"coordinate index {index} out of range for dimension {n}")
+    jet = constant(value, n, order)
+    jet.grad[..., index] = 1.0
+    return jet
+
+
+def _chain(u: Operand, kernel, *params) -> Operand:
+    """A smooth unary function of `u`: `kernel(v, *params)` returns its value
+    and first two derivatives at one point, in float arithmetic.  A param is
+    a float, or an array of per-point values."""
+    shape = np.shape(u.value) if isinstance(u, Jet) else ()
+    values = np.ravel(u.value).tolist() if isinstance(u, Jet) else [u]
+    columns = [
+        np.broadcast_to(p, shape).ravel().tolist() if isinstance(p, np.ndarray) else [p] * len(values)
+        for p in params
+    ]
+    try:
+        rows = [kernel(*args) for args in zip(values, *columns)]
+    except (OverflowError, ZeroDivisionError):  # float arithmetic's overflow
+        raise JetDomainError(f"{kernel.__name__[1:]} overflow") from None
+    if not isinstance(u, Jet):
+        return rows[0][0]
+    f, df, d2f = np.array(rows).T.reshape((3,) + shape) if shape else rows[0]
+    hess = None
+    if u.hess is not None:
+        hess = _along(df, 2) * u.hess + _along(d2f, 2) * _outer(u.grad, u.grad)
+    return Jet(f, _along(df, 1) * u.grad, hess)
+
+
+def _reciprocal(v):
     if v == 0.0:
         raise JetDomainError("division by zero")
-    return _chain(u, 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
+    return 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v)
 
 
-def _is_derivative_free(u: Jet) -> bool:
-    if isinstance(u, Jet2):
-        return bool(np.all(u.partials == 0.0) and np.all(u.hessian == 0.0))
-    return bool(np.all(u.partials == 0.0))
+def _power(v: float, k: float):
+    if math.isfinite(k) and k == round(k):
+        ki = int(round(k))
+        if ki == 0:
+            return 1.0, 0.0, 0.0
+        if ki == 1:
+            return v, 1.0, 0.0
+        if v == 0.0 and ki < 0:
+            raise JetDomainError("zero base with negative exponent")
+        if v == 0.0:
+            # ki >= 2: value and first derivative vanish; second survives at ki == 2
+            return 0.0, 0.0, 2.0 if ki == 2 else 0.0
+        return v**ki, ki * v ** (ki - 1), ki * (ki - 1) * v ** (ki - 2)
+    if v <= 0.0:
+        raise JetDomainError("non-integer exponent requires positive base")
+    return v**k, k * v ** (k - 1.0), k * (k - 1.0) * v ** (k - 2.0)
 
 
-def power(base: Jet, exponent) -> Jet:
+def power(base: Operand, exponent: Operand) -> Operand:
     """base ** exponent.
 
     Integer exponents work on any base; non-integer exponents require a
     strictly positive base.  A jet exponent with nonzero derivatives goes
     through exp(exponent * log(base)) and therefore also needs base > 0.
+    A batch whose exponent has zero derivatives at some points only is
+    refused: evaluate those points one at a time.
     """
-    if isinstance(exponent, (Jet1, Jet2)):
-        if _is_derivative_free(exponent):
-            return _const_power(base, exponent.value)
-        if base.value <= 0.0:
-            raise JetDomainError("variable exponent requires positive base")
-        return exp(exponent * log(base))
-    return _const_power(base, float(exponent))
+    if not isinstance(exponent, Jet):
+        return _chain(base, _power, _float(exponent))
+    if not isinstance(base, Jet):
+        base = constant(np.full(np.shape(exponent.value), _float(base)), exponent.n,
+                        1 if exponent.hess is None else 2)
+    free = np.all(exponent.grad == 0.0, axis=-1)
+    if exponent.hess is not None:
+        free &= np.all(exponent.hess == 0.0, axis=(-2, -1))
+    if np.all(free):
+        return _chain(base, _power, exponent.value)
+    if np.any(free):
+        raise JetDomainError("exponent is constant at only some points of the batch")
+    if np.any(base.value <= 0.0):
+        raise JetDomainError("variable exponent requires positive base")
+    return exp(exponent * log(base))
 
 
-def _const_power(u: Jet, k: float) -> Jet:
-    v = u.value
-    if k == round(k):
-        ki = int(round(k))
-        if ki == 0:
-            return _chain(u, 1.0, 0.0, 0.0)
-        if ki == 1:
-            return _chain(u, v, 1.0, 0.0)
-        if v == 0.0 and ki < 0:
-            raise JetDomainError("zero base with negative exponent")
-        if v == 0.0:
-            # ki >= 2: value and first derivative vanish; second survives at ki == 2
-            return _chain(u, 0.0, 0.0, 2.0 if ki == 2 else 0.0)
-        return _chain(u, v**ki, ki * v ** (ki - 1), ki * (ki - 1) * v ** (ki - 2))
-    if v <= 0.0:
-        raise JetDomainError("non-integer exponent requires positive base")
-    return _chain(u, v**k, k * v ** (k - 1.0), k * (k - 1.0) * v ** (k - 2.0))
+def _sin(v):
+    s, c = math.sin(v), math.cos(v)
+    return s, c, -s
 
 
-def sin(u: Jet) -> Jet:
-    s, c = math.sin(u.value), math.cos(u.value)
-    return _chain(u, s, c, -s)
+def _cos(v):
+    s, c = math.sin(v), math.cos(v)
+    return c, -s, -c
 
 
-def cos(u: Jet) -> Jet:
-    s, c = math.sin(u.value), math.cos(u.value)
-    return _chain(u, c, -s, -c)
+def _exp(v):
+    f = math.exp(v)
+    return f, f, f
 
 
-def exp(u: Jet) -> Jet:
-    f = math.exp(u.value)
-    if not math.isfinite(f):
-        raise JetDomainError("exp overflow")
-    return _chain(u, f, f, f)
-
-
-def log(u: Jet) -> Jet:
-    v = u.value
+def _log(v):
     if v <= 0.0:
         raise JetDomainError("log of non-positive value")
-    return _chain(u, math.log(v), 1.0 / v, -1.0 / (v * v))
+    return math.log(v), 1.0 / v, -1.0 / (v * v)
 
 
-def sqrt(u: Jet) -> Jet:
-    v = u.value
+def _sqrt(v):
     if v <= 0.0:
         raise JetDomainError("sqrt of non-positive value")
     s = math.sqrt(v)
-    return _chain(u, s, 0.5 / s, -0.25 / (s * v))
+    return s, 0.5 / s, -0.25 / (s * v)
 
 
-def tanh(u: Jet) -> Jet:
-    t = math.tanh(u.value)
+def _tanh(v):
+    t = math.tanh(v)
     sech2 = 1.0 - t * t
-    return _chain(u, t, sech2, -2.0 * t * sech2)
+    return t, sech2, -2.0 * t * sech2
 
 
-_UNARY = {
-    "neg": lambda u: -u,
-    "sin": sin,
-    "cos": cos,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-    "tanh": tanh,
-}
+def _unary(kernel):
+    def apply(u: Operand) -> Operand:
+        return _chain(u, kernel)
+
+    apply.__name__ = apply.__qualname__ = kernel.__name__[1:]
+    apply.__doc__ = f"{apply.__name__} of a jet, or of a float."
+    return apply
+
+
+sin, cos, exp, log, sqrt, tanh = map(_unary, (_sin, _cos, _exp, _log, _sqrt, _tanh))
+
+_UNARY = {"neg": lambda u: -u, **{f.__name__: f for f in (sin, cos, exp, log, sqrt, tanh)}}
 
 _BINARY = {
     "add": lambda a, b: a + b,
     "sub": lambda a, b: a - b,
     "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
+    "div": lambda a, b: a * _chain(b, _reciprocal),
     "pow": power,
 }
 
 
-def jet_apply(op: str, args: Sequence[Jet]) -> Jet:
-    """Apply a named operation to jets, checking arity."""
+def jet_apply(op: str, args: Sequence[Operand]) -> Operand:
+    """Apply a named operation to jets or floats, checking arity."""
     if op in _UNARY:
         if len(args) != 1:
             raise ValueError(f"{op} expects 1 argument, got {len(args)}")

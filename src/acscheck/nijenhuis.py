@@ -4,7 +4,8 @@ Components live in dense arrays indexed ``comps[k, i, j] = N^k_ij`` where
 N(e_i, e_j) = N^k_ij e_k on coordinate fields (whose Lie brackets vanish).
 All contractions sum repeated indices over the full range; with the matrix
 layout of :mod:`acscheck.geometry` that convention is legitimate exactly in
-coordinates orthonormal for the working metric at the point.
+coordinates orthonormal for the working metric at the point.  Every function
+also takes a batch of points along leading axes and then returns arrays.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ def nijenhuis_standard(jm: JetMatrix) -> np.ndarray:
     and its transpose.
     """
     j, d = jm.values, jm.partials
-    m = np.einsum("pi,pkj->kij", j, d) - np.einsum("kp,ipj->kij", j, d)
-    return m - m.transpose(0, 2, 1)
+    m = np.einsum("...pi,...pkj->...kij", j, d) - np.einsum("...kp,...ipj->...kij", j, d)
+    return m - np.swapaxes(m, -1, -2)
 
 
 def nijenhuis_reduced(jm: JetMatrix) -> np.ndarray:
@@ -46,9 +47,9 @@ def nijenhuis_reduced(jm: JetMatrix) -> np.ndarray:
     point; disagreement is a usable detector for invalid input.
     """
     j, d = jm.values, jm.partials
-    dd = d - d.transpose(2, 1, 0)
-    b = np.einsum("pi,prk->rik", j, dd)
-    return b - b.transpose(0, 2, 1)
+    dd = d - np.swapaxes(d, -1, -3)
+    b = np.einsum("...pi,...prk->...rik", j, dd)
+    return b - np.swapaxes(b, -1, -2)
 
 
 def big_n(comps: np.ndarray, j_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
@@ -60,23 +61,24 @@ def big_n(comps: np.ndarray, j_values: np.ndarray, g_values: np.ndarray) -> np.n
     The construction pairs the four addends so that the simultaneous swap
     (X <-> Y, Z <-> W) leaves the array exactly invariant.
     """
-    t = np.einsum("rab,src,ts,td->abcd", comps, comps, j_values, g_values)
-    s1 = t + t.transpose(2, 3, 0, 1)
-    s2 = t.transpose(2, 1, 0, 3) + t.transpose(0, 3, 2, 1)
+    t = np.einsum("...rab,...src,...ts,...td->...abcd", comps, comps, j_values, g_values)
+    # t.transpose(2, 3, 0, 1), (2, 1, 0, 3) and (0, 3, 2, 1) on the slot axes
+    s1 = t + np.swapaxes(np.swapaxes(t, -4, -2), -3, -1)
+    s2 = np.swapaxes(t, -4, -2) + np.swapaxes(t, -3, -1)
     return 0.25 * (s1 + s2)
 
 
 def double_trace(bn: np.ndarray, g_inv: np.ndarray) -> float:
     """Trace slots (1,3) and slots (2,4) against the inverse metric."""
-    return float(np.einsum("ia,kb,ikab->", g_inv, g_inv, bn)) + 0.0
+    return np.einsum("...ia,...kb,...ikab->...", g_inv, g_inv, bn) + 0.0
 
 
 def contraction_scalar(comps: np.ndarray, j_values: np.ndarray) -> float:
     """sum over i,k,r,s of N^r_ik N^s_ri J^k_s (J^k_s = entry row k, col s)."""
-    return float(np.einsum("rik,sri,ks->", comps, comps, j_values)) + 0.0
+    return np.einsum("...rik,...sri,...ks->...", comps, comps, j_values) + 0.0
 
 
 def j_swap_residual(comps: np.ndarray, j_values: np.ndarray) -> float:
     """Max-norm residual of the identity N(J e_i, J e_j) = -N(e_i, e_j)."""
-    lhs = np.einsum("pi,qj,kpq->kij", j_values, j_values, comps)
-    return float(np.max(np.abs(lhs + comps)))
+    lhs = np.einsum("...pi,...qj,...kpq->...kij", j_values, j_values, comps)
+    return np.max(np.abs(lhs + comps), axis=(-3, -2, -1))

@@ -35,6 +35,7 @@ __all__ = [
     "obstruction_scalar",
     "term_ledger",
     "report_from_jets",
+    "scan_columns",
     "identity_report",
 ]
 
@@ -61,6 +62,20 @@ VERDICT_LEDGER_ANOMALY = "ledger-anomaly"
 VERDICT_INVALID_ACS = "invalid-acs"
 
 
+def _reduce(subscripts: str, x: np.ndarray, y: np.ndarray):
+    """Two-operand einsum down to one scalar per point.
+
+    numpy sums such a contraction in an order that depends on the batch
+    layout, so a batch is reduced point by point: every point then gets the
+    bits its single-point evaluation gives.
+    """
+    lead = x.ndim - subscripts.index(",")
+    if not lead:
+        return np.einsum(subscripts, x, y)
+    pairs = zip(x.reshape((-1,) + x.shape[lead:]), y.reshape((-1,) + y.shape[lead:]))
+    return np.array([np.einsum(subscripts, *pair) for pair in pairs]).reshape(x.shape[:lead])
+
+
 def obstruction_scalar(jm: JetMatrix) -> float:
     """-d_j(J^i_l J^k_l) d_i J^j_k, all repeated indices summed.
 
@@ -73,14 +88,14 @@ def obstruction_scalar(jm: JetMatrix) -> float:
     """
     j, d = jm.values, jm.partials
     # grad_jjt[j, i, k] = d_j sum_l J[i, l] J[k, l]
-    grad_jjt = np.einsum("jil,kl->jik", d, j) + np.einsum("il,jkl->jik", j, d)
+    grad_jjt = np.einsum("...jil,...kl->...jik", d, j) + np.einsum("...il,...jkl->...jik", j, d)
     # + 0.0 canonicalises IEEE negative zero for the reports
-    return float(-np.einsum("jik,ijk->", grad_jjt, d)) + 0.0
+    return -_reduce("jik,ijk->", grad_jjt, d) + 0.0
 
 
 @dataclass(frozen=True)
 class TermLedger:
-    """Named scalars of the expanded product N^r_ik N^s_ri J^k_s.
+    """Named scalars of the expanded product N^r_ik N^s_ri J^k_s (arrays over a batch).
 
     The expansion writes the contraction as a product of two four-term
     factors and distributes; the sixteen products are grouped into four
@@ -103,19 +118,17 @@ class TermLedger:
         return out
 
 
-def term_ledger(jm: JetMatrix) -> TermLedger:
-    """Evaluate the sixteen expansion terms verbatim from their index patterns.
-
-    Same coordinate requirements as :func:`obstruction_scalar`.  Notation in
-    the per-term comments: J_a f = J^m_a d_m f is the derivative of f along
-    J(e_a); array labels follow geometry's row/column layout, so the symbol
-    J^b_a (equivalently J_a^b) is the array element J[b, a] and d_a J^b_c is
-    D[a, b, c].
-    """
-    j, d = jm.values, jm.partials
+def _terms(j: np.ndarray, d: np.ndarray) -> dict:
+    """The sixteen expansion terms (arrays over a batch); see term_ledger."""
     # jd[a, r, k] = J_a J^r_k = sum_m J[m, a] d_m J[r, k]
-    jd = np.einsum("ma,mrk->ark", j, d)
-    es = np.einsum
+    jd = np.einsum("...ma,...mrk->...ark", j, d)
+
+    def es(spec, *operands):
+        if len(operands) == 2:
+            return _reduce(spec, *operands)
+        inputs, output = spec.split("->")
+        return np.einsum(",".join("..." + s for s in inputs.split(",")) + "->..." + output, *operands)
+
     terms = {
         # line I: products of two J-directional derivatives
         "I1": -es("ks,irk,isr->", j, jd, jd),   # -J_s^k (J_i J^r_k)(J_i J^s_r)
@@ -139,10 +152,23 @@ def term_ledger(jm: JetMatrix) -> TermLedger:
         "IV4": +es("qi,rsq,sri->", j, d, d),  # +J_i^q (d_r J^s_q)(d_s J^r_i)
     }
     # + 0.0 canonicalises IEEE negative zeros for the reports
-    terms = {name: float(terms[name]) + 0.0 for name in TERM_NAMES}
+    return {name: terms[name] + 0.0 for name in TERM_NAMES}
+
+
+def term_ledger(jm: JetMatrix) -> TermLedger:
+    """Evaluate the sixteen expansion terms verbatim from their index patterns.
+
+    Same coordinate requirements as :func:`obstruction_scalar`.  Notation in
+    the per-term comments of ``_terms``: J_a f = J^m_a d_m f is the
+    derivative of f along J(e_a); array labels follow geometry's row/column
+    layout, so the symbol J^b_a (equivalently J_a^b) is the array element
+    J[b, a] and d_a J^b_c is D[a, b, c].
+    """
+    j, d = jm.values, jm.partials
+    terms = _terms(j, d)
     # -J_t^k J_p^i J_p^j (d_i J^l_k)(d_j J^t_l)
-    first_quadratic = float(-es("kt,ip,jp,ilk,jtl->", j, j, j, d, d)) + 0.0
-    total = float(sum(terms[name] for name in TERM_NAMES)) + 0.0
+    first_quadratic = -np.einsum("...kt,...ip,...jp,...ilk,...jtl->...", j, j, j, d, d) + 0.0
+    total = sum(terms[name] for name in TERM_NAMES) + 0.0
     return TermLedger(terms, first_quadratic, total)
 
 
@@ -205,6 +231,27 @@ class ObstructionReport:
         return "\n".join(lines) + "\n"
 
 
+def _normal_form(j_jm: JetMatrix, g_jm, n_std: np.ndarray):
+    """J and its Nijenhuis components in coordinates normal for the metric,
+    and the change to them (None for the Euclidean metric: the identity)."""
+    if g_jm is None:
+        return j_jm, n_std, None
+    change = geometry.NormalChange.from_metric(g_jm)
+    tj = change.transform_endomorphism(j_jm)
+    return tj, nijenhuis.nijenhuis_standard(tj), change
+
+
+def _verdict(acs_ok, total, contraction, terms: dict, tol_identity: float):
+    # tol_identity is relative to the magnitude of the summed terms: that is
+    # the conditioning scale of the cancellation (both sides are near zero
+    # for a valid structure, so scaling by the result would mean "absolute").
+    scale = 1.0 + abs(contraction) + sum(abs(v) for v in terms.values())
+    anomaly = abs(total - contraction) > tol_identity * scale
+    verdict = np.where(anomaly, VERDICT_LEDGER_ANOMALY, VERDICT_CONSISTENT)
+    return np.where(acs_ok, verdict, VERDICT_INVALID_ACS)
+
+
+@np.errstate(all="ignore")  # a non-finite result is refused below
 def report_from_jets(
     j_jm: JetMatrix,
     g_jm: JetMatrix | None,
@@ -212,48 +259,33 @@ def report_from_jets(
     tol_alg: float = 1e-9,
     tol_identity: float = 1e-9,
 ) -> ObstructionReport:
-    """Build a report from already-evaluated jets.
+    """Build a report from already-evaluated jets at one point.
 
     `g_jm` is None for the Euclidean metric, in which case the coordinate
     change is skipped (it would be the identity).  The Nijenhuis components,
     the (4,0) tensor and its double trace use the original coordinates with
     the metric; the obstruction scalar, the ledger and the contraction use
     the normal-coordinate jets so that repeated-index summation is
-    legitimate.
+    legitimate.  Raises GeometryError if any field of the report is not
+    finite (an overflowing structure): NaN never gets a verdict.
     """
-    n = j_jm.n
     acs = geometry.validate_acs(j_jm, tol_alg)
     n_std = nijenhuis.nijenhuis_standard(j_jm)
-    n_max = float(np.max(np.abs(n_std)))
     if g_jm is None:
-        g_vals = np.eye(n)
-        g_inv = np.eye(n)
-        tj = j_jm
-        tn = n_std
+        g_vals = g_inv = np.eye(j_jm.n)
     else:
         g_vals = g_jm.values
         g_inv = np.linalg.inv(g_vals)
-        tj = geometry.NormalChange.from_metric(g_jm).transform_endomorphism(j_jm)
-        tn = nijenhuis.nijenhuis_standard(tj)
+    tj, tn, _ = _normal_form(j_jm, g_jm, n_std)
     bn = nijenhuis.big_n(n_std, j_jm.values, g_vals)
-    dtr = nijenhuis.double_trace(bn, g_inv)
-    obs = obstruction_scalar(tj)
-    contraction = nijenhuis.contraction_scalar(tn, tj.values)
+    dtr = float(nijenhuis.double_trace(bn, g_inv))
+    obs = float(obstruction_scalar(tj))
+    contraction = float(nijenhuis.contraction_scalar(tn, tj.values))
     ledger = term_ledger(tj)
-    # tol_identity is relative to the magnitude of the summed terms: that is
-    # the conditioning scale of the cancellation (both sides are near zero
-    # for a valid structure, so scaling by the result would mean "absolute").
-    identity_scale = 1.0 + abs(contraction) + sum(abs(v) for v in ledger.terms.values())
-    if not acs.ok:
-        verdict = VERDICT_INVALID_ACS
-    elif abs(ledger.total - contraction) > tol_identity * identity_scale:
-        verdict = VERDICT_LEDGER_ANOMALY
-    else:
-        verdict = VERDICT_CONSISTENT
-    return ObstructionReport(
+    report = ObstructionReport(
         point=tuple(float(v) for v in point),
-        j_squared_residual=acs.residual,
-        n_max_abs=n_max,
+        j_squared_residual=float(acs.residual),
+        n_max_abs=float(np.max(np.abs(n_std))),
         obstruction=obs,
         contraction=contraction,
         double_trace=dtr,
@@ -261,8 +293,56 @@ def report_from_jets(
         identity_residual_contraction=abs(contraction - obs),
         ledger=ledger,
         cancellation_residuals=ledger.cancellation_residuals(),
-        verdict=verdict,
+        verdict=str(_verdict(acs.ok, ledger.total, contraction, ledger.terms, tol_identity)),
     )
+    bad = [
+        k
+        for k, v in report.to_json_dict().items()
+        if k not in ("point", "verdict")
+        and not np.isfinite(list(v.values()) if isinstance(v, dict) else v).all()
+    ]
+    if bad:
+        raise geometry.GeometryError("non-finite " + ", ".join(bad) + " at the point")
+    return report
+
+
+# Batched jets with entries up to this size keep every report field finite:
+# each is a sum of at most n^11 products of at most ten such entries (the
+# double trace, through g^-1 = A A^T), far below the float range.
+_BATCH_BOUND = 1e25
+
+
+@np.errstate(all="ignore")
+def scan_columns(j_jm: JetMatrix, g_jm, tol_alg: float = 1e-9, tol_identity: float = 1e-9) -> dict:
+    """The fields a scan writes, over a batch of points, as arrays:
+    n_max_abs, obstruction, contraction, identity_residual_contraction and
+    verdict.  Each equals, bit for bit, the field of the point's own report;
+    the rest of the report (the (4,0) tensor and its double trace,
+    ``first_quadratic``, the cancellation residuals) is not computed.
+
+    Raises GeometryError if an entry of the jets is not finite or exceeds
+    ``_BATCH_BOUND``; such points need :func:`report_from_jets`, which
+    refuses a non-finite report.
+    """
+    acs = geometry.validate_acs(j_jm, tol_alg)
+    n_std = nijenhuis.nijenhuis_standard(j_jm)
+    tj, tn, change = _normal_form(j_jm, g_jm, n_std)
+    bounded = [j_jm.values, j_jm.partials, tj.values, tj.partials]
+    if g_jm is not None:
+        bounded += [g_jm.values, change.a]
+    if not all(np.all(np.abs(x) <= _BATCH_BOUND) for x in bounded):
+        raise geometry.GeometryError("jets out of the batched range; evaluate point by point")
+    obs = obstruction_scalar(tj)
+    contraction = nijenhuis.contraction_scalar(tn, tj.values)
+    terms = _terms(tj.values, tj.partials)
+    total = sum(terms[name] for name in TERM_NAMES) + 0.0
+    return {
+        "n_max_abs": np.max(np.abs(n_std), axis=(-3, -2, -1)),
+        "obstruction": obs,
+        "contraction": contraction,
+        "identity_residual_contraction": np.abs(contraction - obs),
+        "verdict": _verdict(acs.ok, total, contraction, terms, tol_identity),
+    }
 
 
 def identity_report(

@@ -172,6 +172,8 @@ def _random_spd_metric(rng: np.random.Generator, chart: ChartSpec, point) -> Met
 def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
     """Run the suite; deterministic in (dims, samples, degree, seed)."""
     dims = tuple(int(d) for d in dims)
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     for d in dims:
         if d <= 0 or d % 2:
             raise ValueError("dims must be positive even integers")
@@ -233,22 +235,16 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
             g_jm = metric.eval(chart, point)
             rep_g = report_from_jets(j_jm, g_jm, point)
 
-            residuals[_RESIDUAL_NAMES[0]].append(res_ledger / terms_scale)
-            residuals[_RESIDUAL_NAMES[1]].append(res_collapse / diag_scale)
-            residuals[_RESIDUAL_NAMES[2]].append(rep_e.identity_residual_trace)
-            residuals[_RESIDUAL_NAMES[3]].append(rep_g.identity_residual_trace)
-            residuals[_RESIDUAL_NAMES[4]].append(rep_e.identity_residual_contraction)
-            cancel = rep_e.cancellation_residuals
-            residuals[_RESIDUAL_NAMES[5]].append(cancel["II3+IV3"])
-            residuals[_RESIDUAL_NAMES[6]].append(cancel["II2+III2"])
-            residuals[_RESIDUAL_NAMES[7]].append(cancel["II5+IV2"])
-            residuals[_RESIDUAL_NAMES[8]].append(cancel["II1+II4"])
-            residuals[_RESIDUAL_NAMES[9]].append(cancel["I2+I3"])
-            residuals[_RESIDUAL_NAMES[10]].append(cancel["I4+III1"])
-            residuals[_RESIDUAL_NAMES[11]].append(cancel["III1-III3"])
-            residuals[_RESIDUAL_NAMES[12]].append(cancel["first_quadratic"])
-            residuals[_RESIDUAL_NAMES[13]].append(
-                abs(rep_e.double_trace - rep_g.double_trace)
+            values = (
+                res_ledger / terms_scale,
+                res_collapse / diag_scale,
+                rep_e.identity_residual_trace,
+                rep_g.identity_residual_trace,
+                rep_e.identity_residual_contraction,
+                *rep_e.cancellation_residuals.values(),  # II3+IV3 ... first_quadratic
+                abs(rep_e.double_trace - rep_g.double_trace),
             )
+            for name, value in zip(_RESIDUAL_NAMES, values, strict=True):
+                residuals[name].append(value)
 
     return SelfTestReport(dims, samples, degree, seed, checks, residuals)

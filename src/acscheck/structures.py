@@ -281,107 +281,33 @@ def load_structure(path) -> StructureFile:
     return parse_structure(p.read_text(encoding="utf-8"), default_name=p.stem)
 
 
-def _const_node(value: float) -> expr.ExprNode:
-    # parser-canonical form: negative literals are neg() of a positive Const
-    if value < 0:
-        return expr.Unary("neg", expr.Const(-float(value)))
-    return expr.Const(float(value))
-
-
-def _gallery_standard(n: int) -> StructureFile:
-    chart = ChartSpec.default(n)
-    j0 = standard_block(n)
-    rows = tuple(
-        tuple(_const_node(float(j0[i, j])) for j in range(n)) for i in range(n)
-    )
-    return StructureFile(
-        chart,
-        ExplicitField(rows),
-        None,
-        name=f"standard2n:{n}",
-        description="constant block structure; integrable",
-    )
-
-
-def _gallery_expblock4() -> StructureFile:
-    chart = ChartSpec.default(4)
-    entries = {
-        (0, 1): "-1",
-        (1, 0): "1",
-        (2, 3): "-exp(x1)",
-        (3, 2): "exp(-x1)",
-    }
-    rows = tuple(
-        tuple(
-            expr.parse_expr(entries[(i, j)]) if (i, j) in entries else expr.Const(0.0)
-            for j in range(4)
-        )
-        for i in range(4)
-    )
-    return StructureFile(
-        chart,
-        ExplicitField(rows),
-        None,
-        name="expblock4",
-        description="exponentially warped second block; non-integrable",
-    )
-
-
-def _gallery_shear4() -> StructureFile:
-    chart = ChartSpec.default(4)
-    frame = tuple(
-        tuple(
-            expr.Var("x1")
-            if (i, j) == (0, 2)
-            else expr.Const(1.0 if i == j else 0.0)
-            for j in range(4)
-        )
-        for i in range(4)
-    )
-    return StructureFile(
-        chart,
-        ConjugationField(frame, standard_block(4)),
-        None,
-        name="shear4",
-        description="conjugation by a coordinate shear; non-integrable",
-    )
-
-
-def _gallery_pullback4() -> StructureFile:
-    chart = ChartSpec.default(4)
-    components = (
-        expr.Var("x1"),
-        expr.parse_expr("x2 + x1^2"),
-        expr.Var("x3"),
-        expr.parse_expr("x4 + x1*x3"),
-    )
-    return StructureFile(
-        chart,
-        PullbackField(components, standard_block(4)),
-        None,
-        name="pullback4",
-        description="pullback of the constant structure; integrable",
-    )
-
-
-_GALLERY_DESCRIPTIONS = {
-    "standard2n:<n>": "constant block structure in dimension n; integrable",
-    "expblock4": "exponentially warped second block; non-integrable",
-    "shear4": "conjugation by a coordinate shear; non-integrable",
-    "pullback4": "pullback of the constant structure; integrable",
+# Built-in structures: description, and the structure-file text below the
+# [chart] header (standard2n is written out per dimension by `gallery`).
+_GALLERY = {
+    "standard2n:<n>": ("constant block structure in dimension n; integrable", None),
+    "expblock4": (
+        "exponentially warped second block; non-integrable",
+        "[J]\n1 2 = -1\n2 1 = 1\n3 4 = -exp(x1)\n4 3 = exp(-x1)\n",
+    ),
+    "shear4": ("conjugation by a coordinate shear; non-integrable", "[J]\nkind = conjugation\n1 3 = x1\n"),
+    "pullback4": (
+        "pullback of the constant structure; integrable",
+        "[J]\nkind = pullback\n2 = x2 + x1^2\n4 = x4 + x1*x3\n",
+    ),
 }
 
 
 def gallery_names() -> tuple[str, ...]:
-    return tuple(_GALLERY_DESCRIPTIONS)
+    return tuple(_GALLERY)
 
 
 def gallery_description(name: str) -> str:
-    return _GALLERY_DESCRIPTIONS[name]
+    return _GALLERY[name][0]
 
 
 def gallery(name: str) -> StructureFile:
     """Built-in example structures by name (see :func:`gallery_names`)."""
+    n = 4
     if name.startswith("standard2n:"):
         try:
             n = int(name.split(":", 1)[1])
@@ -389,11 +315,14 @@ def gallery(name: str) -> StructureFile:
             raise StructureError(f"bad gallery dimension in {name!r}") from None
         if n <= 0 or n % 2:
             raise StructureError("gallery standard2n needs a positive even dimension")
-        return _gallery_standard(n)
-    if name == "expblock4":
-        return _gallery_expblock4()
-    if name == "shear4":
-        return _gallery_shear4()
-    if name == "pullback4":
-        return _gallery_pullback4()
-    raise StructureError(f"unknown gallery structure {name!r}")
+        description = "constant block structure; integrable"
+        # the standard block: e_{2a} -> e_{2a+1} -> -e_{2a}
+        body = "[J]\n" + "".join(
+            f"{2 * a + 2} {2 * a + 1} = 1\n{2 * a + 1} {2 * a + 2} = -1\n" for a in range(n // 2)
+        )
+    elif _GALLERY.get(name, (None, None))[1]:
+        description, body = _GALLERY[name]
+    else:
+        raise StructureError(f"unknown gallery structure {name!r}")
+    header = f"[chart]\ndim = {n}\nname = {name}\ndescription = {description}\n"
+    return parse_structure(header + body)

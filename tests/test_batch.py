@@ -1,0 +1,152 @@
+"""The batched path against single points, and how failing points end.
+
+A batch of points must give, at every point, the bits of that point's own
+evaluation and report; a point the program cannot evaluate must end in a
+flagged scan row or a one-line error, never a traceback or a NaN verdict.
+"""
+
+import csv
+
+import numpy as np
+import pytest
+
+from acscheck.cli import main
+from acscheck.geometry import ChartSpec, random_conjugation_acs
+from acscheck.obstruction import identity_report, scan_columns
+from acscheck.scan import CHUNK, GridSpec, run_scan
+from acscheck.structures import StructureFile, gallery, parse_structure
+from test_acceptance import PULLBACK4_COMPATIBLE
+
+OVERFLOW2 = "[chart]\ndim = 2\n[J]\n1 2 = -exp(x1)\n2 1 = exp(-x1)\n"
+POWER2 = "[chart]\ndim = 2\n[J]\n1 2 = -1 - x1^200\n2 1 = 1/(1 + x1^200)\n"
+VARIABLE_POWER2 = "[chart]\ndim = 2\n[J]\n1 2 = -1 - x1^(x2*x2)\n2 1 = 1/(1 + x1^(x2*x2))\n"
+SCAN_FIELDS = ("n_max_abs", "obstruction", "contraction", "identity_residual_contraction", "verdict")
+
+
+def _structures():
+    yield "expblock4", gallery("expblock4")
+    yield "shear4", gallery("shear4")
+    yield "pullback4", gallery("pullback4")
+    yield "pullback4-compatible", parse_structure(PULLBACK4_COMPATIBLE)
+    chart = ChartSpec.default(6)
+    yield "random6", StructureFile(chart, random_conjugation_acs(6, 2, 11), None)
+
+
+@pytest.mark.parametrize("name,sf", list(_structures()))
+def test_batch_rows_equal_single_points_bit_for_bit(rng, name, sf):
+    points = rng.uniform(-0.5, 0.5, (40, sf.chart.n))
+    j_batch = sf.j_field.eval(sf.chart, points)
+    g_batch = sf.metric.eval(sf.chart, points) if sf.metric is not None else None
+    columns = scan_columns(j_batch, g_batch)
+    for k, point in enumerate(points):
+        j_one = sf.j_field.eval(sf.chart, point)
+        assert np.array_equal(j_batch.values[k], j_one.values)
+        assert np.array_equal(j_batch.partials[k], j_one.partials)
+        if g_batch is not None:
+            g_one = sf.metric.eval(sf.chart, point)
+            assert np.array_equal(g_batch.values[k], g_one.values)
+            assert np.array_equal(g_batch.partials[k], g_one.partials)
+        report = identity_report(sf.j_field, sf.metric, sf.chart, point)
+        for field in SCAN_FIELDS:
+            assert columns[field][k] == getattr(report, field), (name, k, field)
+
+
+def _scan(tmp_path, sf, grid):
+    out = tmp_path / "scan.csv"
+    summary = run_scan(sf, GridSpec.parse(grid), out)
+    with out.open() as handle:
+        return summary, list(csv.reader(handle))[1:]
+
+
+@pytest.mark.parametrize(
+    "text,grid,bad",
+    [
+        # x1 = 0 makes the conjugation frame singular
+        ("[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = x1\n", "-1:1:5,0:1:3", 0.0),
+        (OVERFLOW2, "0:800:2,0:1:3", 800.0),  # exp(800) overflows
+        (POWER2, "-1:2:4,0:0:1", None),  # no failing point
+        # the exponent x2*x2 has zero gradient at x2 = 0 only: the batch is
+        # refused and every point is evaluated on its own
+        (VARIABLE_POWER2, "0.5:2:3,-1:1:3", None),
+    ],
+    ids=["singular-frame", "exp-overflow", "no-failure", "mixed-exponent"],
+)
+def test_failing_point_flags_only_its_row(tmp_path, text, grid, bad):
+    sf = parse_structure(text)
+    summary, rows = _scan(tmp_path, sf, grid)
+    assert summary.rows == len(rows) == GridSpec.parse(grid).total() < CHUNK
+    for row, point in zip(rows, GridSpec.parse(grid).points()):
+        if point[0] == bad:
+            with pytest.raises(ValueError) as err:
+                identity_report(sf.j_field, sf.metric, sf.chart, point)
+            assert row[2:] == ["nan"] * 4 + [f"error: {err.value}"]
+            continue
+        report = identity_report(sf.j_field, sf.metric, sf.chart, point)
+        assert row[-1] == report.verdict
+        assert [float(v) for v in row[2:-1]] == [getattr(report, f) for f in SCAN_FIELDS[:-1]]
+    assert summary.flagged == sum(1 for row in rows if row[-1].startswith("error: "))
+
+
+def test_scan_flags_non_finite_row(tmp_path):
+    sf = parse_structure(OVERFLOW2)
+    summary, rows = _scan(tmp_path, sf, "400:400:1,0:0:1")
+    assert len(rows) == 1 and rows[0][-1].startswith("error: non-finite")
+    assert summary.flagged == 1
+    assert summary.max_abs_obstruction is None
+
+
+def test_scan_chunks_cover_the_grid(tmp_path):
+    sf = gallery("shear4")
+    grid = "-1:1:3,-1:1:3,-1:1:5,-1:1:4"  # 180 points: two chunks
+    summary, rows = _scan(tmp_path, sf, grid)
+    assert summary.rows == len(rows) == 180 > CHUNK
+    for row, point in zip(rows, GridSpec.parse(grid).points()):
+        assert [float(v) for v in row[:4]] == list(point)
+        report = identity_report(sf.j_field, sf.metric, sf.chart, point)
+        assert float(row[5]) == report.obstruction
+
+
+def _one_line_error(tmp_path, capsys, args, text=OVERFLOW2):
+    path = tmp_path / "s.acs"
+    path.write_text(text, encoding="utf-8")
+    code = main([a.replace("FILE", str(path)) for a in args])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    return captured.err
+
+
+def test_check_overflow_is_one_line(tmp_path, capsys):
+    err = _one_line_error(tmp_path, capsys, ["check", "FILE", "--point", "800,0"])
+    assert "exp overflow" in err
+    err = _one_line_error(tmp_path, capsys, ["check", "FILE", "--point", "100,0"], POWER2)
+    assert "power overflow" in err
+
+
+def test_check_non_finite_report_is_an_error(tmp_path, capsys):
+    err = _one_line_error(tmp_path, capsys, ["check", "FILE", "--point", "400,0", "--json"])
+    assert "non-finite" in err
+
+
+def test_scan_overflow_is_flagged_and_csv_complete(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    path = tmp_path / "s.acs"
+    path.write_text(OVERFLOW2, encoding="utf-8")
+    code = main(["scan", str(path), "--grid=0:800:2,0:0:1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert "scan: 2 points, 1 flagged" in captured.out
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert rows[1].endswith("consistent")
+    assert len(rows) == 3 and rows[2].endswith("error: exp overflow in 'exp(x1)'")
+
+
+@pytest.mark.parametrize("point,bad", [("nan,0", "coordinate 1"), ("0,inf", "coordinate 2")])
+def test_point_must_be_finite(tmp_path, capsys, point, bad):
+    err = _one_line_error(tmp_path, capsys, ["check", "FILE", "--point", point])
+    assert bad in err and "not finite" in err
+
+
+def test_selftest_needs_samples(tmp_path, capsys):
+    err = _one_line_error(tmp_path, capsys, ["selftest", "--dims", "2", "--samples", "0"])
+    assert "--samples" in err

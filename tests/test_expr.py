@@ -138,13 +138,13 @@ def test_free_variables():
 def test_bind_and_eval_square():
     j = bind_and_eval(parse_expr("x1^2"), ("x1",), (3.0,))
     assert j.value == 9.0
-    assert np.array_equal(j.partials, [6.0])
+    assert np.array_equal(j.grad, [6.0])
 
 
 def test_bind_and_eval_exp_neg():
     j = bind_and_eval(parse_expr("exp(-x1)"), ("x1", "x2"), (0.0, 7.0))
     assert j.value == 1.0
-    assert np.array_equal(j.partials, [-1.0, 0.0])
+    assert np.array_equal(j.grad, [-1.0, 0.0])
 
 
 def test_bind_and_eval_domain_error_names_subexpression():
@@ -177,6 +177,29 @@ def test_order_two_truncates_to_order_one_exactly(rng):
             point = tuple(float(v) for v in rng.uniform(0.1, 1.0, 3))
             j1 = bind_and_eval(ast, names, point, order=1)
             j2 = bind_and_eval(ast, names, point, order=2)
-            assert j2.truncate().value == j1.value
-            assert np.array_equal(j2.truncate().partials, j1.partials)
-            assert np.array_equal(j2.hessian, j2.hessian.T)
+            assert j2.value == j1.value
+            assert np.array_equal(j2.grad, j1.grad)
+            assert np.array_equal(j2.hess, j2.hess.T)
+
+
+def test_bind_and_eval_batch_matches_single_points(rng):
+    names = ("x1", "x2", "x3")
+    points = rng.uniform(0.1, 1.0, (6, 3))
+    for text in ("x1*x2 + sin(x3)", "exp(-x1)/sqrt(x2 + 2)", "(x1 + x2)^2*log(x3 + 2)", "2^3 - 1"):
+        ast = parse_expr(text)
+        for order in (1, 2):
+            batch = bind_and_eval(ast, names, points, order=order)
+            assert batch.value.shape == (6,)
+            for k, point in enumerate(points):
+                single = bind_and_eval(ast, names, tuple(point), order=order)
+                assert batch.value[k] == single.value
+                assert np.array_equal(batch.grad[k], single.grad)
+                if order == 2:
+                    assert np.array_equal(batch.hess[k], single.hess)
+
+
+def test_bind_and_eval_overflow_names_subexpression():
+    with pytest.raises(ExprDomainError, match="exp overflow in 'exp"):
+        bind_and_eval(parse_expr("1 + exp(x1)"), ("x1",), (800.0,))
+    with pytest.raises(ExprDomainError, match="power overflow"):
+        bind_and_eval(parse_expr("x1^200"), ("x1",), (100.0,))

@@ -6,20 +6,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from acscheck import jets
-from acscheck.jets import Jet1, Jet2, JetDomainError, jet_apply, seed_variable
+from acscheck.jets import Jet, JetDomainError, jet_apply, seed_variable
 
 
 def test_seed_first_order():
     j = seed_variable(0, 3.0, 2, order=1)
     assert j.value == 3.0
-    assert np.array_equal(j.partials, [1.0, 0.0])
+    assert np.array_equal(j.grad, [1.0, 0.0])
 
 
 def test_seed_second_order():
     j = seed_variable(1, -2.5, 3, order=2)
     assert j.value == -2.5
-    assert np.array_equal(j.partials, [0.0, 1.0, 0.0])
-    assert np.array_equal(j.hessian, np.zeros((3, 3)))
+    assert np.array_equal(j.grad, [0.0, 1.0, 0.0])
+    assert np.array_equal(j.hess, np.zeros((3, 3)))
 
 
 def test_seed_out_of_range():
@@ -38,28 +38,28 @@ def test_product_rule():
     x = seed_variable(0, 3.0, 1)
     y = jet_apply("mul", [x, x])
     assert y.value == 9.0
-    assert np.array_equal(y.partials, [6.0])
+    assert np.array_equal(y.grad, [6.0])
 
 
 def test_sin_at_zero():
     x = seed_variable(0, 0.0, 1)
     y = jet_apply("sin", [x])
     assert y.value == 0.0
-    assert np.array_equal(y.partials, [1.0])
+    assert np.array_equal(y.grad, [1.0])
 
 
 def test_exp_neg_composition():
     x = seed_variable(0, 0.0, 2)
     y = jet_apply("exp", [jet_apply("neg", [x])])
     assert y.value == 1.0
-    assert np.array_equal(y.partials, [-1.0, 0.0])
+    assert np.array_equal(y.grad, [-1.0, 0.0])
 
 
 def test_quotient_rule():
     x = seed_variable(0, 2.0, 1)
     y = (1.0 + x) / x  # d/dx (1 + 1/x)... = -1/x^2
     assert y.value == pytest.approx(1.5)
-    assert y.partials[0] == pytest.approx(-0.25)
+    assert y.grad[0] == pytest.approx(-0.25)
 
 
 def test_arity_errors():
@@ -86,10 +86,10 @@ def test_mixing_orders_rejected():
     st.floats(-5, 5),
 )
 def test_add_linearity_exact(pa, pb, va, vb):
-    a = Jet1(va, np.array(pa))
-    b = Jet1(vb, np.array(pb))
+    a = Jet(np.array(va), np.array(pa))
+    b = Jet(np.array(vb), np.array(pb))
     s = jet_apply("add", [a, b])
-    assert np.array_equal(s.partials, np.array(pa) + np.array(pb))
+    assert np.array_equal(s.grad, np.array(pa) + np.array(pb))
 
 
 def test_product_hessian_pattern():
@@ -97,7 +97,7 @@ def test_product_hessian_pattern():
     n = 4
     xa = seed_variable(1, 0.7, n, order=2)
     xb = seed_variable(3, -1.2, n, order=2)
-    h = (xa * xb).hessian
+    h = (xa * xb).hess
     want = np.zeros((n, n))
     want[1, 3] = want[3, 1] = 1.0
     assert np.array_equal(h, want)
@@ -146,7 +146,7 @@ def test_polynomial_gradients_match_central_differences(rng):
                 xp[i] += h
                 xm[i] -= h
                 fd = (_poly_value(terms, xp) - _poly_value(terms, xm)) / (2 * h)
-                assert jet.partials[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+                assert jet.grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 def test_hessian_symmetry_exact_through_composites(rng):
@@ -157,7 +157,7 @@ def test_hessian_symmetry_exact_through_composites(rng):
         b = seed_variable(1, float(point[1]), n, order=2)
         c = seed_variable(2, float(point[2]), n, order=2)
         z = jets.tanh(a * b) + jets.exp(b) / (c + 2.0) * jets.sin(a) - jets.sqrt(c) ** 3
-        assert np.array_equal(z.hessian, z.hessian.T)
+        assert np.array_equal(z.hess, z.hess.T)
 
 
 def test_truncation_matches_first_order_exactly(rng):
@@ -171,9 +171,10 @@ def test_truncation_matches_first_order_exactly(rng):
             return jets.log(x) * jets.cos(y) + (x / y) ** 2 - jets.sqrt(x + y)
 
         j1 = build(1)
-        j2 = build(2).truncate()
+        full = build(2)
+        j2 = Jet(full.value, full.grad)  # the order-2 jet without its Hessian
         assert j1.value == j2.value
-        assert np.array_equal(j1.partials, j2.partials)
+        assert np.array_equal(j1.grad, j2.grad)
 
 
 def test_domain_errors():
@@ -198,18 +199,18 @@ def test_integer_power_on_negative_base():
     x = seed_variable(0, -2.0, 1)
     y = x**3
     assert y.value == -8.0
-    assert y.partials[0] == 12.0
+    assert y.grad[0] == 12.0
     z = x**0
     assert z.value == 1.0
-    assert z.partials[0] == 0.0
+    assert z.grad[0] == 0.0
 
 
 def test_real_power_positive_base_second_order():
     x = seed_variable(0, 4.0, 1, order=2)
     y = x**1.5
     assert y.value == pytest.approx(8.0)
-    assert y.partials[0] == pytest.approx(3.0)
-    assert y.hessian[0, 0] == pytest.approx(0.375)
+    assert y.grad[0] == pytest.approx(3.0)
+    assert y.hess[0, 0] == pytest.approx(0.375)
 
 
 def test_variable_exponent_positive_base():
@@ -217,5 +218,68 @@ def test_variable_exponent_positive_base():
     e = seed_variable(1, 3.0, 2)
     y = x**e
     assert y.value == pytest.approx(8.0)
-    assert y.partials[0] == pytest.approx(12.0)  # e * x^(e-1)
-    assert y.partials[1] == pytest.approx(8.0 * math.log(2.0))
+    assert y.grad[0] == pytest.approx(12.0)  # e * x^(e-1)
+    assert y.grad[1] == pytest.approx(8.0 * math.log(2.0))
+
+
+# One batched case per operation: a jet over a batch of points carries, at
+# every point, the bits of the same operation evaluated at that point alone.
+_BATCH_OPS = {
+    "neg": lambda x, y: -x,
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "mul": lambda x, y: x * y,
+    "div": lambda x, y: x / y,
+    "pow": lambda x, y: x**y,
+    "float-first": lambda x, y: 2.5 - 1.5 / x + 3.0 * y,
+    "const-pow": lambda x, y: (x + 2.0) ** 1.5 * y**3,
+    "sin": lambda x, y: jets.sin(x * y),
+    "cos": lambda x, y: jets.cos(x - y),
+    "exp": lambda x, y: jets.exp(x * y),
+    "log": lambda x, y: jets.log(x + y),
+    "sqrt": lambda x, y: jets.sqrt(x * y),
+    "tanh": lambda x, y: jets.tanh(x / y),
+}
+
+
+@pytest.mark.parametrize("order", (1, 2))
+@pytest.mark.parametrize("name", sorted(_BATCH_OPS))
+def test_batch_matches_pointwise_bit_for_bit(rng, name, order):
+    op = _BATCH_OPS[name]
+    points = rng.uniform(0.2, 1.5, (7, 2))
+    batch = op(
+        seed_variable(0, points[:, 0], 2, order=order),
+        seed_variable(1, points[:, 1], 2, order=order),
+    )
+    assert batch.value.shape == (7,) and batch.grad.shape == (7, 2)
+    for k, (x, y) in enumerate(points):
+        single = op(seed_variable(0, x, 2, order=order), seed_variable(1, y, 2, order=order))
+        assert batch.value[k] == single.value
+        assert np.array_equal(batch.grad[k], single.grad)
+        if order == 2:
+            assert np.array_equal(batch.hess[k], single.hess)
+
+
+def test_batch_domain_error_at_one_point():
+    x = seed_variable(0, np.array([1.0, 0.0, 2.0]), 1)
+    with pytest.raises(JetDomainError):
+        1.0 / x
+    with pytest.raises(JetDomainError):
+        jets.log(x)
+
+
+def test_overflow_is_a_domain_error():
+    with pytest.raises(JetDomainError, match="exp overflow"):
+        jets.exp(seed_variable(0, 800.0, 1))
+    with pytest.raises(JetDomainError, match="power overflow"):
+        seed_variable(0, 100.0, 1) ** 200
+    with pytest.raises(JetDomainError, match="exp overflow"):
+        jets.exp(seed_variable(0, np.array([0.0, 800.0]), 1))
+
+
+def test_constants_stay_floats():
+    assert jet_apply("mul", [2.0, 3.0]) == 6.0
+    assert jet_apply("div", [1.0, 4.0]) == 0.25
+    assert jet_apply("exp", [0.0]) == 1.0
+    with pytest.raises(JetDomainError):
+        jet_apply("div", [1.0, 0.0])

@@ -129,21 +129,16 @@ def _add_point_arguments(p: argparse.ArgumentParser, ledger_detail: bool) -> Non
         help="comma-separated finite coordinates, e.g. 0,0,0,0",
     )
     p.add_argument("--json", action="store_true", help="emit the JSON report")
-    p.add_argument(
-        "--tol-alg",
-        type=float,
-        default=1e-9,
-        dest="tol_alg",
-        help="tolerance for the J^2 = -I check (default 1e-9)",
-    )
-    p.add_argument(
-        "--tol-identity",
-        type=float,
-        default=1e-9,
-        dest="tol_identity",
-        help="relative tolerance for ledger-vs-contraction (default 1e-9)",
-    )
+    _add_tolerance_arguments(p)
     p.set_defaults(ledger_detail=ledger_detail)
+
+
+def _add_tolerance_arguments(p: argparse.ArgumentParser) -> None:
+    for flag, what in (
+        ("--tol-alg", "tolerance for the J^2 = -I check"),
+        ("--tol-identity", "relative tolerance for ledger-vs-contraction"),
+    ):
+        p.add_argument(flag, type=float, default=1e-9, help=f"{what} (default 1e-9)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,8 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", required=True, help="per-axis lo:hi:count, comma separated"
     )
     p_scan.add_argument("--out", required=True, help="output CSV path")
-    p_scan.add_argument("--tol-alg", type=float, default=1e-9, dest="tol_alg")
-    p_scan.add_argument("--tol-identity", type=float, default=1e-9, dest="tol_identity")
+    _add_tolerance_arguments(p_scan)
     p_scan.set_defaults(func=_cmd_scan)
 
     p_gallery = sub.add_parser("gallery", help="list or print the built-in structures")

@@ -293,7 +293,6 @@ class NormalChange:
 
     a: np.ndarray
     a_inv: np.ndarray
-    gamma: np.ndarray
     quad: np.ndarray
 
     @classmethod
@@ -304,28 +303,35 @@ class NormalChange:
             raise MetricError("metric is not positive definite at the point") from exc
         a = np.swapaxes(np.linalg.inv(lo), -1, -2)
         a_inv = np.swapaxes(lo, -1, -2)
-        gamma = christoffel(g)
-        quad = -np.einsum("...kij,...ib,...jc->...kbc", gamma, a, a)
-        return cls(a, a_inv, gamma, quad)
+        quad = -np.einsum("...kij,...ib,...jc->...kbc", christoffel(g), a, a)
+        return cls(a, a_inv, quad)
+
+    def _conjugate_partials(self, left: np.ndarray, partials: np.ndarray) -> np.ndarray:
+        """left @ d~_c @ A, with the derivative index turned to the new
+        coordinates: d~_c = A^k_c d_k."""
+        rotated = np.einsum("...kc,...kij->...cij", self.a, partials)
+        return left[..., None, :, :] @ rotated @ self.a[..., None, :, :]
 
     def transform_endomorphism(self, jm: JetMatrix) -> JetMatrix:
         """Values A^-1 J A plus partials with the quadratic-term corrections."""
-        a, a_inv, gamma = self.a, self.a_inv, self.gamma
-        vals = a_inv @ jm.values @ a
+        vals = self.a_inv @ jm.values @ self.a
         # d~_c J~^a_b = [A^-1]^a_i (d_k J^i_j) A^k_c A^j_b
         #             + [A^-1]^a_i Gamma^i_mn A^m_e A^n_c J~^e_b
         #             - J~^a_e [A^-1]^e_i Gamma^i_mn A^m_b A^n_c
-        t1 = np.einsum("...ai,...kij,...kc,...jb->...cab", a_inv, jm.partials, a, a)
-        t2 = np.einsum("...ai,...imn,...me,...nc,...eb->...cab", a_inv, gamma, a, a, vals)
-        t3 = np.einsum("...ae,...ei,...imn,...mb,...nc->...cab", vals, a_inv, gamma, a, a)
-        return JetMatrix(vals, t1 + t2 - t3, frame_cond=jm.frame_cond)
+        # As Gamma^i_mn A^m_e A^n_c = -quad[i, e, c], the last two lines are
+        # r_c @ J~ - J~ @ r_c with r[c, a, e] = -[A^-1]^a_i quad[i, e, c].
+        r = -np.einsum("...ai,...iec->...cae", self.a_inv, self.quad)
+        vt = vals[..., None, :, :]
+        t1 = self._conjugate_partials(self.a_inv, jm.partials)
+        return JetMatrix(vals, t1 + r @ vt - vt @ r, frame_cond=jm.frame_cond)
 
     def transform_metric(self, g: JetMatrix) -> JetMatrix:
         """Values A^T g A (identity up to rounding) plus transformed partials."""
         a = self.a
-        vals = np.swapaxes(a, -1, -2) @ g.values @ a
+        a_t = np.swapaxes(a, -1, -2)
+        vals = a_t @ g.values @ a
         t1 = np.einsum("...iac,...ij,...jb->...cab", self.quad, g.values, a)
-        t2 = np.einsum("...ia,...kij,...kc,...jb->...cab", a, g.partials, a, a)
+        t2 = self._conjugate_partials(a_t, g.partials)
         t3 = np.einsum("...ia,...ij,...jbc->...cab", a, g.values, self.quad)
         return JetMatrix(vals, t1 + t2 + t3)
 

@@ -122,6 +122,9 @@ def _terms(j: np.ndarray, d: np.ndarray) -> dict:
     """The sixteen expansion terms (arrays over a batch); see term_ledger."""
     # jd[a, r, k] = J_a J^r_k = sum_m J[m, a] d_m J[r, k]
     jd = np.einsum("...ma,...mrk->...ark", j, d)
+    # each four-operand term contracts one J into jd and one into d:
+    # x[a, r, q] = (J_a J^r_k) J^k_q and y[i, s, q] = (d_i J^s_k) J^k_q
+    x, y = jd @ j[..., None, :, :], d @ j[..., None, :, :]
 
     def es(spec, *operands):
         if len(operands) == 2:
@@ -136,15 +139,15 @@ def _terms(j: np.ndarray, d: np.ndarray) -> dict:
         "I3": +es("pi,srp,isr->", j, jd, jd),   # +J_i^p (J_s J^r_p)(J_i J^s_r)
         "I4": -es("pi,srp,rsi->", j, jd, jd),   # -J_i^p (J_s J^r_p)(J_r J^s_i)
         # line II: one J-directional derivative and one bare partial
-        "II1": -es("qr,ks,irk,isq->", j, j, jd, d),  # -J_r^q J_s^k (J_i J^r_k) d_i J^s_q
-        "II2": +es("qi,ks,irk,rsq->", j, j, jd, d),  # +J_i^q J_s^k (J_i J^r_k) d_r J^s_q
-        "II3": -es("rsi,irs->", jd, d),              # -(J_r J^s_i) d_i J^r_s
-        "II4": +es("isr,irs->", jd, d),              # +(J_i J^s_r) d_i J^r_s
-        "II5": +es("qr,pi,srp,isq->", j, j, jd, d),  # +J_r^q J_i^p (J_s J^r_p) d_i J^s_q
+        "II1": -es("irs,isr->", x, y),   # -J_r^q J_s^k (J_i J^r_k) d_i J^s_q
+        "II2": +es("irs,rsi->", x, y),   # +J_i^q J_s^k (J_i J^r_k) d_r J^s_q
+        "II3": -es("rsi,irs->", jd, d),  # -(J_r J^s_i) d_i J^r_s
+        "II4": +es("isr,irs->", jd, d),  # +(J_i J^s_r) d_i J^r_s
+        "II5": +es("sri,isr->", x, y),   # +J_r^q J_i^p (J_s J^r_p) d_i J^s_q
         # line III
-        "III1": -es("qi,pi,srp,rsq->", j, j, jd, d),  # -J_i^q J_i^p (J_s J^r_p) d_r J^s_q
-        "III2": -es("isr,sri->", jd, d),              # -(J_i J^s_r) d_s J^r_i
-        "III3": +es("rsi,sri->", jd, d),              # +(J_r J^s_i) d_s J^r_i
+        "III1": -es("sri,rsi->", x, y),  # -J_i^q J_i^p (J_s J^r_p) d_r J^s_q
+        "III2": -es("isr,sri->", jd, d),  # -(J_i J^s_r) d_s J^r_i
+        "III3": +es("rsi,sri->", jd, d),  # +(J_r J^s_i) d_s J^r_i
         # line IV: products of two bare partials
         "IV1": +es("qr,isq,irs->", j, d, d),  # +J_r^q (d_i J^s_q)(d_i J^r_s)
         "IV2": -es("qi,rsq,irs->", j, d, d),  # -J_i^q (d_r J^s_q)(d_i J^r_s)
@@ -156,18 +159,20 @@ def _terms(j: np.ndarray, d: np.ndarray) -> dict:
 
 
 def term_ledger(jm: JetMatrix) -> TermLedger:
-    """Evaluate the sixteen expansion terms verbatim from their index patterns.
+    """Evaluate the sixteen expansion terms of the contraction.
 
     Same coordinate requirements as :func:`obstruction_scalar`.  Notation in
     the per-term comments of ``_terms``: J_a f = J^m_a d_m f is the
     derivative of f along J(e_a); array labels follow geometry's row/column
     layout, so the symbol J^b_a (equivalently J_a^b) is the array element
-    J[b, a] and d_a J^b_c is D[a, b, c].
+    J[b, a] and d_a J^b_c is D[a, b, c].  The four-operand patterns are
+    reduced through the shared products jd @ J and d @ J.
     """
     j, d = jm.values, jm.partials
     terms = _terms(j, d)
-    # -J_t^k J_p^i J_p^j (d_i J^l_k)(d_j J^t_l)
-    first_quadratic = -np.einsum("...kt,...ip,...jp,...ilk,...jtl->...", j, j, j, d, d) + 0.0
+    # -J_t^k J_p^i J_p^j (d_i J^l_k)(d_j J^t_l), as -[(J J^T)^ij (d_i J^l_k) J^k_t] d_j J^t_l
+    jjt_y = np.einsum("...ij,...ilt->...jlt", j @ np.swapaxes(j, -1, -2), d @ j[..., None, :, :])
+    first_quadratic = -_reduce("jlt,jtl->", jjt_y, d) + 0.0
     total = sum(terms[name] for name in TERM_NAMES) + 0.0
     return TermLedger(terms, first_quadratic, total)
 

@@ -75,6 +75,7 @@ class SelfTestReport:
     seed: int
     checks: dict[str, list[int]]  # name -> [passed, applicable]
     residuals: dict[str, list[float]]
+    failures: list[str]  # one line per failed check of a sample, to replay it
 
     def all_passed(self) -> bool:
         return all(p == t for p, t in self.checks.values())
@@ -98,6 +99,7 @@ class SelfTestReport:
         for name in _CHECK_NAMES:
             passed, total = self.checks[name]
             lines.append(f"  {passed:>4}/{total:<5} {name}")
+        lines.extend(self.failures)
         lines.append("")
         lines.append("identity residuals (min / median / max over samples)")
         for name in _RESIDUAL_NAMES:
@@ -179,11 +181,19 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
             raise ValueError("dims must be positive even integers")
     checks = {name: [0, 0] for name in _CHECK_NAMES}
     residuals: dict[str, list[float]] = {name: [] for name in _RESIDUAL_NAMES}
+    failures: list[str] = []
 
-    def record(name: str, ok: bool) -> None:
+    def record(k: int, residual: float, tol: float, scale: float = 1.0) -> None:
+        name = _CHECK_NAMES[k]
         checks[name][1] += 1
-        if ok:
+        if residual <= tol * scale:
             checks[name][0] += 1
+            return
+        pt = ", ".join(format(v, ".17g") for v in point)
+        failures.append(
+            f"  failed: {name} at dim={dim} sample={index} field_seed={field_seed}"
+            f" point=({pt}): {residual / scale:.3e} > {tol:.0e}"
+        )
 
     for dim in dims:
         chart = ChartSpec.default(dim)
@@ -195,42 +205,27 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
             metric = _random_spd_metric(rng, chart, point)
 
             j_jm = field.eval(chart, point)
-            acs = geometry.validate_acs(j_jm, TOL_ACS)
-            record(_CHECK_NAMES[0], acs.ok)
+            record(0, float(geometry.validate_acs(j_jm).residual), TOL_ACS)
 
             n_std = nijenhuis.nijenhuis_standard(j_jm)
             n_red = nijenhuis.nijenhuis_reduced(j_jm)
             scale_n = float(np.max(np.abs(n_std)))
-            record(
-                _CHECK_NAMES[1],
-                float(np.max(np.abs(n_std - n_red))) <= TOL_EQUIV * (1.0 + scale_n),
-            )
-            record(
-                _CHECK_NAMES[2],
-                float(np.max(np.abs(n_std + n_std.transpose(0, 2, 1)))) <= TOL_ANTISYM,
-            )
-            record(
-                _CHECK_NAMES[3],
-                nijenhuis.j_swap_residual(n_std, j_jm.values)
-                <= TOL_SWAP * (1.0 + scale_n),
-            )
+            record(1, float(np.max(np.abs(n_std - n_red))), TOL_EQUIV, 1.0 + scale_n)
+            record(2, float(np.max(np.abs(n_std + n_std.transpose(0, 2, 1)))), TOL_ANTISYM)
+            record(3, nijenhuis.j_swap_residual(n_std, j_jm.values), TOL_SWAP, 1.0 + scale_n)
 
             rep_e = report_from_jets(j_jm, None, point)
             terms_scale = 1.0 + sum(abs(v) for v in rep_e.ledger.terms.values())
             res_ledger = abs(rep_e.ledger.total - rep_e.contraction)
-            record(_CHECK_NAMES[4], res_ledger <= TOL_LEDGER * terms_scale)
+            record(4, res_ledger, TOL_LEDGER, terms_scale)
 
             bn = nijenhuis.big_n(n_std, j_jm.values, np.eye(dim))
             if rep_e.n_max_abs <= TOL_ZERO_N:
-                ok = (
-                    abs(rep_e.contraction) <= TOL_ZERO_PROP
-                    and abs(rep_e.double_trace) <= TOL_ZERO_PROP
-                    and float(np.max(np.abs(bn))) <= TOL_ZERO_PROP
-                )
-                record(_CHECK_NAMES[5], ok)
+                scalars = (abs(rep_e.contraction), abs(rep_e.double_trace), np.max(np.abs(bn)))
+                record(5, float(max(scalars)), TOL_ZERO_PROP)
             diag_scale = 1.0 + float(np.sum(np.abs(np.einsum("ikik->ik", bn))))
             res_collapse = abs(rep_e.double_trace - rep_e.contraction)
-            record(_CHECK_NAMES[6], res_collapse <= TOL_COLLAPSE * diag_scale)
+            record(6, res_collapse, TOL_COLLAPSE, diag_scale)
 
             g_jm = metric.eval(chart, point)
             rep_g = report_from_jets(j_jm, g_jm, point)
@@ -247,4 +242,4 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
             for name, value in zip(_RESIDUAL_NAMES, values, strict=True):
                 residuals[name].append(value)
 
-    return SelfTestReport(dims, samples, degree, seed, checks, residuals)
+    return SelfTestReport(dims, samples, degree, seed, checks, residuals, failures)

@@ -1,11 +1,14 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
-from acscheck.cli import main
-from acscheck.obstruction import identity_report
+from acscheck import cli, selftest
+from acscheck.cli import build_parser, main
+from acscheck.geometry import ChartSpec, random_conjugation_acs
+from acscheck.obstruction import identity_report, report_from_jets
 from acscheck.scan import GridSpec, run_scan
 from acscheck.structures import gallery, parse_structure, serialize_structure
 
@@ -204,6 +207,53 @@ def test_cli_selftest_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert "overall: PASS" in first
+
+
+def test_selftest_names_the_failing_sample(monkeypatch):
+    # a zero tolerance fails every sample whose ledger residual is not 0
+    monkeypatch.setattr(selftest, "TOL_LEDGER", 0.0)
+    report = selftest.run_selftest((2, 4), 3, 1, 5)
+    name = "ledger total vs contraction (scaled <= 1e-09)"
+    passed, total = report.checks[name]
+    lines = report.render_text().splitlines()
+    failed = [line for line in lines if line.startswith("  failed: ")]
+    assert passed < total and len(failed) == total - passed
+    # right after the seven rows of the hard-invariant table
+    assert lines.index(failed[0]) == lines.index("  pass/total  check") + 8
+    pattern = (
+        r"  failed: (.+) at dim=(\d+) sample=(\d+) field_seed=(\d+)"
+        r" point=\((.+)\): (\S+) > 0e\+00"
+    )
+    for line in failed:
+        check, dim, _, field_seed, point, value = re.fullmatch(pattern, line).groups()
+        assert check == name
+        # the line replays: the field seed and point give the same residual
+        point = tuple(float(v) for v in point.split(", "))
+        field = random_conjugation_acs(int(dim), 1, int(field_seed))
+        rep = report_from_jets(field.eval(ChartSpec.default(int(dim)), point), None, point)
+        scale = 1.0 + sum(abs(v) for v in rep.ledger.terms.values())
+        assert format(abs(rep.ledger.total - rep.contraction) / scale, ".3e") == value
+    monkeypatch.undo()
+    assert "failed:" not in selftest.run_selftest((2, 4), 3, 1, 5).render_text()
+
+
+def test_check_and_scan_share_tolerance_flags(tmp_path, monkeypatch, capsys):
+    parser = build_parser()
+    check = parser.parse_args(["check", "gallery:standard2n:2", "--point", "0,0"])
+    scan = parser.parse_args(["scan", "gallery:standard2n:2", "--grid=0:1:2,0:1:2", "--out", "x"])
+    assert (check.tol_alg, check.tol_identity) == (scan.tol_alg, scan.tol_identity) == (1e-9, 1e-9)
+    seen = {}
+
+    def run_scan_spy(*args, **kwargs):
+        seen.update(kwargs)
+        return run_scan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scan", run_scan_spy)
+    out = str(tmp_path / "scan.csv")
+    args = ["scan", "gallery:standard2n:2", "--grid=0:1:2,0:1:2", "--out", out]
+    assert main(args + ["--tol-identity", "1e-30", "--tol-alg", "1e-3"]) == 0
+    assert seen == {"tol_alg": 1e-3, "tol_identity": 1e-30}
+    capsys.readouterr()
 
 
 def test_cli_version(capsys):

@@ -1,0 +1,98 @@
+"""The factored contractions against their verbatim index patterns.
+
+`NormalChange` and `term_ledger` evaluate their many-operand contractions as
+chains of two-operand products through shared intermediates.  Here each one
+is checked against the verbatim einsum of its index pattern, within
+1e-14 of the sum of the absolute values of the products it adds up.
+
+The inputs are random jets, not a gallery structure: a metric with random
+symmetric partials has Christoffel symbols of order one, so the correction
+terms are not noise (under the compatible `pullback4` metric the partials
+in normal coordinates are rounding noise and would hide a wrong formula).
+"""
+
+import numpy as np
+import pytest
+
+from acscheck.geometry import JetMatrix, NormalChange, christoffel, standard_block
+from acscheck.obstruction import term_ledger
+
+REL = 1e-14
+
+
+def _jets(rng, dim, batch):
+    """A structure J = A J0 A^-1 with random partials and an SPD metric with
+    random symmetric partials, at `batch` points."""
+    a = np.eye(dim) + 0.3 * rng.standard_normal((batch, dim, dim))
+    j = JetMatrix(a @ standard_block(dim) @ np.linalg.inv(a), rng.standard_normal((batch, dim, dim, dim)))
+    m = rng.standard_normal((batch, dim, dim))
+    p = rng.standard_normal((batch, dim, dim, dim))
+    g = JetMatrix(np.eye(dim) + 0.2 * m @ np.swapaxes(m, -1, -2), p + np.swapaxes(p, -1, -2))
+    return j, g
+
+
+def _verbatim(spec, *operands):
+    """The einsum of `spec` over a leading batch axis, and the same sum of
+    the absolute values of its products."""
+    inputs, output = spec.split("->")
+    full = ",".join("..." + s for s in inputs.split(",")) + "->..." + output
+    return np.einsum(full, *operands), np.einsum(full, *map(np.abs, operands))
+
+
+def _assert_close(got, parts):
+    """`got` equals the signed sum of the verbatim `parts` within REL of the
+    sum of their absolute products."""
+    want = sum(sign * value for sign, (value, _) in parts)
+    bound = sum(scale for _, (_, scale) in parts)
+    assert np.all(np.abs(got - want) <= REL * bound)
+
+
+CASES = [(dim, batch) for dim in (2, 4, 6) for batch in (1, 7)]
+
+
+@pytest.mark.parametrize("dim,batch", CASES)
+def test_transform_endomorphism_matches_verbatim(rng, dim, batch):
+    jm, g = _jets(rng, dim, batch)
+    change = NormalChange.from_metric(g)
+    a, a_inv, gamma = change.a, change.a_inv, christoffel(g)
+    got = change.transform_endomorphism(jm)
+    vals = a_inv @ jm.values @ a
+    assert np.array_equal(got.values, vals)
+    assert np.max(np.abs(gamma)) > 0.1  # the correction terms are not noise
+    _assert_close(got.partials, [
+        (+1, _verbatim("ai,kij,kc,jb->cab", a_inv, jm.partials, a, a)),
+        (+1, _verbatim("ai,imn,me,nc,eb->cab", a_inv, gamma, a, a, vals)),
+        (-1, _verbatim("ae,ei,imn,mb,nc->cab", vals, a_inv, gamma, a, a)),
+    ])
+
+
+@pytest.mark.parametrize("dim,batch", CASES)
+def test_transform_metric_matches_verbatim(rng, dim, batch):
+    _, g = _jets(rng, dim, batch)
+    change = NormalChange.from_metric(g)
+    a, quad = change.a, change.quad
+    got = change.transform_metric(g)
+    _assert_close(got.partials, [
+        (+1, _verbatim("iac,ij,jb->cab", quad, g.values, a)),
+        (+1, _verbatim("ia,kij,kc,jb->cab", a, g.partials, a, a)),
+        (+1, _verbatim("ia,ij,jbc->cab", a, g.values, quad)),
+    ])
+
+
+FOUR_OPERAND_TERMS = {
+    "II1": (-1, "qr,ks,irk,isq->"),
+    "II2": (+1, "qi,ks,irk,rsq->"),
+    "II5": (+1, "qr,pi,srp,isq->"),
+    "III1": (-1, "qi,pi,srp,rsq->"),
+}
+
+
+@pytest.mark.parametrize("dim,batch", CASES)
+def test_ledger_matches_verbatim(rng, dim, batch):
+    jm, _ = _jets(rng, dim, batch)
+    j, d = jm.values, jm.partials
+    jd = np.einsum("...ma,...mrk->...ark", j, d)
+    ledger = term_ledger(jm)
+    for name, (sign, spec) in FOUR_OPERAND_TERMS.items():
+        _assert_close(ledger.terms[name], [(sign, _verbatim(spec, j, j, jd, d))])
+    _assert_close(ledger.first_quadratic, [(-1, _verbatim("kt,ip,jp,ilk,jtl->", j, j, j, d, d))])

@@ -252,14 +252,13 @@ class AcsValidation:
 
     ok: bool
     residual: float
-    residual_matrix: np.ndarray
 
 
 def validate_acs(jm: JetMatrix, tol: float = 1e-9) -> AcsValidation:
     """Check ||J^2 + I||_max <= tol at the point."""
     r = jm.values @ jm.values + np.eye(jm.n)
     res = np.max(np.abs(r), axis=(-2, -1))
-    return AcsValidation(res <= tol, res, r)
+    return AcsValidation(res <= tol, res)
 
 
 def christoffel(g: JetMatrix) -> np.ndarray:

@@ -68,9 +68,15 @@ def big_n(comps: np.ndarray, j_values: np.ndarray, g_values: np.ndarray) -> np.n
     return 0.25 * (s1 + s2)
 
 
-def double_trace(bn: np.ndarray, g_inv: np.ndarray) -> float:
-    """Trace slots (1,3) and slots (2,4) against the inverse metric."""
-    return np.einsum("...ia,...kb,...ikab->...", g_inv, g_inv, bn) + 0.0
+def double_trace(comps: np.ndarray, j_values: np.ndarray, g_inv: np.ndarray) -> float:
+    """Trace of :func:`big_n`'s slots (1,3) and (2,4) against the inverse
+    metric, contracted without forming the tensor.
+
+    Under that trace the four addends of big_n are equal, and
+    g_td g^{bd} = delta_t^b, so it is sum g^{ac} N^r_ab J^b_s N^s_rc.
+    """
+    nj = comps @ j_values[..., None, :, :]  # nj[r, a, s] = N^r_ab J^b_s
+    return np.einsum("...ac,...ras,...src->...", g_inv, nj, comps) + 0.0
 
 
 def contraction_scalar(comps: np.ndarray, j_values: np.ndarray) -> float:

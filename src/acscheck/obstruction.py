@@ -35,7 +35,6 @@ __all__ = [
     "obstruction_scalar",
     "term_ledger",
     "report_from_jets",
-    "scan_columns",
     "identity_report",
 ]
 
@@ -118,8 +117,17 @@ class TermLedger:
         return out
 
 
-def _terms(j: np.ndarray, d: np.ndarray) -> dict:
-    """The sixteen expansion terms (arrays over a batch); see term_ledger."""
+def term_ledger(jm: JetMatrix) -> TermLedger:
+    """Evaluate the sixteen expansion terms of the contraction.
+
+    Same coordinate requirements as :func:`obstruction_scalar`.  Notation in
+    the per-term comments: J_a f = J^m_a d_m f is the derivative of f along
+    J(e_a); array labels follow geometry's row/column layout, so the symbol
+    J^b_a (equivalently J_a^b) is the array element J[b, a] and d_a J^b_c is
+    D[a, b, c].  The four-operand patterns are reduced through the shared
+    products jd @ J and d @ J.
+    """
+    j, d = jm.values, jm.partials
     # jd[a, r, k] = J_a J^r_k = sum_m J[m, a] d_m J[r, k]
     jd = np.einsum("...ma,...mrk->...ark", j, d)
     # each four-operand term contracts one J into jd and one into d:
@@ -154,32 +162,19 @@ def _terms(j: np.ndarray, d: np.ndarray) -> dict:
         "IV3": -es("qr,isq,sri->", j, d, d),  # -J_r^q (d_i J^s_q)(d_s J^r_i)
         "IV4": +es("qi,rsq,sri->", j, d, d),  # +J_i^q (d_r J^s_q)(d_s J^r_i)
     }
-    # + 0.0 canonicalises IEEE negative zeros for the reports
-    return {name: terms[name] + 0.0 for name in TERM_NAMES}
-
-
-def term_ledger(jm: JetMatrix) -> TermLedger:
-    """Evaluate the sixteen expansion terms of the contraction.
-
-    Same coordinate requirements as :func:`obstruction_scalar`.  Notation in
-    the per-term comments of ``_terms``: J_a f = J^m_a d_m f is the
-    derivative of f along J(e_a); array labels follow geometry's row/column
-    layout, so the symbol J^b_a (equivalently J_a^b) is the array element
-    J[b, a] and d_a J^b_c is D[a, b, c].  The four-operand patterns are
-    reduced through the shared products jd @ J and d @ J.
-    """
-    j, d = jm.values, jm.partials
-    terms = _terms(j, d)
-    # -J_t^k J_p^i J_p^j (d_i J^l_k)(d_j J^t_l), as -[(J J^T)^ij (d_i J^l_k) J^k_t] d_j J^t_l
-    jjt_y = np.einsum("...ij,...ilt->...jlt", j @ np.swapaxes(j, -1, -2), d @ j[..., None, :, :])
+    # -J_t^k J_p^i J_p^j (d_i J^l_k)(d_j J^t_l), as -[(J J^T)^ij y[i, l, t]] d_j J^t_l
+    jjt_y = np.einsum("...ij,...ilt->...jlt", j @ np.swapaxes(j, -1, -2), y)
     first_quadratic = -_reduce("jlt,jtl->", jjt_y, d) + 0.0
+    # + 0.0 canonicalises IEEE negative zeros for the reports
+    terms = {name: terms[name] + 0.0 for name in TERM_NAMES}
     total = sum(terms[name] for name in TERM_NAMES) + 0.0
     return TermLedger(terms, first_quadratic, total)
 
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    """Every scalar, residual and verdict for one structure at one point."""
+    """Every scalar, residual and verdict for one structure at one point
+    (arrays over a batch of points)."""
 
     point: tuple[float, ...]
     j_squared_residual: float
@@ -236,16 +231,6 @@ class ObstructionReport:
         return "\n".join(lines) + "\n"
 
 
-def _normal_form(j_jm: JetMatrix, g_jm, n_std: np.ndarray):
-    """J and its Nijenhuis components in coordinates normal for the metric,
-    and the change to them (None for the Euclidean metric: the identity)."""
-    if g_jm is None:
-        return j_jm, n_std, None
-    change = geometry.NormalChange.from_metric(g_jm)
-    tj = change.transform_endomorphism(j_jm)
-    return tj, nijenhuis.nijenhuis_standard(tj), change
-
-
 def _verdict(acs_ok, total, contraction, terms: dict, tol_identity: float):
     # tol_identity is relative to the magnitude of the summed terms: that is
     # the conditioning scale of the cancellation (both sides are near zero
@@ -264,41 +249,50 @@ def report_from_jets(
     tol_alg: float = 1e-9,
     tol_identity: float = 1e-9,
 ) -> ObstructionReport:
-    """Build a report from already-evaluated jets at one point.
+    """Build a report from already-evaluated jets at one point, or at a batch
+    of points along leading axes.
 
-    `g_jm` is None for the Euclidean metric, in which case the coordinate
-    change is skipped (it would be the identity).  The Nijenhuis components,
-    the (4,0) tensor and its double trace use the original coordinates with
-    the metric; the obstruction scalar, the ledger and the contraction use
-    the normal-coordinate jets so that repeated-index summation is
+    For a batch every field is an array over the batch whose entries have
+    the bits of each point's own report; for one point the fields are floats
+    and the verdict a str.  `g_jm` is None for the Euclidean metric, in which
+    case the coordinate change is skipped (it would be the identity).  The
+    Nijenhuis components and the double trace use the original coordinates
+    with the metric; the obstruction scalar, the ledger and the contraction
+    use the normal-coordinate jets so that repeated-index summation is
     legitimate.  Raises GeometryError if any field of the report is not
     finite (an overflowing structure): NaN never gets a verdict.
     """
     acs = geometry.validate_acs(j_jm, tol_alg)
     n_std = nijenhuis.nijenhuis_standard(j_jm)
     if g_jm is None:
-        g_vals = g_inv = np.eye(j_jm.n)
+        tj, tn, g_inv = j_jm, n_std, np.eye(j_jm.n)
     else:
-        g_vals = g_jm.values
-        g_inv = np.linalg.inv(g_vals)
-    tj, tn, _ = _normal_form(j_jm, g_jm, n_std)
-    bn = nijenhuis.big_n(n_std, j_jm.values, g_vals)
-    dtr = float(nijenhuis.double_trace(bn, g_inv))
-    obs = float(obstruction_scalar(tj))
-    contraction = float(nijenhuis.contraction_scalar(tn, tj.values))
+        tj = geometry.NormalChange.from_metric(g_jm).transform_endomorphism(j_jm)
+        tn, g_inv = nijenhuis.nijenhuis_standard(tj), np.linalg.inv(g_jm.values)
+    dtr = nijenhuis.double_trace(n_std, j_jm.values, g_inv)
+    obs = obstruction_scalar(tj)
+    contraction = nijenhuis.contraction_scalar(tn, tj.values)
     ledger = term_ledger(tj)
+    fields = {
+        "j_squared_residual": acs.residual,
+        "n_max_abs": np.max(np.abs(n_std), axis=(-3, -2, -1)),
+        "obstruction": obs,
+        "contraction": contraction,
+        "double_trace": dtr,
+        "identity_residual_trace": np.abs(dtr - obs),
+        "identity_residual_contraction": np.abs(contraction - obs),
+    }
+    verdict = _verdict(acs.ok, ledger.total, contraction, ledger.terms, tol_identity)
+    point = np.asarray(point, dtype=float)
+    if point.ndim == 1:
+        fields = {name: float(v) for name, v in fields.items()}
+        point, verdict = tuple(point.tolist()), str(verdict)
     report = ObstructionReport(
-        point=tuple(float(v) for v in point),
-        j_squared_residual=float(acs.residual),
-        n_max_abs=float(np.max(np.abs(n_std))),
-        obstruction=obs,
-        contraction=contraction,
-        double_trace=dtr,
-        identity_residual_trace=abs(dtr - obs),
-        identity_residual_contraction=abs(contraction - obs),
+        point=point,
+        **fields,
         ledger=ledger,
         cancellation_residuals=ledger.cancellation_residuals(),
-        verdict=str(_verdict(acs.ok, ledger.total, contraction, ledger.terms, tol_identity)),
+        verdict=verdict,
     )
     bad = [
         k
@@ -309,45 +303,6 @@ def report_from_jets(
     if bad:
         raise geometry.GeometryError("non-finite " + ", ".join(bad) + " at the point")
     return report
-
-
-# Batched jets with entries up to this size keep every report field finite:
-# each is a sum of at most n^11 products of at most ten such entries (the
-# double trace, through g^-1 = A A^T), far below the float range.
-_BATCH_BOUND = 1e25
-
-
-@np.errstate(all="ignore")
-def scan_columns(j_jm: JetMatrix, g_jm, tol_alg: float = 1e-9, tol_identity: float = 1e-9) -> dict:
-    """The fields a scan writes, over a batch of points, as arrays:
-    n_max_abs, obstruction, contraction, identity_residual_contraction and
-    verdict.  Each equals, bit for bit, the field of the point's own report;
-    the rest of the report (the (4,0) tensor and its double trace,
-    ``first_quadratic``, the cancellation residuals) is not computed.
-
-    Raises GeometryError if an entry of the jets is not finite or exceeds
-    ``_BATCH_BOUND``; such points need :func:`report_from_jets`, which
-    refuses a non-finite report.
-    """
-    acs = geometry.validate_acs(j_jm, tol_alg)
-    n_std = nijenhuis.nijenhuis_standard(j_jm)
-    tj, tn, change = _normal_form(j_jm, g_jm, n_std)
-    bounded = [j_jm.values, j_jm.partials, tj.values, tj.partials]
-    if g_jm is not None:
-        bounded += [g_jm.values, change.a]
-    if not all(np.all(np.abs(x) <= _BATCH_BOUND) for x in bounded):
-        raise geometry.GeometryError("jets out of the batched range; evaluate point by point")
-    obs = obstruction_scalar(tj)
-    contraction = nijenhuis.contraction_scalar(tn, tj.values)
-    terms = _terms(tj.values, tj.partials)
-    total = sum(terms[name] for name in TERM_NAMES) + 0.0
-    return {
-        "n_max_abs": np.max(np.abs(n_std), axis=(-3, -2, -1)),
-        "obstruction": obs,
-        "contraction": contraction,
-        "identity_residual_contraction": np.abs(contraction - obs),
-        "verdict": _verdict(acs.ok, total, contraction, terms, tol_identity),
-    }
 
 
 def identity_report(

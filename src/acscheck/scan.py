@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import GeometryError
-from .obstruction import identity_report, scan_columns
+from .obstruction import identity_report, report_from_jets
 from .structures import StructureFile
 
 __all__ = ["CHUNK", "GridAxis", "GridSpec", "ScanSummary", "run_scan"]
@@ -101,8 +101,8 @@ def _rows(structure: StructureFile, chunk: list, tol_alg: float, tol_identity: f
     try:
         points = np.array(chunk)
         g_jm = metric.eval(chart, points) if metric is not None else None
-        cols = scan_columns(j_field.eval(chart, points), g_jm, tol_alg, tol_identity)
-        return list(zip(*(cols[name].tolist() for name in fields)))
+        rep = report_from_jets(j_field.eval(chart, points), g_jm, points, tol_alg, tol_identity)
+        return list(zip(*(getattr(rep, name).tolist() for name in fields)))
     except (GeometryError, ValueError):
         pass
     rows = []

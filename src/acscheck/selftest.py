@@ -219,11 +219,13 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
             res_ledger = abs(rep_e.ledger.total - rep_e.contraction)
             record(4, res_ledger, TOL_LEDGER, terms_scale)
 
-            bn = nijenhuis.big_n(n_std, j_jm.values, np.eye(dim))
             if rep_e.n_max_abs <= TOL_ZERO_N:
+                bn = nijenhuis.big_n(n_std, j_jm.values, np.eye(dim))
                 scalars = (abs(rep_e.contraction), abs(rep_e.double_trace), np.max(np.abs(bn)))
                 record(5, float(max(scalars)), TOL_ZERO_PROP)
-            diag_scale = 1.0 + float(np.sum(np.abs(np.einsum("ikik->ik", bn))))
+            # the Euclidean big_n diagonal B_ikik = N^r_ik N^s_ri J^k_s
+            diag = np.einsum("rik,sri,ks->ik", n_std, n_std, j_jm.values)
+            diag_scale = 1.0 + float(np.sum(np.abs(diag)))
             res_collapse = abs(rep_e.double_trace - rep_e.contraction)
             record(6, res_collapse, TOL_COLLAPSE, diag_scale)
 

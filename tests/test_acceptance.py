@@ -16,7 +16,7 @@ import pytest
 import oracle
 from acscheck.cli import main
 from acscheck.geometry import ChartSpec, NormalChange, christoffel
-from acscheck.nijenhuis import big_n, contraction_scalar, double_trace, nijenhuis_standard
+from acscheck.nijenhuis import contraction_scalar, double_trace, nijenhuis_standard
 from acscheck.obstruction import identity_report, obstruction_scalar, term_ledger
 from acscheck.scan import GridSpec, run_scan
 from acscheck.selftest import _random_spd_metric, run_selftest
@@ -112,7 +112,6 @@ def test_criterion_2_zero_propagation():
             jm = sf.j_field.eval(sf.chart, point)
             g = np.eye(n) if metric is None else metric.eval(sf.chart, point).values
             comps = nijenhuis_standard(jm)
-            bn = big_n(comps, jm.values, np.eye(n))
             rep = identity_report(sf.j_field, metric, sf.chart, point)
             maxima["n"] = max(maxima["n"], float(np.max(np.abs(comps))))
             maxima["obstruction"] = max(maxima["obstruction"], abs(rep.obstruction))
@@ -120,7 +119,7 @@ def test_criterion_2_zero_propagation():
                 maxima["contraction"], abs(contraction_scalar(comps, jm.values))
             )
             maxima["double_trace"] = max(
-                maxima["double_trace"], abs(double_trace(bn, np.eye(n)))
+                maxima["double_trace"], abs(double_trace(comps, jm.values, np.eye(n)))
             )
             maxima["j_compatibility"] = max(
                 maxima["j_compatibility"],
@@ -199,12 +198,11 @@ def test_criterion_6_oracle_agreement_and_anchors():
         d = oracle.fd_field_partials(sf.j_field, sf.chart, point)
         comps = nijenhuis_standard(jm)
         oracle_comps = oracle.nijenhuis_loops(j, d)
-        bn = big_n(comps, jm.values, np.eye(4))
         got = {
             "n_max_abs": float(np.max(np.abs(comps))),
             "obstruction": obstruction_scalar(jm),
             "contraction": contraction_scalar(comps, jm.values),
-            "double_trace": double_trace(bn, np.eye(4)),
+            "double_trace": double_trace(comps, jm.values, np.eye(4)),
             "ledger_total": term_ledger(jm).total,
         }
         want = {

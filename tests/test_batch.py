@@ -12,7 +12,7 @@ import pytest
 
 from acscheck.cli import main
 from acscheck.geometry import ChartSpec, random_conjugation_acs
-from acscheck.obstruction import identity_report, scan_columns
+from acscheck.obstruction import TERM_NAMES, identity_report, report_from_jets
 from acscheck.scan import CHUNK, GridSpec, run_scan
 from acscheck.structures import StructureFile, gallery, parse_structure
 from test_acceptance import PULLBACK4_COMPATIBLE
@@ -21,6 +21,16 @@ OVERFLOW2 = "[chart]\ndim = 2\n[J]\n1 2 = -exp(x1)\n2 1 = exp(-x1)\n"
 POWER2 = "[chart]\ndim = 2\n[J]\n1 2 = -1 - x1^200\n2 1 = 1/(1 + x1^200)\n"
 VARIABLE_POWER2 = "[chart]\ndim = 2\n[J]\n1 2 = -1 - x1^(x2*x2)\n2 1 = 1/(1 + x1^(x2*x2))\n"
 SCAN_FIELDS = ("n_max_abs", "obstruction", "contraction", "identity_residual_contraction", "verdict")
+REPORT_FIELDS = (
+    "j_squared_residual",
+    "n_max_abs",
+    "obstruction",
+    "contraction",
+    "double_trace",
+    "identity_residual_trace",
+    "identity_residual_contraction",
+    "verdict",
+)
 
 
 def _structures():
@@ -37,7 +47,7 @@ def test_batch_rows_equal_single_points_bit_for_bit(rng, name, sf):
     points = rng.uniform(-0.5, 0.5, (40, sf.chart.n))
     j_batch = sf.j_field.eval(sf.chart, points)
     g_batch = sf.metric.eval(sf.chart, points) if sf.metric is not None else None
-    columns = scan_columns(j_batch, g_batch)
+    batch = report_from_jets(j_batch, g_batch, points)
     for k, point in enumerate(points):
         j_one = sf.j_field.eval(sf.chart, point)
         assert np.array_equal(j_batch.values[k], j_one.values)
@@ -47,8 +57,16 @@ def test_batch_rows_equal_single_points_bit_for_bit(rng, name, sf):
             assert np.array_equal(g_batch.values[k], g_one.values)
             assert np.array_equal(g_batch.partials[k], g_one.partials)
         report = identity_report(sf.j_field, sf.metric, sf.chart, point)
-        for field in SCAN_FIELDS:
-            assert columns[field][k] == getattr(report, field), (name, k, field)
+        assert batch.point[k].tolist() == list(report.point)
+        for field in REPORT_FIELDS:
+            assert getattr(batch, field)[k] == getattr(report, field), (name, k, field)
+        for term in TERM_NAMES:
+            assert batch.ledger.terms[term][k] == report.ledger.terms[term], (name, k, term)
+        assert batch.ledger.first_quadratic[k] == report.ledger.first_quadratic, (name, k)
+        assert batch.ledger.total[k] == report.ledger.total, (name, k)
+        assert list(batch.cancellation_residuals) == list(report.cancellation_residuals)
+        for label, value in report.cancellation_residuals.items():
+            assert batch.cancellation_residuals[label][k] == value, (name, k, label)
 
 
 def _scan(tmp_path, sf, grid):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from acscheck import cli, selftest
+from acscheck import cli, scan, selftest
 from acscheck.cli import build_parser, main
 from acscheck.geometry import ChartSpec, random_conjugation_acs
 from acscheck.obstruction import identity_report, report_from_jets
@@ -135,6 +135,43 @@ def test_cli_check_ledger_anomaly_exit_code(capsys):
     )
     capsys.readouterr()
     assert code == 3
+
+
+# J^2 = -I fails by 0.085 at the point below: accepted only under a loose
+# --tol-alg, and there the ledger total (0) differs from the contraction
+NEAR_ACS4 = (
+    "[chart]\ndim = 4\n[J]\n1 2 = -1-0.01*x3\n2 1 = 1\n"
+    "3 4 = -exp(x1)\n4 3 = exp(-x1)\n1 3 = 0.1*x2*x4\n"
+)
+NEAR_ACS4_POINT = (0.3, 0.7, 0.1, 0.9)
+
+
+def test_cli_check_real_ledger_anomaly(tmp_path, capsys):
+    path = tmp_path / "near.acs"
+    path.write_text(NEAR_ACS4, encoding="utf-8")
+    code = main(["check", str(path), "--point", "0.3,0.7,0.1,0.9", "--tol-alg", "1", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert payload["verdict"] == "ledger-anomaly"
+    assert payload["j_squared_residual"] == pytest.approx(0.0850, abs=1e-4)
+    assert payload["contraction"] == pytest.approx(6.82e-3, abs=1e-5)
+    assert payload["ledger"]["total"] == 0.0
+
+
+def test_scan_real_ledger_anomaly_through_the_batch(tmp_path, monkeypatch):
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("the chunk went point by point")
+
+    monkeypatch.setattr(scan, "identity_report", no_fallback)
+    sf = parse_structure(NEAR_ACS4)
+    out = tmp_path / "near.csv"
+    summary = run_scan(sf, GridSpec.parse("0.3:0.3:1,0.7:0.7:1,0:0.1:2,0.8:0.9:2"), out, tol_alg=1.0)
+    with out.open() as handle:
+        rows = {tuple(map(float, r[:4])): r[4:] for r in list(csv.reader(handle))[1:]}
+    assert summary.rows == len(rows) == 4 and summary.flagged == 0
+    rep = report_from_jets(sf.j_field.eval(sf.chart, NEAR_ACS4_POINT), None, NEAR_ACS4_POINT, tol_alg=1.0)
+    assert rep.verdict == rows[NEAR_ACS4_POINT][-1] == "ledger-anomaly"
+    assert float(rows[NEAR_ACS4_POINT][2]) == rep.contraction
 
 
 def test_cli_operational_errors(tmp_path, capsys):

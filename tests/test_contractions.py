@@ -1,9 +1,11 @@
 """The factored contractions against their verbatim index patterns.
 
 `NormalChange` and `term_ledger` evaluate their many-operand contractions as
-chains of two-operand products through shared intermediates.  Here each one
-is checked against the verbatim einsum of its index pattern, within
-1e-14 of the sum of the absolute values of the products it adds up.
+chains of two-operand products through shared intermediates, and
+`double_trace` contracts the trace of the (4,0) tensor `big_n` without
+forming it.  Here each one is checked against the verbatim einsum of its
+index pattern, within 1e-14 of the sum of the absolute values of the
+products it adds up.
 
 The inputs are random jets, not a gallery structure: a metric with random
 symmetric partials has Christoffel symbols of order one, so the correction
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from acscheck.geometry import JetMatrix, NormalChange, christoffel, standard_block
+from acscheck.nijenhuis import big_n, double_trace, nijenhuis_standard
 from acscheck.obstruction import term_ledger
 
 REL = 1e-14
@@ -96,3 +99,16 @@ def test_ledger_matches_verbatim(rng, dim, batch):
     for name, (sign, spec) in FOUR_OPERAND_TERMS.items():
         _assert_close(ledger.terms[name], [(sign, _verbatim(spec, j, j, jd, d))])
     _assert_close(ledger.first_quadratic, [(-1, _verbatim("kt,ip,jp,ilk,jtl->", j, j, j, d, d))])
+
+
+@pytest.mark.parametrize("dim,batch", CASES)
+def test_double_trace_matches_tensor_trace(rng, dim, batch):
+    jm, g = _jets(rng, dim, batch)
+    j, g_inv = jm.values, np.linalg.inv(g.values)
+    assert np.max(np.abs(np.swapaxes(j, -1, -2) @ g.values @ j - g.values)) > 0.1  # not J-compatible
+    comps = nijenhuis_standard(jm)
+    want = np.einsum("...ia,...kb,...ikab->...", g_inv, g_inv, big_n(comps, j, g.values))
+    # sum of |products| of one addend of big_n, traced; the four are equal
+    spec = "...ia,...kb,...rik,...sra,...ts,...tb->..."
+    bound = np.einsum(spec, *map(np.abs, (g_inv, g_inv, comps, comps, j, g.values)), optimize=True)
+    assert np.all(np.abs(double_trace(comps, j, g_inv) - want) <= REL * bound)

@@ -7,7 +7,6 @@ import pytest
 import oracle
 from acscheck.geometry import ChartSpec, random_conjugation_acs
 from acscheck.nijenhuis import (
-    big_n,
     contraction_scalar,
     double_trace,
     nijenhuis_standard,
@@ -30,12 +29,11 @@ def _close(jet_value, oracle_value, rel=1e-5):
 
 def _quantities(jm):
     comps = nijenhuis_standard(jm)
-    bn = big_n(comps, jm.values, np.eye(4))
     return {
         "n_max_abs": float(np.max(np.abs(comps))),
         "obstruction": obstruction_scalar(jm),
         "contraction": contraction_scalar(comps, jm.values),
-        "double_trace": double_trace(bn, np.eye(4)),
+        "double_trace": double_trace(comps, jm.values, np.eye(4)),
         "ledger_total": term_ledger(jm).total,
     }
 

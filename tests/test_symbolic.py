@@ -1,11 +1,13 @@
 """Exact closed forms behind numbers quoted in the README and the acceptance
 tests, derived with sympy from the gallery definitions themselves."""
 
+import numpy as np
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
 import symbolic  # noqa: E402
+from acscheck.nijenhuis import contraction_scalar, double_trace  # noqa: E402
 from acscheck.obstruction import obstruction_scalar  # noqa: E402
 from acscheck.structures import gallery, parse_structure  # noqa: E402
 from test_acceptance import PULLBACK4_COMPATIBLE  # noqa: E402
@@ -53,3 +55,44 @@ def test_shear4_is_nowhere_integrable():
     xs = symbolic.coordinates(sf.chart)
     comps = symbolic.nijenhuis(symbolic.field_matrix(sf.j_field, xs), xs)
     assert 1 in comps and -1 in comps
+
+
+def _generic_data(n):
+    """J = A J0 A^-1 for a fixed rational A, the exact basis of the tensors
+    with the symmetries of its Nijenhuis tensor, and the inverse of a
+    rational SPD metric that is not J-compatible."""
+    a = sympy.eye(n) + sympy.Matrix(n, n, lambda i, k: sympy.Rational((3 * i + 5 * k) % 7 - 3, 10))
+    j = symbolic.conjugated_block(a)
+    assert j * j == -sympy.eye(n)
+    m = sympy.Matrix(n, n, lambda i, k: sympy.Rational((2 * i + 3 * k) % 5 - 2, 4))
+    g = sympy.eye(n) + m * m.T
+    assert j.T * g * j != g
+    return j, symbolic.nijenhuis_like_basis(j), g.inv()
+
+
+@pytest.mark.parametrize("n,rank", [(4, 4), (6, 18)])
+def test_contraction_and_double_trace_vanish_identically(n, rank):
+    # the contraction and the double trace are algebraic zeros: on a generic
+    # N with the two symmetries of a Nijenhuis tensor both expand to the
+    # zero polynomial in its coefficients, under any metric
+    j, basis, g_inv = _generic_data(n)
+    assert len(basis) == rank
+    cs = sympy.symbols(f"c0:{rank}")
+    squares = {(key, key): 1 for key in basis[0]}
+    assert not symbolic.quadratic_poly(basis, cs, squares).is_zero  # N itself is generic
+    assert symbolic.quadratic_poly(basis, cs, symbolic.contraction_weights(j)).is_zero
+    assert symbolic.quadratic_poly(basis, cs, symbolic.double_trace_weights(j, g_inv)).is_zero
+
+
+def test_weights_transcribe_the_package_formulas(rng):
+    # on a tensor without the symmetries, the weights give what
+    # contraction_scalar and double_trace compute
+    j, _, g_inv = _generic_data(4)
+    jf, gf = np.array(j, dtype=float), np.array(g_inv, dtype=float)
+    comps = rng.standard_normal((4, 4, 4))
+    for weights, got in (
+        (symbolic.contraction_weights(j), contraction_scalar(comps, jf)),
+        (symbolic.double_trace_weights(j, g_inv), double_trace(comps, jf, gf)),
+    ):
+        want = sum(float(w) * comps[x] * comps[y] for (x, y), w in weights.items())
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)

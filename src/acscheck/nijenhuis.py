@@ -21,7 +21,22 @@ __all__ = [
     "double_trace",
     "contraction_scalar",
     "j_swap_residual",
+    "product_sum",
 ]
+
+
+def product_sum(spec: str, x: np.ndarray, y: np.ndarray):
+    """Full contraction of x and y over their trailing axes: one scalar per point.
+
+    `spec` names those axes in each operand, e.g. "irs,isr" for the sum over
+    i, r, s of x[i,r,s] y[i,s,r].  The second operand is transposed into the
+    first's index order and each point's products are summed as one C-ordered
+    row, so a point's sum has the same bits alone as in a batch.
+    """
+    xs, ys = spec.split(",")
+    lead = x.ndim - len(xs)
+    perm = (*range(lead), *(lead + ys.index(c) for c in xs))
+    return (x * y.transpose(perm)).reshape(x.shape[:lead] + (-1,)).sum(-1)
 
 
 def nijenhuis_standard(jm: JetMatrix) -> np.ndarray:
@@ -80,8 +95,9 @@ def double_trace(comps: np.ndarray, j_values: np.ndarray, g_inv: np.ndarray) -> 
 
 
 def contraction_scalar(comps: np.ndarray, j_values: np.ndarray) -> float:
-    """sum over i,k,r,s of N^r_ik N^s_ri J^k_s (J^k_s = entry row k, col s)."""
-    return np.einsum("...rik,...sri,...ks->...", comps, comps, j_values) + 0.0
+    """sum over i,k,r,s of N^r_ik N^s_ri J^k_s (J^k_s = entry row k, col s),
+    as (N J)^r_is against N^s_ri."""
+    return product_sum("ris,sri", comps @ j_values[..., None, :, :], comps) + 0.0
 
 
 def j_swap_residual(comps: np.ndarray, j_values: np.ndarray) -> float:

@@ -61,20 +61,6 @@ VERDICT_LEDGER_ANOMALY = "ledger-anomaly"
 VERDICT_INVALID_ACS = "invalid-acs"
 
 
-def _reduce(subscripts: str, x: np.ndarray, y: np.ndarray):
-    """Two-operand einsum down to one scalar per point.
-
-    numpy sums such a contraction in an order that depends on the batch
-    layout, so a batch is reduced point by point: every point then gets the
-    bits its single-point evaluation gives.
-    """
-    lead = x.ndim - subscripts.index(",")
-    if not lead:
-        return np.einsum(subscripts, x, y)
-    pairs = zip(x.reshape((-1,) + x.shape[lead:]), y.reshape((-1,) + y.shape[lead:]))
-    return np.array([np.einsum(subscripts, *pair) for pair in pairs]).reshape(x.shape[:lead])
-
-
 def obstruction_scalar(jm: JetMatrix) -> float:
     """-d_j(J^i_l J^k_l) d_i J^j_k, all repeated indices summed.
 
@@ -89,7 +75,7 @@ def obstruction_scalar(jm: JetMatrix) -> float:
     # grad_jjt[j, i, k] = d_j sum_l J[i, l] J[k, l]
     grad_jjt = np.einsum("...jil,...kl->...jik", d, j) + np.einsum("...il,...jkl->...jik", j, d)
     # + 0.0 canonicalises IEEE negative zero for the reports
-    return -_reduce("jik,ijk->", grad_jjt, d) + 0.0
+    return -nijenhuis.product_sum("jik,ijk", grad_jjt, d) + 0.0
 
 
 @dataclass(frozen=True)
@@ -124,47 +110,40 @@ def term_ledger(jm: JetMatrix) -> TermLedger:
     the per-term comments: J_a f = J^m_a d_m f is the derivative of f along
     J(e_a); array labels follow geometry's row/column layout, so the symbol
     J^b_a (equivalently J_a^b) is the array element J[b, a] and d_a J^b_c is
-    D[a, b, c].  The four-operand patterns are reduced through the shared
-    products jd @ J and d @ J.
+    D[a, b, c].  Each term is one product-sum of two of jd, d and the shared
+    products x = jd @ J and y = d @ J.
     """
     j, d = jm.values, jm.partials
+    ps = nijenhuis.product_sum
     # jd[a, r, k] = J_a J^r_k = sum_m J[m, a] d_m J[r, k]
     jd = np.einsum("...ma,...mrk->...ark", j, d)
-    # each four-operand term contracts one J into jd and one into d:
     # x[a, r, q] = (J_a J^r_k) J^k_q and y[i, s, q] = (d_i J^s_k) J^k_q
     x, y = jd @ j[..., None, :, :], d @ j[..., None, :, :]
-
-    def es(spec, *operands):
-        if len(operands) == 2:
-            return _reduce(spec, *operands)
-        inputs, output = spec.split("->")
-        return np.einsum(",".join("..." + s for s in inputs.split(",")) + "->..." + output, *operands)
-
     terms = {
         # line I: products of two J-directional derivatives
-        "I1": -es("ks,irk,isr->", j, jd, jd),   # -J_s^k (J_i J^r_k)(J_i J^s_r)
-        "I2": +es("ks,irk,rsi->", j, jd, jd),   # +J_s^k (J_i J^r_k)(J_r J^s_i)
-        "I3": +es("pi,srp,isr->", j, jd, jd),   # +J_i^p (J_s J^r_p)(J_i J^s_r)
-        "I4": -es("pi,srp,rsi->", j, jd, jd),   # -J_i^p (J_s J^r_p)(J_r J^s_i)
+        "I1": -ps("irs,isr", x, jd),   # -J_s^k (J_i J^r_k)(J_i J^s_r)
+        "I2": +ps("irs,rsi", x, jd),   # +J_s^k (J_i J^r_k)(J_r J^s_i)
+        "I3": +ps("sri,isr", x, jd),   # +J_i^p (J_s J^r_p)(J_i J^s_r)
+        "I4": -ps("sri,rsi", x, jd),   # -J_i^p (J_s J^r_p)(J_r J^s_i)
         # line II: one J-directional derivative and one bare partial
-        "II1": -es("irs,isr->", x, y),   # -J_r^q J_s^k (J_i J^r_k) d_i J^s_q
-        "II2": +es("irs,rsi->", x, y),   # +J_i^q J_s^k (J_i J^r_k) d_r J^s_q
-        "II3": -es("rsi,irs->", jd, d),  # -(J_r J^s_i) d_i J^r_s
-        "II4": +es("isr,irs->", jd, d),  # +(J_i J^s_r) d_i J^r_s
-        "II5": +es("sri,isr->", x, y),   # +J_r^q J_i^p (J_s J^r_p) d_i J^s_q
+        "II1": -ps("irs,isr", x, y),   # -J_r^q J_s^k (J_i J^r_k) d_i J^s_q
+        "II2": +ps("irs,rsi", x, y),   # +J_i^q J_s^k (J_i J^r_k) d_r J^s_q
+        "II3": -ps("rsi,irs", jd, d),  # -(J_r J^s_i) d_i J^r_s
+        "II4": +ps("isr,irs", jd, d),  # +(J_i J^s_r) d_i J^r_s
+        "II5": +ps("sri,isr", x, y),   # +J_r^q J_i^p (J_s J^r_p) d_i J^s_q
         # line III
-        "III1": -es("sri,rsi->", x, y),  # -J_i^q J_i^p (J_s J^r_p) d_r J^s_q
-        "III2": -es("isr,sri->", jd, d),  # -(J_i J^s_r) d_s J^r_i
-        "III3": +es("rsi,sri->", jd, d),  # +(J_r J^s_i) d_s J^r_i
+        "III1": -ps("sri,rsi", x, y),  # -J_i^q J_i^p (J_s J^r_p) d_r J^s_q
+        "III2": -ps("isr,sri", jd, d),  # -(J_i J^s_r) d_s J^r_i
+        "III3": +ps("rsi,sri", jd, d),  # +(J_r J^s_i) d_s J^r_i
         # line IV: products of two bare partials
-        "IV1": +es("qr,isq,irs->", j, d, d),  # +J_r^q (d_i J^s_q)(d_i J^r_s)
-        "IV2": -es("qi,rsq,irs->", j, d, d),  # -J_i^q (d_r J^s_q)(d_i J^r_s)
-        "IV3": -es("qr,isq,sri->", j, d, d),  # -J_r^q (d_i J^s_q)(d_s J^r_i)
-        "IV4": +es("qi,rsq,sri->", j, d, d),  # +J_i^q (d_r J^s_q)(d_s J^r_i)
+        "IV1": +ps("isr,irs", y, d),  # +J_r^q (d_i J^s_q)(d_i J^r_s)
+        "IV2": -ps("rsi,irs", y, d),  # -J_i^q (d_r J^s_q)(d_i J^r_s)
+        "IV3": -ps("isr,sri", y, d),  # -J_r^q (d_i J^s_q)(d_s J^r_i)
+        "IV4": +ps("rsi,sri", y, d),  # +J_i^q (d_r J^s_q)(d_s J^r_i)
     }
     # -J_t^k J_p^i J_p^j (d_i J^l_k)(d_j J^t_l), as -[(J J^T)^ij y[i, l, t]] d_j J^t_l
     jjt_y = np.einsum("...ij,...ilt->...jlt", j @ np.swapaxes(j, -1, -2), y)
-    first_quadratic = -_reduce("jlt,jtl->", jjt_y, d) + 0.0
+    first_quadratic = -ps("jlt,jtl", jjt_y, d) + 0.0
     # + 0.0 canonicalises IEEE negative zeros for the reports
     terms = {name: terms[name] + 0.0 for name in TERM_NAMES}
     total = sum(terms[name] for name in TERM_NAMES) + 0.0

@@ -80,11 +80,6 @@ class SelfTestReport:
     def all_passed(self) -> bool:
         return all(p == t for p, t in self.checks.values())
 
-    def all_finite(self) -> bool:
-        return all(
-            all(np.isfinite(v) for v in values) for values in self.residuals.values()
-        )
-
     def render_text(self) -> str:
         lines = [
             "self-test: dims="

@@ -1,9 +1,9 @@
 """The factored contractions against their verbatim index patterns.
 
-`NormalChange` and `term_ledger` evaluate their many-operand contractions as
-chains of two-operand products through shared intermediates, and
-`double_trace` contracts the trace of the (4,0) tensor `big_n` without
-forming it.  Here each one is checked against the verbatim einsum of its
+`NormalChange`, `term_ledger` and `contraction_scalar` evaluate their
+many-operand contractions as chains of two-operand products through shared
+intermediates, and `double_trace` contracts the trace of the (4,0) tensor
+`big_n` without forming it.  Here each one is checked against the verbatim einsum of its
 index pattern, within 1e-14 of the sum of the absolute values of the
 products it adds up.
 
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from acscheck.geometry import JetMatrix, NormalChange, christoffel, standard_block
-from acscheck.nijenhuis import big_n, double_trace, nijenhuis_standard
+from acscheck.nijenhuis import big_n, contraction_scalar, double_trace, nijenhuis_standard
 from acscheck.obstruction import term_ledger
 
 REL = 1e-14
@@ -89,6 +89,18 @@ FOUR_OPERAND_TERMS = {
     "III1": (-1, "qi,pi,srp,rsq->"),
 }
 
+# on (J, jd, jd) for line I and on (J, d, d) for line IV
+THREE_OPERAND_TERMS = {
+    "I1": (-1, "ks,irk,isr->"),
+    "I2": (+1, "ks,irk,rsi->"),
+    "I3": (+1, "pi,srp,isr->"),
+    "I4": (-1, "pi,srp,rsi->"),
+    "IV1": (+1, "qr,isq,irs->"),
+    "IV2": (-1, "qi,rsq,irs->"),
+    "IV3": (-1, "qr,isq,sri->"),
+    "IV4": (+1, "qi,rsq,sri->"),
+}
+
 
 @pytest.mark.parametrize("dim,batch", CASES)
 def test_ledger_matches_verbatim(rng, dim, batch):
@@ -98,6 +110,9 @@ def test_ledger_matches_verbatim(rng, dim, batch):
     ledger = term_ledger(jm)
     for name, (sign, spec) in FOUR_OPERAND_TERMS.items():
         _assert_close(ledger.terms[name], [(sign, _verbatim(spec, j, j, jd, d))])
+    for name, (sign, spec) in THREE_OPERAND_TERMS.items():
+        t = d if name.startswith("IV") else jd
+        _assert_close(ledger.terms[name], [(sign, _verbatim(spec, j, t, t))])
     _assert_close(ledger.first_quadratic, [(-1, _verbatim("kt,ip,jp,ilk,jtl->", j, j, j, d, d))])
 
 
@@ -112,3 +127,11 @@ def test_double_trace_matches_tensor_trace(rng, dim, batch):
     spec = "...ia,...kb,...rik,...sra,...ts,...tb->..."
     bound = np.einsum(spec, *map(np.abs, (g_inv, g_inv, comps, comps, j, g.values)), optimize=True)
     assert np.all(np.abs(double_trace(comps, j, g_inv) - want) <= REL * bound)
+
+
+@pytest.mark.parametrize("dim,batch", CASES)
+def test_contraction_matches_verbatim(rng, dim, batch):
+    jm, _ = _jets(rng, dim, batch)
+    comps = nijenhuis_standard(jm)
+    got = contraction_scalar(comps, jm.values)
+    _assert_close(got, [(+1, _verbatim("rik,sri,ks->", comps, comps, jm.values))])

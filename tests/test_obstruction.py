@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracle
+from test_cli_scan import NEAR_ACS4, NEAR_ACS4_POINT
 from acscheck import parse_expr
 from acscheck.geometry import (
     ChartSpec,
@@ -146,9 +147,9 @@ def test_report_invalid_acs():
 
 
 def test_report_ledger_anomaly_under_absurd_tolerance():
-    sf = gallery("pullback4")
+    sf = parse_structure(NEAR_ACS4)
     rep = identity_report(
-        sf.j_field, sf.metric, sf.chart, (0.3, 0.7, 0.1, 0.9), tol_identity=1e-30
+        sf.j_field, sf.metric, sf.chart, NEAR_ACS4_POINT, tol_alg=1, tol_identity=1e-30
     )
     assert rep.verdict == VERDICT_LEDGER_ANOMALY
 

@@ -1,0 +1,115 @@
+"""Property test of the CLI contract on generated 4-D structure files.
+
+Every input ends one of two ways: a report with an exit code for its verdict,
+or exit 1 with a one-line error.  A scan writes one row per grid point, and
+each row is either finite or flagged ``error:``.  The files cover explicit,
+conjugation and pullback fields built from random expressions with exp, log,
+sqrt, division and powers, with and without a metric section.
+"""
+
+import contextlib
+import csv
+import io
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from acscheck.cli import main
+from acscheck.expr import Binary, Call, Const, Unary, Var, to_source
+
+_VARS = ("x1", "x2", "x3", "x4")
+
+
+def _exprs():
+    leaves = st.one_of(
+        st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0)).map(Const),
+        st.sampled_from(_VARS).map(Var),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(("add", "sub", "mul", "div", "pow")), children, children).map(
+                lambda t: Binary(*t)
+            ),
+            children.map(lambda c: Unary("neg", c)),
+            st.tuples(st.sampled_from(("exp", "log", "sqrt")), children).map(lambda t: Call(*t)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=5).map(to_source)
+
+
+_INDEX = st.integers(1, 4)
+_PAIR = st.tuples(_INDEX, _INDEX)
+
+
+def _entries(draw, keys, max_size):
+    """Distinct `<key> = <expression>` lines."""
+    chosen = draw(st.dictionaries(keys, _exprs(), max_size=max_size))
+    return [" ".join(map(str, k)) + f" = {e}" for k, e in chosen.items()]
+
+
+@st.composite
+def _structures(draw):
+    kind = draw(st.sampled_from(("explicit", "conjugation", "pullback")))
+    lines = ["[chart]", "dim = 4", "[J]", f"kind = {kind}"]
+    if kind == "explicit":
+        # the expblock4 pattern, a valid J wherever f is finite and non-zero,
+        # plus entries in the first block that usually break J^2 = -I
+        f = draw(_exprs())
+        lines += ["1 2 = -1", "2 1 = 1", f"3 4 = -({f})", f"4 3 = 1/({f})"]
+        lines += _entries(draw, st.sampled_from(((1, 1), (1, 3), (2, 4), (4, 1))), 2)
+    elif kind == "conjugation":
+        lines += _entries(draw, _PAIR, 3)
+    else:
+        lines += _entries(draw, _INDEX.map(lambda i: (i,)), 3)
+    if draw(st.booleans()):
+        lines.append("[metric]")
+        for i, j in draw(st.sets(_PAIR.map(sorted).map(tuple), min_size=1, max_size=3)):
+            entry = draw(_exprs())
+            if i == j:
+                lines.append(f"{i} {i} = 1 + ({entry})^2")
+            else:
+                lines += [f"{i} {j} = {entry}", f"{j} {i} = {entry}"]
+    return "\n".join(lines) + "\n"
+
+
+_COORD = st.one_of(
+    st.floats(-3.0, 3.0, allow_nan=False),
+    st.sampled_from((0.0, 800.0, -800.0, 1e-300)),
+)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(
+    _structures(),
+    st.lists(_COORD, min_size=4, max_size=4),
+    st.lists(st.tuples(_COORD, st.integers(1, 2)), min_size=4, max_size=4),
+)
+def test_cli_ends_in_a_report_or_one_line_error(text, point, axes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "structure.acs"
+        path.write_text(text, encoding="utf-8")
+        point_arg = ",".join(format(v, ".17g") for v in point)
+        code, _, err = _run(["check", str(path), f"--point={point_arg}"])
+        assert code in (0, 1, 2, 3)
+        assert err.count("\n") <= 1 and (code == 1) == bool(err)
+
+        grid = ",".join(f"{lo!r}:{lo + 0.5!r}:{count}" for lo, count in axes)
+        out = Path(tmp) / "scan.csv"
+        code, _, err = _run(["scan", str(path), f"--grid={grid}", "--out", str(out)])
+        assert (code, err) == (0, "")
+        with out.open(encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))[1:]
+    assert len(rows) == math.prod(count for _, count in axes)
+    for row in rows:
+        numbers, status = [float(v) for v in row[4:-1]], row[-1]
+        assert status.startswith("error: ") or all(map(math.isfinite, numbers))

@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import expr
+from . import expr, jets
 
 __all__ = [
     "GeometryError",
@@ -171,21 +171,23 @@ class ConjugationField:
     @_quiet
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
         av, ap, _ = _eval_table(self.frame, chart, point)
-        if not np.isfinite(av).all():
-            raise GeometryError("frame evaluation produced non-finite entries")
-        cond = _frame_cond(av, "conjugation frame")
-        ainv = np.linalg.inv(av)
-        values = av @ self.base @ ainv
-        core = self.base @ ainv
-        partials = np.stack(
-            [
-                ap[..., k, :, :] @ core - av @ core @ ap[..., k, :, :] @ ainv
-                for k in range(chart.n)
-            ],
-            axis=-3,
-        )
-        _require_finite(values, partials)
-        return JetMatrix(values, partials, frame_cond=cond)
+        return _conjugate(av, ap, self.base)
+
+
+@_quiet
+def _conjugate(av: np.ndarray, ap: np.ndarray, base: np.ndarray) -> JetMatrix:
+    """A J0 A^-1 and its partials from the frame's values and partials, at a
+    point or a batch of points (each with its own frame)."""
+    if not np.isfinite(av).all():
+        raise GeometryError("frame evaluation produced non-finite entries")
+    cond = _frame_cond(av, "conjugation frame")
+    ainv = np.linalg.inv(av)
+    values = av @ base @ ainv
+    core = base @ ainv
+    # per coordinate k: ap_k @ core - av @ core @ ap_k @ ainv
+    partials = ap @ core[..., None, :, :] - (av @ core)[..., None, :, :] @ ap @ ainv[..., None, :, :]
+    _require_finite(values, partials)
+    return JetMatrix(values, partials, frame_cond=cond)
 
 
 @dataclass(frozen=True)
@@ -210,14 +212,9 @@ class PullbackField:
         cond = _frame_cond(f, "pullback Jacobian")
         finv = np.linalg.inv(f)
         values = finv @ self.base @ f
-        # d_k (Dphi)[i, j] = h[i, j, k]
-        partials = np.stack(
-            [
-                -finv @ h[..., k] @ finv @ self.base @ f + finv @ self.base @ h[..., k]
-                for k in range(chart.n)
-            ],
-            axis=-3,
-        )
+        # per coordinate k, with h_k = d_k Dphi: -finv @ h_k @ finv @ J0 @ f + finv @ J0 @ h_k
+        hk, fi, fk = np.moveaxis(h, -1, -3), finv[..., None, :, :], f[..., None, :, :]
+        partials = -fi @ hk @ fi @ self.base @ fk + (finv @ self.base)[..., None, :, :] @ hk
         _require_finite(values, partials)
         return JetMatrix(values, partials, frame_cond=cond)
 
@@ -237,13 +234,17 @@ class MetricField:
 
     @_quiet
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
-        values, partials, _ = _eval_table(self.entries, chart, point, upper=True)
-        _require_finite(values, partials)
-        try:
-            np.linalg.cholesky(values)
-        except np.linalg.LinAlgError as exc:
-            raise MetricError("metric is not positive definite at the point") from exc
-        return JetMatrix(values, partials)
+        return _metric_jets(*_eval_table(self.entries, chart, point, upper=True)[:2])
+
+
+def _metric_jets(values: np.ndarray, partials: np.ndarray) -> JetMatrix:
+    """Metric jets, refused unless finite and positive definite."""
+    _require_finite(values, partials)
+    try:
+        np.linalg.cholesky(values)
+    except np.linalg.LinAlgError as exc:
+        raise MetricError("metric is not positive definite at the point") from exc
+    return JetMatrix(values, partials)
 
 
 @dataclass(frozen=True)
@@ -347,18 +348,63 @@ def _monomials(n: int, degree: int) -> list[tuple[int, ...]]:
     )
 
 
-def _coefficient_term(c: float, expo: tuple[int, ...], names) -> expr.ExprNode:
-    node: expr.ExprNode = expr.Const(abs(c))
-    for name, k in zip(names, expo):
-        if k == 0:
-            continue
-        factor: expr.ExprNode = expr.Var(name)
-        if k > 1:
-            factor = expr.Binary("pow", factor, expr.Const(float(k)))
-        node = expr.Binary("mul", node, factor)
-    if c < 0:
-        node = expr.Unary("neg", node)
+def _polynomial_ast(expo, coeffs, names, node=None) -> expr.ExprNode:
+    """sum_t coeffs[t] x^expo[t] as an AST, added left to right onto `node`;
+    a term is ((|c| x_a^k) x_b^l)... in variable order, negated where c < 0."""
+    for e, c in zip(expo, coeffs):
+        term: expr.ExprNode = expr.Const(abs(float(c)))
+        for name, k in zip(names, e):
+            if k:
+                factor = expr.Var(name) if k == 1 else expr.Binary("pow", expr.Var(name), expr.Const(float(k)))
+                term = expr.Binary("mul", term, factor)
+        term = expr.Unary("neg", term) if c < 0 else term
+        node = term if node is None else expr.Binary("add", node, term)
     return node
+
+
+@_quiet
+def _polynomial_jets(expo: np.ndarray, coeffs: np.ndarray, point):
+    """Values ``(..., r, c)`` and partials ``(..., n, r, c)`` of the table
+    ``sum_t coeffs[..., r, c, t] x^expo[t]`` at a point or a batch of points
+    ``(..., n)``, each with its own coefficients: the bits of
+    :func:`_polynomial_ast`'s AST under :func:`expr.bind_and_eval`, whose
+    order of operations this follows (a constant adds nothing to partials).
+    """
+    pts = np.asarray(point, dtype=float)
+    n, factors, value, grad = pts.shape[-1], {}, None, None
+    for t, e in enumerate(expo):
+        c = np.abs(coeffs[..., t])
+        tv, tg = c, None
+        for v in np.flatnonzero(e):
+            if (v, e[v]) not in factors:  # the jet of x_v^k, against the table's axes
+                f = jets.seed_variable(v, pts[..., v], n)
+                f = f if e[v] == 1 else jets.power(f, float(e[v]))
+                factors[v, e[v]] = np.asarray(f.value)[..., None, None], f.grad[..., None, None, :]
+            fv, fg = factors[v, e[v]]
+            if tg is None:
+                tv, tg = fv * c, c[..., None] * fg
+            else:
+                tv, tg = tv * fv, tv[..., None] * fg + fv[..., None] * tg
+        neg = coeffs[..., t] < 0
+        tv = np.where(neg, -tv, tv)
+        value = tv if value is None else value + tv
+        if tg is not None:
+            tg = np.where(neg[..., None], -tg, tg)
+            grad = tg if grad is None else grad + tg
+    if grad is None:
+        grad = np.zeros(value.shape + (n,))
+    return value, np.ascontiguousarray(np.moveaxis(grad, -1, -3))
+
+
+def _random_frame(dim: int, degree: int, seed: int):
+    """P of random_conjugation_acs's frame A = I + P: exponents ``(m, dim)``
+    of the monomials of degree <= degree, coefficients ``(dim, dim, m)``."""
+    if dim <= 0 or dim % 2:
+        raise ValueError("dimension must be a positive even integer")
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
+    expo = np.array(_monomials(dim, degree))
+    return expo, np.random.default_rng(seed).uniform(-0.3, 0.3, (dim, dim, len(expo)))
 
 
 def random_conjugation_acs(dim: int, degree: int, seed: int) -> ConjugationField:
@@ -368,25 +414,11 @@ def random_conjugation_acs(dim: int, degree: int, seed: int) -> ConjugationField
     uniformly from [-0.3, 0.3]; the draw order is fixed, so the field is
     bit-identical for a given seed.
     """
-    if dim <= 0 or dim % 2:
-        raise ValueError("dimension must be a positive even integer")
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    rng = np.random.default_rng(seed)
+    expo, coeffs = _random_frame(dim, degree, seed)
     names = ChartSpec.default(dim).var_names
-    monos = _monomials(dim, degree)
     rows = []
     for i in range(dim):
-        row = []
-        for j in range(dim):
-            poly: Optional[expr.ExprNode] = None
-            for expo in monos:
-                c = float(rng.uniform(-0.3, 0.3))
-                term = _coefficient_term(c, expo, names)
-                poly = term if poly is None else expr.Binary("add", poly, term)
-            assert poly is not None
-            if i == j:
-                poly = expr.Binary("add", expr.Const(1.0), poly)
-            row.append(poly)
+        row = [_polynomial_ast(expo, coeffs[i, j], names) for j in range(dim)]
+        row[i] = expr.Binary("add", expr.Const(1.0), row[i])
         rows.append(tuple(row))
     return ConjugationField(tuple(rows), standard_block(dim))

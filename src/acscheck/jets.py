@@ -156,14 +156,22 @@ def _chain(u: Operand, kernel, *params) -> Operand:
     f, df, d2f = np.array(rows).T.reshape((3,) + shape) if shape else rows[0]
     hess = None
     if u.hess is not None:
+        if not np.isfinite(d2f).all():
+            raise JetDomainError(f"{kernel.__name__[1:]} overflow")
         hess = _along(df, 2) * u.hess + _along(d2f, 2) * _outer(u.grad, u.grad)
     return Jet(f, _along(df, 1) * u.grad, hess)
+
+
+def _over(a: float, b: float) -> float:
+    """a / b for a second derivative, infinite where b underflowed to 0: only
+    order-2 jets use it, and `_chain` refuses it there."""
+    return a / b if b else math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 def _reciprocal(v):
     if v == 0.0:
         raise JetDomainError("division by zero")
-    return 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v)
+    return 1.0 / v, -1.0 / (v * v), _over(2.0, v * v * v)
 
 
 def _power(v: float, k: float):
@@ -228,14 +236,14 @@ def _exp(v):
 def _log(v):
     if v <= 0.0:
         raise JetDomainError("log of non-positive value")
-    return math.log(v), 1.0 / v, -1.0 / (v * v)
+    return math.log(v), 1.0 / v, _over(-1.0, v * v)
 
 
 def _sqrt(v):
     if v <= 0.0:
         raise JetDomainError("sqrt of non-positive value")
     s = math.sqrt(v)
-    return s, 0.5 / s, -0.25 / (s * v)
+    return s, 0.5 / s, _over(-0.25, s * v)
 
 
 def _tanh(v):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr, geometry, nijenhuis
-from .geometry import ChartSpec, MetricField
+from .geometry import ChartSpec, JetMatrix, MetricField
 from .obstruction import report_from_jets
 
 __all__ = ["SelfTestReport", "run_selftest"]
@@ -82,9 +82,8 @@ class SelfTestReport:
 
     def render_text(self) -> str:
         lines = [
-            "self-test: dims="
-            + ",".join(str(d) for d in self.dims)
-            + f" samples={self.samples} degree={self.degree} seed={self.seed}",
+            f"self-test: dims={','.join(map(str, self.dims))} samples={self.samples}"
+            f" degree={self.degree} seed={self.seed}",
             "fields: random conjugation frames; points uniform in [0,1]^n",
             "metrics: euclidean plus one random SPD polynomial metric per sample",
             "",
@@ -94,80 +93,53 @@ class SelfTestReport:
         for name in _CHECK_NAMES:
             passed, total = self.checks[name]
             lines.append(f"  {passed:>4}/{total:<5} {name}")
-        lines.extend(self.failures)
-        lines.append("")
-        lines.append("identity residuals (min / median / max over samples)")
+        lines += self.failures
+        lines += ["", "identity residuals (min / median / max over samples)"]
         for name in _RESIDUAL_NAMES:
             values = self.residuals[name]
-            lines.append(
-                "  "
-                + format(min(values), ".3e")
-                + " / "
-                + format(statistics.median(values), ".3e")
-                + " / "
-                + format(max(values), ".3e")
-                + "  "
-                + name
-            )
-        lines.append("")
-        lines.append("residual histograms (samples per magnitude bin)")
-        header = ["<=1e-15"] + [
-            f"..1e{int(np.log10(e)):+03d}" for e in _HISTO_EDGES[1:]
-        ] + [">1e-03"]
+            low, mid, high = min(values), statistics.median(values), max(values)
+            lines.append(f"  {low:.3e} / {mid:.3e} / {high:.3e}  {name}")
+        lines += ["", "residual histograms (samples per magnitude bin)"]
+        header = ["<=1e-15"] + [f"..1e{int(np.log10(e)):+03d}" for e in _HISTO_EDGES[1:]] + [">1e-03"]
         lines.append("  bins: " + " | ".join(header))
         for name in _RESIDUAL_NAMES:
-            counts = _histogram(self.residuals[name])
+            # a residual counts in the bin of the first edge it does not exceed
+            bins = np.searchsorted(_HISTO_EDGES, self.residuals[name], side="left")
+            counts = np.bincount(bins, minlength=len(_HISTO_EDGES) + 1)
             lines.append("  " + " ".join(f"{c:>5}" for c in counts) + "  " + name)
-        lines.append("")
-        lines.append("overall: " + ("PASS" if self.all_passed() else "FAIL"))
+        lines += ["", "overall: " + ("PASS" if self.all_passed() else "FAIL")]
         return "\n".join(lines) + "\n"
 
 
-def _histogram(values) -> list[int]:
-    counts = [0] * (len(_HISTO_EDGES) + 1)
-    for v in values:
-        for idx, edge in enumerate(_HISTO_EDGES):
-            if v <= edge:
-                counts[idx] += 1
-                break
-        else:
-            counts[-1] += 1
-    return counts
-
-
-def _random_spd_metric(rng: np.random.Generator, chart: ChartSpec, point) -> MetricField:
-    """I + 0.2 (B + B^T) + small linear perturbation, redrawn until SPD at point."""
-    n = chart.n
-    names = chart.var_names
+def _draw_spd_metric(rng: np.random.Generator, point):
+    """I + 0.2 (B + B^T) + small linear perturbation, redrawn until SPD at
+    point: exponents and coefficients ``(n, n, n + 1)`` of 1, x1, ..., xn,
+    and the metric's jets at the point."""
+    n = len(point)
+    expo = np.vstack([np.zeros((1, n), dtype=int), np.eye(n, dtype=int)])
+    lo, hi = np.minimum.outer(range(n), range(n)), np.maximum.outer(range(n), range(n))
     for _ in range(64):
         b = rng.uniform(-1.0, 1.0, (n, n))
-        sym = 0.2 * (b + b.T)
         lin = rng.uniform(-0.05, 0.05, (n, n, n))  # lin[k, i, j]: x_k coefficient
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                const = (1.0 if i == j else 0.0) + sym[i, j]
-                node: expr.ExprNode = expr.Const(const)
-                for k in range(n):
-                    c = float(lin[k, min(i, j), max(i, j)])
-                    term = expr.Binary("mul", expr.Const(abs(c)), expr.Var(names[k]))
-                    if c < 0:
-                        term = expr.Unary("neg", term)
-                    node = expr.Binary("add", node, term)
-                row.append(node)
-            rows.append(tuple(row))
-        field = MetricField(tuple(rows))
+        const = np.eye(n) + 0.2 * (b + b.T)
+        coeffs = np.concatenate([const[..., None], np.moveaxis(lin[:, lo, hi], 0, -1)], axis=-1)
         try:
-            field.eval(chart, point)
+            return expo, coeffs, geometry._metric_jets(*geometry._polynomial_jets(expo, coeffs, point))
         except geometry.MetricError:
             continue
-        return field
     raise RuntimeError("failed to draw an SPD metric")
 
 
+def _random_spd_metric(rng: np.random.Generator, chart: ChartSpec, point) -> MetricField:
+    """The metric of :func:`_draw_spd_metric` as a field of expressions."""
+    expo, coeffs, _ = _draw_spd_metric(rng, point)
+    entry = lambda c: geometry._polynomial_ast(expo[1:], c[1:], chart.var_names, expr.Const(float(c[0])))
+    return MetricField(tuple(tuple(entry(c) for c in row) for row in coeffs))
+
+
 def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
-    """Run the suite; deterministic in (dims, samples, degree, seed)."""
+    """Run the suite; deterministic in (dims, samples, degree, seed).  The
+    samples of a dimension run as one batch, each with the bits it has alone."""
     dims = tuple(int(d) for d in dims)
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -178,65 +150,72 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
     residuals: dict[str, list[float]] = {name: [] for name in _RESIDUAL_NAMES}
     failures: list[str] = []
 
-    def record(k: int, residual: float, tol: float, scale: float = 1.0) -> None:
+    def record(k: int, b: int, residual: float, tol: float, scale: float = 1.0) -> None:
         name = _CHECK_NAMES[k]
         checks[name][1] += 1
         if residual <= tol * scale:
             checks[name][0] += 1
             return
-        pt = ", ".join(format(v, ".17g") for v in point)
+        pt = ", ".join(format(v, ".17g") for v in points[b])
         failures.append(
-            f"  failed: {name} at dim={dim} sample={index} field_seed={field_seed}"
+            f"  failed: {name} at dim={dim} sample={b} field_seed={field_seeds[b]}"
             f" point=({pt}): {residual / scale:.3e} > {tol:.0e}"
+            f" frame_cond={j_jm.frame_cond[b]:.3e}"
         )
 
     for dim in dims:
-        chart = ChartSpec.default(dim)
+        field_seeds, frames, points, metrics = [], [], [], []
         for index in range(samples):
             rng = np.random.default_rng([seed, dim, index])
-            field_seed = int(rng.integers(0, 2**63 - 1))
-            field = geometry.random_conjugation_acs(dim, degree, field_seed)
-            point = rng.uniform(0.0, 1.0, dim)
-            metric = _random_spd_metric(rng, chart, point)
+            field_seeds.append(int(rng.integers(0, 2**63 - 1)))
+            expo, frame = geometry._random_frame(dim, degree, field_seeds[-1])
+            frames.append(frame)
+            points.append(rng.uniform(0.0, 1.0, dim))
+            metrics.append(_draw_spd_metric(rng, points[-1])[2])
+        points = np.array(points)
+        av, ap = geometry._polynomial_jets(expo, np.array(frames), points)
+        av[..., range(dim), range(dim)] += 1.0  # the frame's 1 + poly on the diagonal
+        j_jm = geometry._conjugate(av, ap, geometry.standard_block(dim))
+        g_jm = JetMatrix(np.array([g.values for g in metrics]), np.array([g.partials for g in metrics]))
 
-            j_jm = field.eval(chart, point)
-            record(0, float(geometry.validate_acs(j_jm).residual), TOL_ACS)
+        n_std = nijenhuis.nijenhuis_standard(j_jm)
+        n_red = nijenhuis.nijenhuis_reduced(j_jm)
+        scale_n = 1.0 + np.max(np.abs(n_std), axis=(-3, -2, -1))
+        rep_e = report_from_jets(j_jm, None, points)
+        terms_scale = 1.0 + sum(abs(v) for v in rep_e.ledger.terms.values())
+        res_ledger = abs(rep_e.ledger.total - rep_e.contraction)
+        # the Euclidean big_n diagonal B_ikik = N^r_ik N^s_ri J^k_s
+        diag = np.einsum("...rik,...sri,...ks->...ik", n_std, n_std, j_jm.values)
+        diag_scale = 1.0 + np.abs(diag).reshape(samples, -1).sum(-1)
+        res_collapse = abs(rep_e.double_trace - rep_e.contraction)
+        one = np.ones(samples)
+        hard = (
+            (geometry.validate_acs(j_jm).residual, TOL_ACS, one),
+            (np.max(np.abs(n_std - n_red), axis=(-3, -2, -1)), TOL_EQUIV, scale_n),
+            (np.max(np.abs(n_std + np.swapaxes(n_std, -1, -2)), axis=(-3, -2, -1)), TOL_ANTISYM, one),
+            (nijenhuis.j_swap_residual(n_std, j_jm.values), TOL_SWAP, scale_n),
+            (res_ledger, TOL_LEDGER, terms_scale),
+        )
+        for b in range(samples):
+            for k, (residual, tol, scale) in enumerate(hard):
+                record(k, b, residual[b], tol, scale[b])
+            if rep_e.n_max_abs[b] <= TOL_ZERO_N:
+                bn = nijenhuis.big_n(n_std[b], j_jm.values[b], np.eye(dim))
+                scalars = (abs(rep_e.contraction[b]), abs(rep_e.double_trace[b]), np.max(np.abs(bn)))
+                record(5, b, float(max(scalars)), TOL_ZERO_PROP)
+            record(6, b, res_collapse[b], TOL_COLLAPSE, diag_scale[b])
 
-            n_std = nijenhuis.nijenhuis_standard(j_jm)
-            n_red = nijenhuis.nijenhuis_reduced(j_jm)
-            scale_n = float(np.max(np.abs(n_std)))
-            record(1, float(np.max(np.abs(n_std - n_red))), TOL_EQUIV, 1.0 + scale_n)
-            record(2, float(np.max(np.abs(n_std + n_std.transpose(0, 2, 1)))), TOL_ANTISYM)
-            record(3, nijenhuis.j_swap_residual(n_std, j_jm.values), TOL_SWAP, 1.0 + scale_n)
-
-            rep_e = report_from_jets(j_jm, None, point)
-            terms_scale = 1.0 + sum(abs(v) for v in rep_e.ledger.terms.values())
-            res_ledger = abs(rep_e.ledger.total - rep_e.contraction)
-            record(4, res_ledger, TOL_LEDGER, terms_scale)
-
-            if rep_e.n_max_abs <= TOL_ZERO_N:
-                bn = nijenhuis.big_n(n_std, j_jm.values, np.eye(dim))
-                scalars = (abs(rep_e.contraction), abs(rep_e.double_trace), np.max(np.abs(bn)))
-                record(5, float(max(scalars)), TOL_ZERO_PROP)
-            # the Euclidean big_n diagonal B_ikik = N^r_ik N^s_ri J^k_s
-            diag = np.einsum("rik,sri,ks->ik", n_std, n_std, j_jm.values)
-            diag_scale = 1.0 + float(np.sum(np.abs(diag)))
-            res_collapse = abs(rep_e.double_trace - rep_e.contraction)
-            record(6, res_collapse, TOL_COLLAPSE, diag_scale)
-
-            g_jm = metric.eval(chart, point)
-            rep_g = report_from_jets(j_jm, g_jm, point)
-
-            values = (
-                res_ledger / terms_scale,
-                res_collapse / diag_scale,
-                rep_e.identity_residual_trace,
-                rep_g.identity_residual_trace,
-                rep_e.identity_residual_contraction,
-                *rep_e.cancellation_residuals.values(),  # II3+IV3 ... first_quadratic
-                abs(rep_e.double_trace - rep_g.double_trace),
-            )
-            for name, value in zip(_RESIDUAL_NAMES, values, strict=True):
-                residuals[name].append(value)
+        rep_g = report_from_jets(j_jm, g_jm, points)
+        values = (
+            res_ledger / terms_scale,
+            res_collapse / diag_scale,
+            rep_e.identity_residual_trace,
+            rep_g.identity_residual_trace,
+            rep_e.identity_residual_contraction,
+            *rep_e.cancellation_residuals.values(),  # II3+IV3 ... first_quadratic
+            abs(rep_e.double_trace - rep_g.double_trace),
+        )
+        for name, value in zip(_RESIDUAL_NAMES, values, strict=True):
+            residuals[name].extend(value.tolist())
 
     return SelfTestReport(dims, samples, degree, seed, checks, residuals, failures)

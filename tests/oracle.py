@@ -4,21 +4,42 @@ Everything here deliberately avoids the package's jet and einsum code paths:
 expression values come from a plain recursive evaluator, derivatives from
 central finite differences (h = 1e-5), and all contractions from explicit
 Python loops.  The frozen ANCHORS at the bottom are regression values
-recorded from the first build that agreed with this oracle.
+recorded from the first build that agreed with this oracle.  The one
+exception is the per-sample self-test reference, which is the suite's
+earlier expression-tree code and is compared with it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
+from acscheck import expr, geometry, nijenhuis
 from acscheck import expr as expr_mod
 from acscheck.geometry import (
+    ChartSpec,
     ConjugationField,
     ExplicitField,
     MetricField,
     PullbackField,
+    _monomials,
+    standard_block,
+)
+from acscheck.obstruction import report_from_jets
+from acscheck.selftest import (
+    _CHECK_NAMES,
+    _RESIDUAL_NAMES,
+    TOL_ACS,
+    TOL_ANTISYM,
+    TOL_COLLAPSE,
+    TOL_EQUIV,
+    TOL_LEDGER,
+    TOL_SWAP,
+    TOL_ZERO_N,
+    TOL_ZERO_PROP,
+    SelfTestReport,
 )
 
 FD_H = 1e-5
@@ -256,6 +277,166 @@ def normal_transform_fd(j_field, g_field, chart, point, h: float = FD_H):
         ym[c] -= h
         partials[c] = (transformed(yp) - transformed(ym)) / (2 * h)
     return values, partials
+
+
+# ---------------------------------------------------------------------------
+# The randomised self-test as it ran before it was batched, kept verbatim as
+# the reference for the batched suite: it builds every random frame and
+# metric as an expression tree, one monomial at a time, and evaluates and
+# reports one sample at a time.  Only the names of the three public
+# functions (and their calls) are changed.
+
+
+def _coefficient_term(c: float, expo: tuple[int, ...], names) -> expr.ExprNode:
+    node: expr.ExprNode = expr.Const(abs(c))
+    for name, k in zip(names, expo):
+        if k == 0:
+            continue
+        factor: expr.ExprNode = expr.Var(name)
+        if k > 1:
+            factor = expr.Binary("pow", factor, expr.Const(float(k)))
+        node = expr.Binary("mul", node, factor)
+    if c < 0:
+        node = expr.Unary("neg", node)
+    return node
+
+
+def random_conjugation_acs_ast(dim: int, degree: int, seed: int) -> ConjugationField:
+    """Conjugation field with frame A = I + P, P a random polynomial matrix.
+
+    Every monomial of total degree <= degree appears with a coefficient drawn
+    uniformly from [-0.3, 0.3]; the draw order is fixed, so the field is
+    bit-identical for a given seed.
+    """
+    if dim <= 0 or dim % 2:
+        raise ValueError("dimension must be a positive even integer")
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
+    rng = np.random.default_rng(seed)
+    names = ChartSpec.default(dim).var_names
+    monos = _monomials(dim, degree)
+    rows = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            poly: Optional[expr.ExprNode] = None
+            for expo in monos:
+                c = float(rng.uniform(-0.3, 0.3))
+                term = _coefficient_term(c, expo, names)
+                poly = term if poly is None else expr.Binary("add", poly, term)
+            assert poly is not None
+            if i == j:
+                poly = expr.Binary("add", expr.Const(1.0), poly)
+            row.append(poly)
+        rows.append(tuple(row))
+    return ConjugationField(tuple(rows), standard_block(dim))
+
+
+def random_spd_metric_ast(rng: np.random.Generator, chart: ChartSpec, point) -> MetricField:
+    """I + 0.2 (B + B^T) + small linear perturbation, redrawn until SPD at point."""
+    n = chart.n
+    names = chart.var_names
+    for _ in range(64):
+        b = rng.uniform(-1.0, 1.0, (n, n))
+        sym = 0.2 * (b + b.T)
+        lin = rng.uniform(-0.05, 0.05, (n, n, n))  # lin[k, i, j]: x_k coefficient
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                const = (1.0 if i == j else 0.0) + sym[i, j]
+                node: expr.ExprNode = expr.Const(const)
+                for k in range(n):
+                    c = float(lin[k, min(i, j), max(i, j)])
+                    term = expr.Binary("mul", expr.Const(abs(c)), expr.Var(names[k]))
+                    if c < 0:
+                        term = expr.Unary("neg", term)
+                    node = expr.Binary("add", node, term)
+                row.append(node)
+            rows.append(tuple(row))
+        field = MetricField(tuple(rows))
+        try:
+            field.eval(chart, point)
+        except geometry.MetricError:
+            continue
+        return field
+    raise RuntimeError("failed to draw an SPD metric")
+
+
+def run_selftest_per_sample(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
+    """Run the suite; deterministic in (dims, samples, degree, seed)."""
+    dims = tuple(int(d) for d in dims)
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    for d in dims:
+        if d <= 0 or d % 2:
+            raise ValueError("dims must be positive even integers")
+    checks = {name: [0, 0] for name in _CHECK_NAMES}
+    residuals: dict[str, list[float]] = {name: [] for name in _RESIDUAL_NAMES}
+    failures: list[str] = []
+
+    def record(k: int, residual: float, tol: float, scale: float = 1.0) -> None:
+        name = _CHECK_NAMES[k]
+        checks[name][1] += 1
+        if residual <= tol * scale:
+            checks[name][0] += 1
+            return
+        pt = ", ".join(format(v, ".17g") for v in point)
+        failures.append(
+            f"  failed: {name} at dim={dim} sample={index} field_seed={field_seed}"
+            f" point=({pt}): {residual / scale:.3e} > {tol:.0e}"
+        )
+
+    for dim in dims:
+        chart = ChartSpec.default(dim)
+        for index in range(samples):
+            rng = np.random.default_rng([seed, dim, index])
+            field_seed = int(rng.integers(0, 2**63 - 1))
+            field = random_conjugation_acs_ast(dim, degree, field_seed)
+            point = rng.uniform(0.0, 1.0, dim)
+            metric = random_spd_metric_ast(rng, chart, point)
+
+            j_jm = field.eval(chart, point)
+            record(0, float(geometry.validate_acs(j_jm).residual), TOL_ACS)
+
+            n_std = nijenhuis.nijenhuis_standard(j_jm)
+            n_red = nijenhuis.nijenhuis_reduced(j_jm)
+            scale_n = float(np.max(np.abs(n_std)))
+            record(1, float(np.max(np.abs(n_std - n_red))), TOL_EQUIV, 1.0 + scale_n)
+            record(2, float(np.max(np.abs(n_std + n_std.transpose(0, 2, 1)))), TOL_ANTISYM)
+            record(3, nijenhuis.j_swap_residual(n_std, j_jm.values), TOL_SWAP, 1.0 + scale_n)
+
+            rep_e = report_from_jets(j_jm, None, point)
+            terms_scale = 1.0 + sum(abs(v) for v in rep_e.ledger.terms.values())
+            res_ledger = abs(rep_e.ledger.total - rep_e.contraction)
+            record(4, res_ledger, TOL_LEDGER, terms_scale)
+
+            if rep_e.n_max_abs <= TOL_ZERO_N:
+                bn = nijenhuis.big_n(n_std, j_jm.values, np.eye(dim))
+                scalars = (abs(rep_e.contraction), abs(rep_e.double_trace), np.max(np.abs(bn)))
+                record(5, float(max(scalars)), TOL_ZERO_PROP)
+            # the Euclidean big_n diagonal B_ikik = N^r_ik N^s_ri J^k_s
+            diag = np.einsum("rik,sri,ks->ik", n_std, n_std, j_jm.values)
+            diag_scale = 1.0 + float(np.sum(np.abs(diag)))
+            res_collapse = abs(rep_e.double_trace - rep_e.contraction)
+            record(6, res_collapse, TOL_COLLAPSE, diag_scale)
+
+            g_jm = metric.eval(chart, point)
+            rep_g = report_from_jets(j_jm, g_jm, point)
+
+            values = (
+                res_ledger / terms_scale,
+                res_collapse / diag_scale,
+                rep_e.identity_residual_trace,
+                rep_g.identity_residual_trace,
+                rep_e.identity_residual_contraction,
+                *rep_e.cancellation_residuals.values(),  # II3+IV3 ... first_quadratic
+                abs(rep_e.double_trace - rep_g.double_trace),
+            )
+            for name, value in zip(_RESIDUAL_NAMES, values, strict=True):
+                residuals[name].append(value)
+
+    return SelfTestReport(dims, samples, degree, seed, checks, residuals, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ flagged scan row or a one-line error, never a traceback or a NaN verdict.
 """
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -139,6 +140,19 @@ def test_check_overflow_is_one_line(tmp_path, capsys):
     assert "exp overflow" in err
     err = _one_line_error(tmp_path, capsys, ["check", "FILE", "--point", "100,0"], POWER2)
     assert "power overflow" in err
+
+
+def test_reciprocal_of_a_tiny_coordinate(tmp_path, capsys):
+    # 1/x1 at 1e-110: its second derivative 2/x1^3 overflows, which only an
+    # order-2 (pullback) evaluation needs
+    path = tmp_path / "s.acs"
+    path.write_text("[chart]\ndim = 2\n[J]\n1 2 = -x1/x1\n2 1 = 1\n", encoding="utf-8")
+    assert main(["check", str(path), "--point", "1e-110,0", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == "consistent" and captured.err == ""
+    pullback = "[chart]\ndim = 2\n[J]\nkind = pullback\n1 = x1 + 1/x1\n"
+    err = _one_line_error(tmp_path, capsys, ["check", "FILE", "--point", "1e-110,0"], pullback)
+    assert "reciprocal overflow in '1.0/x1'" in err
 
 
 def test_check_non_finite_report_is_an_error(tmp_path, capsys):

@@ -263,17 +263,20 @@ def test_selftest_names_the_failing_sample(monkeypatch):
     assert lines.index(failed[0]) == lines.index("  pass/total  check") + 8
     pattern = (
         r"  failed: (.+) at dim=(\d+) sample=(\d+) field_seed=(\d+)"
-        r" point=\((.+)\): (\S+) > 0e\+00"
+        r" point=\((.+)\): (\S+) > 0e\+00 frame_cond=(\S+)"
     )
     for line in failed:
-        check, dim, _, field_seed, point, value = re.fullmatch(pattern, line).groups()
+        check, dim, _, field_seed, point, value, cond = re.fullmatch(pattern, line).groups()
         assert check == name
         # the line replays: the field seed and point give the same residual
+        # and the same condition number of the frame
         point = tuple(float(v) for v in point.split(", "))
         field = random_conjugation_acs(int(dim), 1, int(field_seed))
-        rep = report_from_jets(field.eval(ChartSpec.default(int(dim)), point), None, point)
+        j_jm = field.eval(ChartSpec.default(int(dim)), point)
+        rep = report_from_jets(j_jm, None, point)
         scale = 1.0 + sum(abs(v) for v in rep.ledger.terms.values())
         assert format(abs(rep.ledger.total - rep.contraction) / scale, ".3e") == value
+        assert format(j_jm.frame_cond, ".3e") == cond
     monkeypatch.undo()
     assert "failed:" not in selftest.run_selftest((2, 4), 3, 1, 5).render_text()
 

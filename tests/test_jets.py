@@ -277,6 +277,35 @@ def test_overflow_is_a_domain_error():
         jets.exp(seed_variable(0, np.array([0.0, 800.0]), 1))
 
 
+@pytest.mark.parametrize(
+    "name,v,value,slope",
+    [
+        ("reciprocal", 1e-110, 1.0 / 1e-110, -1.0 / (1e-110 * 1e-110)),
+        ("log", 1e-170, math.log(1e-170), 1.0 / 1e-170),
+        ("sqrt", 1e-220, math.sqrt(1e-220), 0.5 / math.sqrt(1e-220)),
+    ],
+)
+def test_second_derivative_overflow_fails_only_order_2(name, v, value, slope):
+    # the second derivative's denominator underflows to 0 at v: an order-1
+    # jet does not use it and keeps its value and slope, an order-2 jet
+    # refuses it, alone or at one point of a batch
+    f = {"reciprocal": lambda x: 1.0 / x, "log": jets.log, "sqrt": jets.sqrt}[name]
+    one = f(seed_variable(0, v, 1))
+    assert one.value == value and np.array_equal(one.grad, [slope])
+    assert one.hess is None
+    with pytest.raises(JetDomainError, match=f"{name} overflow"):
+        f(seed_variable(0, v, 1, order=2))
+    with pytest.raises(JetDomainError, match=f"{name} overflow"):
+        f(seed_variable(0, np.array([1.0, v]), 1, order=2))
+
+
+def test_reciprocal_hessian_bits():
+    for v in (3.0, -0.7, 1e-100):
+        y = 1.0 / seed_variable(0, v, 1, order=2)
+        assert y.value == 1.0 / v and y.grad[0] == -1.0 / (v * v)
+        assert y.hess[0, 0] == 2.0 / (v * v * v)
+
+
 def test_constants_stay_floats():
     assert jet_apply("mul", [2.0, 3.0]) == 6.0
     assert jet_apply("div", [1.0, 4.0]) == 0.25

@@ -1,0 +1,118 @@
+"""The batched self-test against its earlier per-sample, expression-tree form.
+
+`run_selftest` evaluates each dimension's samples as one batch of arrays.
+Every count, failure line and residual must have the bits that the
+per-sample reference `oracle.run_selftest_per_sample` gives, and the array
+jets of the random frames and metrics must have the bits of their
+expression trees' evaluation.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+import oracle
+from acscheck import expr, geometry, selftest
+from acscheck.geometry import ChartSpec, random_conjugation_acs
+
+COND = r" frame_cond=\d\.\d{3}e[+-]\d\d"
+
+
+def _refuse_trees(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an expression tree was evaluated")
+
+    monkeypatch.setattr(expr, "bind_and_eval", refuse)
+
+
+def _assert_same_report(new, ref):
+    assert new.checks == ref.checks
+    assert all(re.search(COND + "$", line) for line in new.failures)
+    assert [re.sub(COND + "$", "", line) for line in new.failures] == ref.failures
+    assert list(new.residuals) == list(ref.residuals)
+    for name, values in ref.residuals.items():
+        assert all(type(v) is float for v in new.residuals[name]), name
+        assert np.array(new.residuals[name]).tobytes() == np.array(values).tobytes(), name
+    assert re.sub(COND, "", new.render_text()) == ref.render_text()
+
+
+@pytest.mark.parametrize("seed", [5, 13])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_batched_selftest_equals_per_sample_reference(monkeypatch, degree, seed):
+    ref = oracle.run_selftest_per_sample((2, 4, 6), 6, degree, seed)
+    _refuse_trees(monkeypatch)
+    new = selftest.run_selftest((2, 4, 6), 6, degree, seed)
+    _assert_same_report(new, ref)
+    if degree == 0:  # constant frames: N = 0, so zero propagation applies
+        assert new.checks[selftest._CHECK_NAMES[5]] == [18, 18]
+
+
+def test_batched_failure_lines_equal_per_sample_reference(monkeypatch):
+    # a zero tolerance fails every sample whose ledger residual is not 0
+    for module in (selftest, oracle):
+        monkeypatch.setattr(module, "TOL_LEDGER", 0.0)
+    ref = oracle.run_selftest_per_sample((2, 4), 4, 2, 7)
+    new = selftest.run_selftest((2, 4), 4, 2, 7)
+    assert ref.failures
+    _assert_same_report(new, ref)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_random_conjugation_ast_unchanged(dim, degree):
+    for seed in (0, 42, 174700889916724084):
+        field = random_conjugation_acs(dim, degree, seed)
+        ref = oracle.random_conjugation_acs_ast(dim, degree, seed)
+        assert field.frame == ref.frame
+        assert np.array_equal(field.base, ref.base)
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("dim", [2, 4, 6])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_array_frame_jets_equal_tree_evaluation(rng, batch, dim, degree):
+    chart = ChartSpec.default(dim)
+    seeds = [int(s) for s in rng.integers(0, 2**63 - 1, batch)]
+    points = rng.uniform(-1.0, 1.0, (batch, dim))  # both signs of every coordinate
+    expo = geometry._random_frame(dim, degree, 0)[0]
+    coeffs = np.array([geometry._random_frame(dim, degree, s)[1] for s in seeds])
+    diag = (..., range(dim), range(dim))
+    frame_values, frame_partials = geometry._polynomial_jets(expo, coeffs, points)
+    frame_values[diag] += 1.0  # the AST's 1 + poly
+    jm = geometry._conjugate(frame_values, frame_partials, geometry.standard_block(dim))
+    for b, seed in enumerate(seeds):
+        field = random_conjugation_acs(dim, degree, seed)
+        av, ap, _ = geometry._eval_table(field.frame, chart, points[b])
+        assert frame_values[b].tobytes() == av.tobytes()
+        assert frame_partials[b].tobytes() == ap.tobytes()
+        pv, pp = geometry._polynomial_jets(expo, coeffs[b], points[b])  # one point, unbatched
+        pv[diag] += 1.0
+        assert pv.tobytes() == av.tobytes() and pp.tobytes() == ap.tobytes()
+        one = field.eval(chart, points[b])
+        assert jm.values[b].tobytes() == one.values.tobytes()
+        assert jm.partials[b].tobytes() == one.partials.tobytes()
+        assert jm.frame_cond[b] == one.frame_cond
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_array_metric_jets_equal_tree_evaluation(rng, batch, dim):
+    chart = ChartSpec.default(dim)
+    points = rng.uniform(0.0, 1.0, (batch, dim))
+    drawn = []
+    for b, point in enumerate(points):
+        a, r, s = (np.random.default_rng([dim, b]) for _ in range(3))
+        expo, coeffs, g = selftest._draw_spd_metric(a, point)
+        metric = selftest._random_spd_metric(r, chart, point)
+        ref = oracle.random_spd_metric_ast(s, chart, point)
+        assert metric.entries == ref.entries
+        assert a.random() == r.random() == s.random()  # the same draws, in order
+        one = ref.eval(chart, point)
+        assert g.values.tobytes() == one.values.tobytes()
+        assert g.partials.tobytes() == one.partials.tobytes()
+        drawn.append((coeffs, one))
+    values, partials = geometry._polynomial_jets(expo, np.array([c for c, _ in drawn]), points)
+    for b, (_, one) in enumerate(drawn):
+        assert values[b].tobytes() == one.values.tobytes()
+        assert partials[b].tobytes() == one.partials.tobytes()

@@ -348,9 +348,10 @@ def _monomials(n: int, degree: int) -> list[tuple[int, ...]]:
     )
 
 
-def _polynomial_ast(expo, coeffs, names, node=None) -> expr.ExprNode:
-    """sum_t coeffs[t] x^expo[t] as an AST, added left to right onto `node`;
-    a term is ((|c| x_a^k) x_b^l)... in variable order, negated where c < 0."""
+def _polynomial_ast(expo, coeffs, names) -> expr.ExprNode:
+    """sum_t coeffs[t] x^expo[t] as an AST, added left to right; a term is
+    ((|c| x_a^k) x_b^l)... in variable order, negated where c < 0."""
+    node = None
     for e, c in zip(expo, coeffs):
         term: expr.ExprNode = expr.Const(abs(float(c)))
         for name, k in zip(names, e):

@@ -27,6 +27,8 @@ from .geometry import ChartSpec, JetMatrix
 __all__ = [
     "TERM_NAMES",
     "CANCELLATION_PAIRS",
+    "CANCELLATION_LABELS",
+    "SCALARS",
     "VERDICT_CONSISTENT",
     "VERDICT_LEDGER_ANOMALY",
     "VERDICT_INVALID_ACS",
@@ -54,6 +56,13 @@ CANCELLATION_PAIRS = (
     ("II1+II4", "II1", "II4"),
     ("I2+I3", "I2", "I3"),
     ("I4+III1", "I4", "III1"),
+)
+CANCELLATION_LABELS = tuple(label for label, _, _ in CANCELLATION_PAIRS) + ("III1-III3", "first_quadratic")
+
+# The report's scalar fields, in output order.
+SCALARS = (
+    "j_squared_residual", "n_max_abs", "obstruction", "contraction", "double_trace",
+    "identity_residual_trace", "identity_residual_contraction",
 )
 
 VERDICT_CONSISTENT = "consistent"
@@ -95,12 +104,10 @@ class TermLedger:
     total: float
 
     def cancellation_residuals(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for label, a, b in CANCELLATION_PAIRS:
-            out[label] = abs(self.terms[a] + self.terms[b])
-        out["III1-III3"] = abs(self.terms["III1"] - self.terms["III3"])
-        out["first_quadratic"] = abs(self.first_quadratic)
-        return out
+        t = self.terms
+        values = [abs(t[a] + t[b]) for _, a, b in CANCELLATION_PAIRS]
+        values += [abs(t["III1"] - t["III3"]), abs(self.first_quadratic)]
+        return dict(zip(CANCELLATION_LABELS, values, strict=True))
 
 
 def term_ledger(jm: JetMatrix) -> TermLedger:
@@ -173,13 +180,7 @@ class ObstructionReport:
         ledger["total"] = self.ledger.total
         return {
             "point": list(self.point),
-            "j_squared_residual": self.j_squared_residual,
-            "n_max_abs": self.n_max_abs,
-            "obstruction": self.obstruction,
-            "contraction": self.contraction,
-            "double_trace": self.double_trace,
-            "identity_residual_trace": self.identity_residual_trace,
-            "identity_residual_contraction": self.identity_residual_contraction,
+            **{name: getattr(self, name) for name in SCALARS},
             "ledger": ledger,
             "cancellation_residuals": dict(self.cancellation_residuals),
             "verdict": self.verdict,
@@ -190,13 +191,7 @@ class ObstructionReport:
         lines = [
             "point: (" + ", ".join(g17(v) for v in self.point) + ")",
             f"verdict: {self.verdict}",
-            f"j_squared_residual: {g17(self.j_squared_residual)}",
-            f"n_max_abs: {g17(self.n_max_abs)}",
-            f"obstruction: {g17(self.obstruction)}",
-            f"contraction: {g17(self.contraction)}",
-            f"double_trace: {g17(self.double_trace)}",
-            f"identity_residual_trace: {g17(self.identity_residual_trace)}",
-            f"identity_residual_contraction: {g17(self.identity_residual_contraction)}",
+            *(f"{name}: {g17(getattr(self, name))}" for name in SCALARS),
             f"ledger_total: {g17(self.ledger.total)}",
         ]
         if ledger_detail:
@@ -252,15 +247,15 @@ def report_from_jets(
     obs = obstruction_scalar(tj)
     contraction = nijenhuis.contraction_scalar(tn, tj.values)
     ledger = term_ledger(tj)
-    fields = {
-        "j_squared_residual": acs.residual,
-        "n_max_abs": np.max(np.abs(n_std), axis=(-3, -2, -1)),
-        "obstruction": obs,
-        "contraction": contraction,
-        "double_trace": dtr,
-        "identity_residual_trace": np.abs(dtr - obs),
-        "identity_residual_contraction": np.abs(contraction - obs),
-    }
+    fields = dict(
+        j_squared_residual=acs.residual,
+        n_max_abs=np.max(np.abs(n_std), axis=(-3, -2, -1)),
+        obstruction=obs,
+        contraction=contraction,
+        double_trace=dtr,
+        identity_residual_trace=np.abs(dtr - obs),
+        identity_residual_contraction=np.abs(contraction - obs),
+    )
     verdict = _verdict(acs.ok, ledger.total, contraction, ledger.terms, tol_identity)
     point = np.asarray(point, dtype=float)
     if point.ndim == 1:
@@ -294,11 +289,9 @@ def identity_report(
 ) -> ObstructionReport:
     """Evaluate the fields at `point` and build the full report.
 
-    `metric` is a MetricField or None for the Euclidean default.
+    `metric` is a MetricField or None for the Euclidean default.  A point of
+    the wrong length is refused (ValueError) by the field evaluation.
     """
-    pt = tuple(float(v) for v in point)
-    if len(pt) != chart.n:
-        raise ValueError(f"point has {len(pt)} coordinates, chart has {chart.n}")
-    j_jm = j_field.eval(chart, pt)
-    g_jm = metric.eval(chart, pt) if metric is not None else None
-    return report_from_jets(j_jm, g_jm, pt, tol_alg=tol_alg, tol_identity=tol_identity)
+    j_jm = j_field.eval(chart, point)
+    g_jm = metric.eval(chart, point) if metric is not None else None
+    return report_from_jets(j_jm, g_jm, point, tol_alg=tol_alg, tol_identity=tol_identity)

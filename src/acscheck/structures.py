@@ -72,10 +72,9 @@ class StructureFile:
     description: str = ""
 
 
-def _split_sections(text: str):
-    """Yield (section, key_lines, entry_lines) with line numbers attached."""
+def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
+    """Section name -> its non-blank lines, comments stripped, as (lineno, text)."""
     sections: dict[str, list[tuple[int, str]]] = {}
-    order: list[str] = []
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -88,7 +87,6 @@ def _split_sections(text: str):
             if current in sections:
                 raise StructureError(f"duplicate section [{current}]", lineno)
             sections[current] = []
-            order.append(current)
             continue
         if current is None:
             raise StructureError("content before any section header", lineno)
@@ -170,10 +168,8 @@ def parse_structure(text: str, default_name: str = "") -> StructureFile:
             raise StructureError(f"unknown chart key {key!r}", lineno)
     if dim is None:
         raise StructureError("chart section must set 'dim'")
-    if var_names is None:
-        var_names = tuple(f"x{i + 1}" for i in range(dim))
     try:
-        chart = ChartSpec(dim, var_names)
+        chart = ChartSpec.default(dim) if var_names is None else ChartSpec(dim, var_names)
     except ValueError as exc:
         raise StructureError(str(exc)) from exc
 

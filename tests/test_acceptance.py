@@ -20,7 +20,7 @@ from acscheck.geometry import ChartSpec, NormalChange, christoffel
 from acscheck.nijenhuis import contraction_scalar, double_trace, nijenhuis_standard
 from acscheck.obstruction import identity_report, obstruction_scalar, term_ledger
 from acscheck.scan import GridSpec, run_scan
-from acscheck.selftest import _random_spd_metric, run_selftest
+from acscheck.selftest import run_selftest
 from acscheck.structures import gallery, parse_structure, serialize_structure
 
 SUITE_DIMS = (2, 4, 6)
@@ -178,7 +178,7 @@ def test_criterion_5_normal_coordinates():
         dim = (2, 4, 6)[k % 3]
         chart = ChartSpec.default(dim)
         point = rng.uniform(0.0, 1.0, dim)
-        metric = _random_spd_metric(rng, chart, point)
+        metric = oracle.random_spd_metric_ast(rng, chart, point)
         gm = metric.eval(chart, point)
         change = NormalChange.from_metric(gm)
         tg = change.transform_metric(gm)

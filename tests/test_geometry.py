@@ -19,7 +19,6 @@ from acscheck.geometry import (
     standard_block,
     validate_acs,
 )
-from acscheck.selftest import _random_spd_metric
 from acscheck.structures import gallery
 
 
@@ -152,7 +151,7 @@ def test_christoffel_conformal_metric():
 
 def test_christoffel_exactly_symmetric(rng):
     chart = ChartSpec.default(4)
-    metric = _random_spd_metric(rng, chart, np.zeros(4))
+    metric = oracle.random_spd_metric_ast(rng, chart, np.zeros(4))
     gm = metric.eval(chart, rng.uniform(-0.3, 0.3, 4))
     gamma = christoffel(gm)
     assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
@@ -182,7 +181,7 @@ def test_normal_change_kills_metric_derivatives(rng):
     for dim in (2, 4):
         chart = ChartSpec.default(dim)
         point = rng.uniform(0.0, 1.0, dim)
-        metric = _random_spd_metric(rng, chart, point)
+        metric = oracle.random_spd_metric_ast(rng, chart, point)
         gm = metric.eval(chart, point)
         change = NormalChange.from_metric(gm)
         tg = change.transform_metric(gm)

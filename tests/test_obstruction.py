@@ -1,9 +1,13 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 import oracle
 from test_cli_scan import NEAR_ACS4, NEAR_ACS4_POINT
 from acscheck import parse_expr
+from acscheck.cli import main
 from acscheck.geometry import (
     ChartSpec,
     ConjugationField,
@@ -14,16 +18,18 @@ from acscheck.geometry import (
 )
 from acscheck.nijenhuis import big_n, contraction_scalar, nijenhuis_standard
 from acscheck.obstruction import (
+    CANCELLATION_LABELS,
+    SCALARS,
     TERM_NAMES,
     VERDICT_CONSISTENT,
     VERDICT_INVALID_ACS,
     VERDICT_LEDGER_ANOMALY,
+    ObstructionReport,
     identity_report,
     obstruction_scalar,
     report_from_jets,
     term_ledger,
 )
-from acscheck.selftest import _random_spd_metric
 from acscheck.structures import gallery, parse_structure
 
 
@@ -130,10 +136,30 @@ def test_report_constant_structure():
     assert rep.identity_residual_contraction == 0.0
 
 
-def test_report_point_dimension_checked():
-    sf = gallery("standard2n:2")
-    with pytest.raises(ValueError):
+# one 4-D structure per J kind, and one with a metric section
+DIM4_STRUCTURES = {
+    "explicit": "[chart]\ndim = 4\n[J]\n1 2 = -1\n2 1 = 1\n3 4 = -exp(x1)\n4 3 = exp(-x1)\n",
+    "conjugation": "[chart]\ndim = 4\n[J]\nkind = conjugation\n1 3 = x1\n",
+    "pullback": "[chart]\ndim = 4\n[J]\nkind = pullback\n2 = x2 + x1^2\n",
+    "metric": "[chart]\ndim = 4\n[J]\nkind = pullback\n2 = x2 + x1^2\n[metric]\n1 1 = 1 + x1^2\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DIM4_STRUCTURES))
+def test_report_point_dimension_checked(kind):
+    sf = parse_structure(DIM4_STRUCTURES[kind])
+    with pytest.raises(ValueError, match=r"^point has 3 coordinates, chart has 4$"):
         identity_report(sf.j_field, sf.metric, sf.chart, (0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("kind", sorted(DIM4_STRUCTURES))
+def test_cli_check_refuses_a_point_of_the_wrong_length(kind, tmp_path, capsys):
+    path = tmp_path / "structure.acs"
+    path.write_text(DIM4_STRUCTURES[kind], encoding="utf-8")
+    assert main(["check", str(path), "--point", "0,0,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "acscheck: error: point has 3 coordinates, chart has 4\n"
 
 
 def test_report_invalid_acs():
@@ -176,7 +202,7 @@ def test_report_with_random_metric_consistent(rng):
     chart = ChartSpec.default(4)
     field = random_conjugation_acs(4, 2, 101)
     point = rng.uniform(0.0, 1.0, 4)
-    metric = _random_spd_metric(rng, chart, point)
+    metric = oracle.random_spd_metric_ast(rng, chart, point)
     rep = identity_report(field, metric, chart, point)
     assert rep.verdict == VERDICT_CONSISTENT
     assert np.isfinite(rep.obstruction)
@@ -203,16 +229,41 @@ def test_json_dict_schema():
         "verdict",
     ]
     assert list(payload["ledger"]) == list(TERM_NAMES) + ["first_quadratic", "total"]
-    assert set(payload["cancellation_residuals"]) == {
-        "II3+IV3",
-        "II2+III2",
-        "II5+IV2",
-        "II1+II4",
-        "I2+I3",
-        "I4+III1",
-        "III1-III3",
-        "first_quadratic",
-    }
+    labels = ["II3+IV3", "II2+III2", "II5+IV2", "II1+II4", "I2+I3", "I4+III1", "III1-III3", "first_quadratic"]
+    assert list(CANCELLATION_LABELS) == labels
+    assert list(payload["cancellation_residuals"]) == labels
+
+
+def test_cancellation_residuals_match_their_labels(rng):
+    # arbitrary jets, not a structure: no cancellation holds, so the eight
+    # residuals differ and a value under the wrong label would show
+    ledger = term_ledger(JetMatrix(rng.normal(size=(4, 4)), rng.normal(size=(4, 4, 4))))
+    terms = ledger.terms
+    expected = {f"{a}+{b}": abs(terms[a] + terms[b]) for a, b in (
+        ("II3", "IV3"), ("II2", "III2"), ("II5", "IV2"), ("II1", "II4"), ("I2", "I3"), ("I4", "III1"))}
+    expected["III1-III3"] = abs(terms["III1"] - terms["III3"])
+    expected["first_quadratic"] = abs(ledger.first_quadratic)
+    assert len(set(expected.values())) == len(expected)
+    assert ledger.cancellation_residuals() == expected
+
+
+def test_scalars_are_the_report_fields_in_output_order():
+    fields = [f.name for f in dataclasses.fields(ObstructionReport)]
+    assert fields[1 : 1 + len(SCALARS)] == list(SCALARS)
+    sf = gallery("shear4")
+    rep = identity_report(sf.j_field, sf.metric, sf.chart, (0.3, 0.7, 0.1, 0.9))
+    lines = rep.render_text().splitlines()
+    assert lines[2 : 2 + len(SCALARS)] == [f"{name}: {getattr(rep, name):.17g}" for name in SCALARS]
+
+
+def test_cli_check_json_cancellation_residuals_in_label_order(capsys):
+    assert main(["check", "gallery:shear4", "--point", "0.3,0.7,0.1,0.9", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["cancellation_residuals"]) == list(CANCELLATION_LABELS)
+    assert main(["check", "gallery:shear4", "--point", "0.3,0.7,0.1,0.9"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = lines[lines.index("cancellation residuals:") + 1 :]
+    assert [row.split()[0] for row in rows] == list(CANCELLATION_LABELS)
 
 
 def test_report_from_jets_reuses_evaluated_jets(rng):

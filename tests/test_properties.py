@@ -4,7 +4,9 @@ Every input ends one of two ways: a report with an exit code for its verdict,
 or exit 1 with a one-line error.  A scan writes one row per grid point, and
 each row is either finite or flagged ``error:``.  The files cover explicit,
 conjugation and pullback fields built from random expressions with exp, log,
-sqrt, division and powers, with and without a metric section.
+sqrt, division and powers, with and without a metric section.  A second
+family perturbs the expblock4 pattern slightly off J^2 = -I and checks it
+under ``--tol-alg 1``, where a real ledger anomaly (exit 3) is reachable.
 """
 
 import contextlib
@@ -14,9 +16,10 @@ import math
 import tempfile
 from pathlib import Path
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from test_cli_scan import NEAR_ACS4, NEAR_ACS4_POINT
 from acscheck.cli import main
 from acscheck.expr import Binary, Call, Const, Unary, Var, to_source
 
@@ -89,6 +92,21 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+_VERDICTS = {0: "consistent", 2: "invalid-acs", 3: "ledger-anomaly"}
+
+
+def _check(path, point, *flags):
+    """Run `check`; exit 1 prints one stderr line and no report, any other
+    exit prints the report of its verdict and nothing on stderr."""
+    point_arg = ",".join(format(v, ".17g") for v in point)
+    code, out, err = _run(["check", str(path), f"--point={point_arg}", *flags])
+    if code == 1:
+        assert out == "" and err.endswith("\n") and err.count("\n") == 1
+    else:
+        assert err == "" and f"\nverdict: {_VERDICTS[code]}\n" in out
+    return code
+
+
 @given(
     _structures(),
     st.lists(_COORD, min_size=4, max_size=4),
@@ -98,10 +116,7 @@ def test_cli_ends_in_a_report_or_one_line_error(text, point, axes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "structure.acs"
         path.write_text(text, encoding="utf-8")
-        point_arg = ",".join(format(v, ".17g") for v in point)
-        code, _, err = _run(["check", str(path), f"--point={point_arg}"])
-        assert code in (0, 1, 2, 3)
-        assert err.count("\n") <= 1 and (code == 1) == bool(err)
+        _check(path, point)
 
         grid = ",".join(f"{lo!r}:{lo + 0.5!r}:{count}" for lo, count in axes)
         out = Path(tmp) / "scan.csv"
@@ -113,3 +128,29 @@ def test_cli_ends_in_a_report_or_one_line_error(text, point, axes):
     for row in rows:
         numbers, status = [float(v) for v in row[4:-1]], row[-1]
         assert status.startswith("error: ") or all(map(math.isfinite, numbers))
+
+
+_SMALL = st.sampled_from((0.0, 0.001, 0.01, 0.05))
+
+
+@st.composite
+def _near_acs(draw):
+    """The expblock4 pattern with small polynomial terms added to entries of
+    its first block and its off-block corners, so J^2 + I is small but not 0."""
+    lines = ["[chart]", "dim = 4", "[J]", "2 1 = 1", "3 4 = -exp(x1)", "4 3 = exp(-x1)"]
+    monomial = st.lists(st.sampled_from(_VARS), min_size=1, max_size=2).map("*".join)
+    perturbed = draw(st.sets(st.sampled_from(("1 3", "1 4", "2 3", "2 4", "3 1")), max_size=2))
+    lines.append(f"1 2 = -1-{draw(_SMALL)!r}*{draw(monomial)}")
+    lines += [f"{key} = {draw(_SMALL)!r}*{draw(monomial)}" for key in sorted(perturbed)]
+    return "\n".join(lines) + "\n"
+
+
+@given(_near_acs(), st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=4, max_size=4))
+@example(NEAR_ACS4, list(NEAR_ACS4_POINT))
+def test_near_acs_under_loose_tolerance_ends_in_a_report_or_one_line_error(text, point):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "structure.acs"
+        path.write_text(text, encoding="utf-8")
+        code = _check(path, point, "--tol-alg", "1")
+    if (text, point) == (NEAR_ACS4, list(NEAR_ACS4_POINT)):
+        assert code == 3  # the measured real ledger anomaly

@@ -15,6 +15,7 @@ import pytest
 import oracle
 from acscheck import expr, geometry, selftest
 from acscheck.geometry import ChartSpec, random_conjugation_acs
+from acscheck.obstruction import CANCELLATION_LABELS, report_from_jets
 
 COND = r" frame_cond=\d\.\d{3}e[+-]\d\d"
 
@@ -56,6 +57,27 @@ def test_batched_failure_lines_equal_per_sample_reference(monkeypatch):
     new = selftest.run_selftest((2, 4), 4, 2, 7)
     assert ref.failures
     _assert_same_report(new, ref)
+
+
+def test_cancellation_rows_follow_the_labels():
+    dim, samples, degree, seed = 4, 3, 2, 9
+    report = selftest.run_selftest((dim,), samples, degree, seed)
+    rows = [f"cancellation {label}" for label in CANCELLATION_LABELS]
+    assert list(report.residuals)[5:13] == rows
+    lines = report.render_text().splitlines()
+    for header in ("identity residuals", "residual histograms"):
+        start = next(k for k, line in enumerate(lines) if line.startswith(header))
+        table = lines[start + 1 : lines.index("", start)]
+        labels = [line.split("  cancellation ")[1] for line in table if "  cancellation " in line]
+        assert labels == list(CANCELLATION_LABELS)
+    # each row holds its own label's value: replay every sample on its own
+    for b in range(samples):
+        rng = np.random.default_rng([seed, dim, b])
+        field = random_conjugation_acs(dim, degree, int(rng.integers(0, 2**63 - 1)))
+        point = rng.uniform(0.0, 1.0, dim)
+        rep = report_from_jets(field.eval(ChartSpec.default(dim), point), None, point)
+        for label, row in zip(CANCELLATION_LABELS, rows):
+            assert report.residuals[row][b] == rep.cancellation_residuals[label], (b, label)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6])
@@ -102,12 +124,10 @@ def test_array_metric_jets_equal_tree_evaluation(rng, batch, dim):
     points = rng.uniform(0.0, 1.0, (batch, dim))
     drawn = []
     for b, point in enumerate(points):
-        a, r, s = (np.random.default_rng([dim, b]) for _ in range(3))
+        a, s = (np.random.default_rng([dim, b]) for _ in range(2))
         expo, coeffs, g = selftest._draw_spd_metric(a, point)
-        metric = selftest._random_spd_metric(r, chart, point)
         ref = oracle.random_spd_metric_ast(s, chart, point)
-        assert metric.entries == ref.entries
-        assert a.random() == r.random() == s.random()  # the same draws, in order
+        assert a.random() == s.random()  # the same draws, in order
         one = ref.eval(chart, point)
         assert g.values.tobytes() == one.values.tobytes()
         assert g.partials.tobytes() == one.partials.tobytes()

@@ -15,8 +15,6 @@ import math
 import sys
 
 from . import __version__
-from .expr import ExprError
-from .geometry import GeometryError
 from .obstruction import (
     VERDICT_CONSISTENT,
     VERDICT_INVALID_ACS,
@@ -26,7 +24,6 @@ from .obstruction import (
 from .scan import GridSpec, run_scan
 from .selftest import run_selftest
 from .structures import (
-    StructureError,
     StructureFile,
     gallery,
     gallery_description,
@@ -195,7 +192,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
-    except (StructureError, ExprError, GeometryError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"acscheck: error: {exc}\n")
         return EXIT_ERROR
 

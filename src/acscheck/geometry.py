@@ -166,22 +166,22 @@ class ConjugationField:
     """
 
     frame: tuple[tuple[expr.ExprNode, ...], ...]
-    base: np.ndarray
 
     @_quiet
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
         av, ap, _ = _eval_table(self.frame, chart, point)
-        return _conjugate(av, ap, self.base)
+        return _conjugate(av, ap)
 
 
 @_quiet
-def _conjugate(av: np.ndarray, ap: np.ndarray, base: np.ndarray) -> JetMatrix:
+def _conjugate(av: np.ndarray, ap: np.ndarray) -> JetMatrix:
     """A J0 A^-1 and its partials from the frame's values and partials, at a
     point or a batch of points (each with its own frame)."""
     if not np.isfinite(av).all():
         raise GeometryError("frame evaluation produced non-finite entries")
     cond = _frame_cond(av, "conjugation frame")
     ainv = np.linalg.inv(av)
+    base = standard_block(av.shape[-1])
     values = av @ base @ ainv
     core = base @ ainv
     # per coordinate k: ap_k @ core - av @ core @ ap_k @ ainv
@@ -200,7 +200,6 @@ class PullbackField:
     """
 
     components: tuple[expr.ExprNode, ...]
-    base: np.ndarray
 
     @_quiet
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
@@ -210,11 +209,11 @@ class PullbackField:
         if not np.isfinite(f).all():
             raise GeometryError("map Jacobian has non-finite entries")
         cond = _frame_cond(f, "pullback Jacobian")
-        finv = np.linalg.inv(f)
-        values = finv @ self.base @ f
+        finv, j0 = np.linalg.inv(f), standard_block(f.shape[-1])
+        values = finv @ j0 @ f
         # per coordinate k, with h_k = d_k Dphi: -finv @ h_k @ finv @ J0 @ f + finv @ J0 @ h_k
         hk, fi, fk = np.moveaxis(h, -1, -3), finv[..., None, :, :], f[..., None, :, :]
-        partials = -fi @ hk @ fi @ self.base @ fk + (finv @ self.base)[..., None, :, :] @ hk
+        partials = -fi @ hk @ fi @ j0 @ fk + (finv @ j0)[..., None, :, :] @ hk
         _require_finite(values, partials)
         return JetMatrix(values, partials, frame_cond=cond)
 
@@ -422,4 +421,4 @@ def random_conjugation_acs(dim: int, degree: int, seed: int) -> ConjugationField
         row = [_polynomial_ast(expo, coeffs[i, j], names) for j in range(dim)]
         row[i] = expr.Binary("add", expr.Const(1.0), row[i])
         rows.append(tuple(row))
-    return ConjugationField(tuple(rows), standard_block(dim))
+    return ConjugationField(tuple(rows))

@@ -287,7 +287,8 @@ def identity_report(
     tol_alg: float = 1e-9,
     tol_identity: float = 1e-9,
 ) -> ObstructionReport:
-    """Evaluate the fields at `point` and build the full report.
+    """Evaluate the fields at `point`, or at a batch of points along leading
+    axes, and build the full report (see :func:`report_from_jets`).
 
     `metric` is a MetricField or None for the Euclidean default.  A point of
     the wrong length is refused (ValueError) by the field evaluation.

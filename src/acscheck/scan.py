@@ -10,8 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import GeometryError
-from .obstruction import identity_report, report_from_jets
+from .obstruction import identity_report
 from .structures import StructureFile
 
 __all__ = ["CHUNK", "GridAxis", "GridSpec", "ScanSummary", "run_scan"]
@@ -96,23 +95,20 @@ def _rows(structure: StructureFile, chunk: list, tol_alg: float, tol_identity: f
     error that point raises.  The chunk is evaluated as one batch; if that
     raises, each point goes through its own report, so an error flags only
     its own row and carries the message a single-point check gives."""
-    chart, j_field, metric = structure.chart, structure.j_field, structure.metric
     fields = NUMERIC_COLUMNS + ("verdict",)
+    report = lambda points: identity_report(
+        structure.j_field, structure.metric, structure.chart, points, tol_alg, tol_identity
+    )
     try:
-        points = np.array(chunk)
-        g_jm = metric.eval(chart, points) if metric is not None else None
-        rep = report_from_jets(j_field.eval(chart, points), g_jm, points, tol_alg, tol_identity)
+        rep = report(np.array(chunk))
         return list(zip(*(getattr(rep, name).tolist() for name in fields)))
-    except (GeometryError, ValueError):
+    except ValueError:
         pass
     rows = []
     for point in chunk:
         try:
-            rep = identity_report(
-                j_field, metric, chart, point, tol_alg=tol_alg, tol_identity=tol_identity
-            )
-            rows.append(tuple(getattr(rep, name) for name in fields))
-        except (GeometryError, ValueError) as exc:
+            rows.append(tuple(getattr(report(point), name) for name in fields))
+        except ValueError as exc:
             rows.append(exc)
     return rows
 

@@ -161,7 +161,7 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
         points = np.array(points)
         av, ap = geometry._polynomial_jets(expo, np.array(frames), points)
         av[..., range(dim), range(dim)] += 1.0  # the frame's 1 + poly on the diagonal
-        j_jm = geometry._conjugate(av, ap, geometry.standard_block(dim))
+        j_jm = geometry._conjugate(av, ap)
         g_jm = JetMatrix(np.array([g.values for g in metrics]), np.array([g.partials for g in metrics]))
 
         n_std = nijenhuis.nijenhuis_standard(j_jm)

@@ -16,15 +16,15 @@ File format, line oriented; ``#`` starts a comment anywhere on a line::
     [metric]                        # optional; omitted means Euclidean
     2 2 = x1^2                      # diagonal defaults to 1, off-diagonal to 0
 
-Entry defaults by kind: explicit J entries default to 0; a conjugation
-section defines the frame A with diagonal defaulting to 1 (the structure is
-A J0 A^-1 with J0 the standard block); a pullback section uses single-index
-lines ``<i> = <expression>`` for the map components, each defaulting to its
-own coordinate (the structure is (Dphi)^-1 J0 Dphi).
+A conjugation section gives the frame A of J = A J0 A^-1 (J0 the standard
+block), its diagonal defaulting to 1; a pullback section gives the map phi of
+J = (Dphi)^-1 J0 Dphi, one ``<i> = <expression>`` line per component, each
+defaulting to its own coordinate.  Explicit entries default to 0.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -94,11 +94,27 @@ def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
     return sections
 
 
-def _parse_kv(line: str, lineno: int) -> tuple[str, str]:
+def _parse_kv(line: str, lineno: int, seen: set) -> tuple[str, str]:
+    """'key = value'; a key already in `seen` is refused, a new one joins it."""
     if "=" not in line:
         raise StructureError("expected 'key = value' or an entry line", lineno)
-    key, value = line.split("=", 1)
-    return key.strip(), value.strip()
+    key, value = (part.strip() for part in line.split("=", 1))
+    if key in seen:
+        raise StructureError(f"repeated key {key!r}", lineno)
+    seen.add(key)
+    return key, value
+
+
+def _parse_var_names(value: str, lineno: int) -> tuple[str, ...]:
+    names = tuple(v.strip() for v in value.split(","))
+    for name in names:
+        try:
+            ok = expr.parse_expr(name) == expr.Var(name)
+        except expr.ExprError:
+            ok = False
+        if not ok:  # a constant such as pi would shadow the variable
+            raise StructureError(f"bad variable name {name!r}: reserved, or not a name", lineno)
+    return names
 
 
 def _parse_entry_expr(text: str, lineno: int, chart: ChartSpec) -> expr.ExprNode:
@@ -114,28 +130,68 @@ def _parse_entry_expr(text: str, lineno: int, chart: ChartSpec) -> expr.ExprNode
     return node
 
 
-def _parse_indexed_entries(lines, chart, n_indices: int):
-    """Parse '<i> [<j>] = expr' lines into {(i, j) or (i,): (lineno, ast)}."""
-    out: dict[tuple[int, ...], tuple[int, expr.ExprNode]] = {}
+# [J] kind -> its field class and the name of that class's expression table
+_KINDS = {
+    "explicit": (ExplicitField, "entries"),
+    "conjugation": (ConjugationField, "frame"),
+    "pullback": (PullbackField, "components"),
+}
+
+
+def _default_entry(kind: str, chart: ChartSpec, index: tuple[int, ...]) -> expr.ExprNode:
+    """The entry a file leaves out, for a [J] kind or for "metric": a pullback
+    component is its own coordinate; a frame or metric diagonal is 1; the
+    rest is 0."""
+    if kind == "pullback":
+        return expr.Var(chart.var_names[index[0]])
+    return expr.Const(1.0 if kind in ("conjugation", "metric") and index[0] == index[1] else 0.0)
+
+
+def _indices(kind: str, n: int) -> list[tuple[int, ...]]:
+    """A table's indices in file order: one per component for a pullback,
+    (row, col) otherwise."""
+    return list(itertools.product(range(n), repeat=1 if kind == "pullback" else 2))
+
+
+def _parse_table(kind: str, lines, chart: ChartSpec):
+    """The expression table of `kind` from its '<i> [<j>] = expr' lines, with
+    defaults where a line is missing; metric entries are mirrored."""
+    indices = _indices(kind, chart.n)
+    arity = len(indices[0])
+    entries: dict[tuple[int, ...], tuple[int, expr.ExprNode]] = {}
     for lineno, line in lines:
         head, _, rhs = line.partition("=")
         idx_text = head.split()
-        if not rhs or len(idx_text) != n_indices or not all(
-            t.isdigit() for t in idx_text
-        ):
-            raise StructureError(
-                "expected '<index>' * %d '= <expression>'" % n_indices, lineno
-            )
+        if not rhs or len(idx_text) != arity or not all(t.isdigit() for t in idx_text):
+            form = "<i>" if arity == 1 else "<row> <col>"
+            raise StructureError(f"expected '{form} = <expression>'", lineno)
         idx = tuple(int(t) for t in idx_text)
         if any(not 1 <= v <= chart.n for v in idx):
-            raise StructureError(
-                f"index out of range 1..{chart.n}: {' '.join(idx_text)}", lineno
-            )
+            raise StructureError(f"index out of range 1..{chart.n}: {' '.join(idx_text)}", lineno)
         key = tuple(v - 1 for v in idx)
-        if key in out:
+        if key in entries:
             raise StructureError(f"duplicate entry {' '.join(idx_text)}", lineno)
-        out[key] = (lineno, _parse_entry_expr(rhs.strip(), lineno, chart))
-    return out
+        entries[key] = (lineno, _parse_entry_expr(rhs.strip(), lineno, chart))
+    if kind == "metric":
+        for (i, j), (lineno, node) in list(entries.items()):
+            twin = entries.setdefault((j, i), (lineno, node))
+            if i > j and twin[1] != node:
+                raise StructureError(f"asymmetric metric entries for ({j + 1},{i + 1})", lineno)
+    nodes = [entries[k][1] if k in entries else _default_entry(kind, chart, k) for k in indices]
+    if kind == "pullback":
+        return tuple(nodes)
+    return tuple(tuple(nodes[i : i + chart.n]) for i in range(0, len(nodes), chart.n))
+
+
+def _entry_lines(kind: str, chart: ChartSpec, table) -> list[str]:
+    """'<i> [<j>] = expr' for each entry that is not its default; the metric
+    writes its upper triangle only."""
+    lines = []
+    for k in _indices(kind, chart.n):
+        node = table[k[0]] if len(k) == 1 else table[k[0]][k[1]]
+        if node != _default_entry(kind, chart, k) and not (kind == "metric" and k[0] > k[1]):
+            lines.append(" ".join(str(v + 1) for v in k) + f" = {expr.to_source(node)}")
+    return lines
 
 
 def parse_structure(text: str, default_name: str = "") -> StructureFile:
@@ -149,8 +205,9 @@ def parse_structure(text: str, default_name: str = "") -> StructureFile:
     var_names: Optional[tuple[str, ...]] = None
     name = default_name
     description = ""
+    seen: set = set()
     for lineno, line in sections["chart"]:
-        key, value = _parse_kv(line, lineno)
+        key, value = _parse_kv(line, lineno, seen)
         if key == "dim":
             try:
                 dim = int(value)
@@ -159,7 +216,7 @@ def parse_structure(text: str, default_name: str = "") -> StructureFile:
             if dim <= 0 or dim % 2:
                 raise StructureError("dimension must be even and positive", lineno)
         elif key == "vars":
-            var_names = tuple(v.strip() for v in value.split(","))
+            var_names = _parse_var_names(value, lineno)
         elif key == "name":
             name = value
         elif key == "description":
@@ -175,64 +232,17 @@ def parse_structure(text: str, default_name: str = "") -> StructureFile:
 
     kind = "explicit"
     j_entry_lines = []
+    seen = set()
     for lineno, line in sections["J"]:
-        head = line.split("=", 1)[0].strip()
-        if head == "kind":
-            _, value = _parse_kv(line, lineno)
-            if value not in ("explicit", "conjugation", "pullback"):
-                raise StructureError(f"unknown J kind {value!r}", lineno)
-            kind = value
-        else:
+        if line.split("=", 1)[0].strip() != "kind":
             j_entry_lines.append((lineno, line))
-
-    j_field: MatrixField
-    if kind == "pullback":
-        entries = _parse_indexed_entries(j_entry_lines, chart, n_indices=1)
-        components = tuple(
-            entries[(i,)][1] if (i,) in entries else expr.Var(chart.var_names[i])
-            for i in range(chart.n)
-        )
-        j_field = PullbackField(components, standard_block(chart.n))
-    else:
-        entries = _parse_indexed_entries(j_entry_lines, chart, n_indices=2)
-        default_diag = 1.0 if kind == "conjugation" else 0.0
-        rows = tuple(
-            tuple(
-                entries[(i, j)][1]
-                if (i, j) in entries
-                else expr.Const(default_diag if i == j else 0.0)
-                for j in range(chart.n)
-            )
-            for i in range(chart.n)
-        )
-        if kind == "conjugation":
-            j_field = ConjugationField(rows, standard_block(chart.n))
-        else:
-            j_field = ExplicitField(rows)
-
-    metric: Optional[MetricField] = None
-    if "metric" in sections:
-        entries = _parse_indexed_entries(sections["metric"], chart, n_indices=2)
-        for (i, j), (lineno, node) in entries.items():
-            if i > j and (j, i) in entries and entries[(j, i)][1] != node:
-                raise StructureError(
-                    f"asymmetric metric entries for ({j + 1},{i + 1})", lineno
-                )
-        rows = tuple(
-            tuple(
-                entries.get((i, j), entries.get((j, i), (0, None)))[1]
-                or expr.Const(1.0 if i == j else 0.0)
-                for j in range(chart.n)
-            )
-            for i in range(chart.n)
-        )
-        metric = MetricField(rows)
-
+            continue
+        kind = _parse_kv(line, lineno, seen)[1]
+        if kind not in _KINDS:
+            raise StructureError(f"unknown J kind {kind!r}", lineno)
+    j_field = _KINDS[kind][0](_parse_table(kind, j_entry_lines, chart))
+    metric = MetricField(_parse_table("metric", sections["metric"], chart)) if "metric" in sections else None
     return StructureFile(chart, j_field, metric, name=name, description=description)
-
-
-def _is_default_expr(node: expr.ExprNode, default: float) -> bool:
-    return isinstance(node, expr.Const) and node.value == default
 
 
 def serialize_structure(sf: StructureFile) -> str:
@@ -242,32 +252,11 @@ def serialize_structure(sf: StructureFile) -> str:
         lines.append(f"name = {sf.name}")
     if sf.description:
         lines.append(f"description = {sf.description}")
-    lines.append("")
-    lines.append("[J]")
-    if isinstance(sf.j_field, PullbackField):
-        lines.append("kind = pullback")
-        for i, comp in enumerate(sf.j_field.components):
-            if comp != expr.Var(sf.chart.var_names[i]):
-                lines.append(f"{i + 1} = {expr.to_source(comp)}")
-    elif isinstance(sf.j_field, ConjugationField):
-        lines.append("kind = conjugation")
-        for i, row in enumerate(sf.j_field.frame):
-            for j, node in enumerate(row):
-                if not _is_default_expr(node, 1.0 if i == j else 0.0):
-                    lines.append(f"{i + 1} {j + 1} = {expr.to_source(node)}")
-    else:
-        lines.append("kind = explicit")
-        for i, row in enumerate(sf.j_field.entries):
-            for j, node in enumerate(row):
-                if not _is_default_expr(node, 0.0):
-                    lines.append(f"{i + 1} {j + 1} = {expr.to_source(node)}")
+    kind = next(k for k, (cls, _) in _KINDS.items() if isinstance(sf.j_field, cls))
+    lines += ["", "[J]", f"kind = {kind}"]
+    lines += _entry_lines(kind, sf.chart, getattr(sf.j_field, _KINDS[kind][1]))
     if sf.metric is not None:
-        lines.append("")
-        lines.append("[metric]")
-        for i, row in enumerate(sf.metric.entries):
-            for j, node in enumerate(row):
-                if j >= i and not _is_default_expr(node, 1.0 if i == j else 0.0):
-                    lines.append(f"{i + 1} {j + 1} = {expr.to_source(node)}")
+        lines += ["", "[metric]"] + _entry_lines("metric", sf.chart, sf.metric.entries)
     return "\n".join(lines) + "\n"
 
 
@@ -312,10 +301,8 @@ def gallery(name: str) -> StructureFile:
         if n <= 0 or n % 2:
             raise StructureError("gallery standard2n needs a positive even dimension")
         description = "constant block structure; integrable"
-        # the standard block: e_{2a} -> e_{2a+1} -> -e_{2a}
-        body = "[J]\n" + "".join(
-            f"{2 * a + 2} {2 * a + 1} = 1\n{2 * a + 1} {2 * a + 2} = -1\n" for a in range(n // 2)
-        )
+        j0 = standard_block(n)
+        body = "[J]\n" + "".join(f"{i + 1} {j + 1} = {j0[i, j]:g}\n" for i, j in zip(*j0.nonzero()))
     elif _GALLERY.get(name, (None, None))[1]:
         description, body = _GALLERY[name]
     else:

@@ -94,7 +94,7 @@ def field_values(field, chart, point) -> np.ndarray:
         a = np.array(
             [[eval_value(field.frame[i][j], env) for j in range(n)] for i in range(n)]
         )
-        return a @ field.base @ np.linalg.inv(a)
+        return a @ standard_block(n) @ np.linalg.inv(a)
     if isinstance(field, PullbackField):
         # Jacobian of the map by finite differences (values-only path)
         f = np.zeros((n, n))
@@ -108,7 +108,7 @@ def field_values(field, chart, point) -> np.ndarray:
                     eval_value(field.components[i], ep)
                     - eval_value(field.components[i], em)
                 ) / (2 * FD_H)
-        return np.linalg.inv(f) @ field.base @ f
+        return np.linalg.inv(f) @ standard_block(n) @ f
     raise TypeError(field)
 
 
@@ -329,7 +329,7 @@ def random_conjugation_acs_ast(dim: int, degree: int, seed: int) -> ConjugationF
                 poly = expr.Binary("add", expr.Const(1.0), poly)
             row.append(poly)
         rows.append(tuple(row))
-    return ConjugationField(tuple(rows), standard_block(dim))
+    return ConjugationField(tuple(rows))
 
 
 def random_spd_metric_ast(rng: np.random.Generator, chart: ChartSpec, point) -> MetricField:

@@ -22,7 +22,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from acscheck import expr as expr_mod
-from acscheck.geometry import ConjugationField, ExplicitField, PullbackField
+from acscheck.geometry import ConjugationField, ExplicitField, PullbackField, standard_block
 
 _BINARY = {
     "add": lambda a, b: a + b,
@@ -61,7 +61,7 @@ def field_matrix(field, xs) -> sympy.Matrix:
     """Exact J of an explicit, conjugation or pullback field."""
     if isinstance(field, ExplicitField):
         return matrix(field.entries, xs)
-    base = sympy.Matrix(field.base.tolist()).applyfunc(sympy.Rational)
+    base = sympy.Matrix(standard_block(len(xs)).tolist()).applyfunc(sympy.Rational)
     if isinstance(field, ConjugationField):
         a = matrix(field.frame, xs)
         return sympy.simplify(a * base * a.inv())

@@ -163,13 +163,19 @@ def test_cli_check_real_ledger_anomaly(tmp_path, capsys):
 
 
 def test_scan_real_ledger_anomaly_through_the_batch(tmp_path, monkeypatch):
-    def no_fallback(*args, **kwargs):
-        raise AssertionError("the chunk went point by point")
+    calls = []
 
-    monkeypatch.setattr(scan, "identity_report", no_fallback)
+    def spy(j_field, metric, chart, points, *tols):
+        calls.append(np.array(points))
+        return identity_report(j_field, metric, chart, points, *tols)
+
+    monkeypatch.setattr(scan, "identity_report", spy)
     sf = parse_structure(NEAR_ACS4)
     out = tmp_path / "near.csv"
-    summary = run_scan(sf, GridSpec.parse("0.3:0.3:1,0.7:0.7:1,0:0.1:2,0.8:0.9:2"), out, tol_alg=1.0)
+    grid = GridSpec.parse("0.3:0.3:1,0.7:0.7:1,0:0.1:2,0.8:0.9:2")
+    summary = run_scan(sf, grid, out, tol_alg=1.0)
+    # one report for the whole chunk, none point by point
+    assert len(calls) == 1 and calls[0].tolist() == [list(p) for p in grid.points()]
     with out.open() as handle:
         rows = {tuple(map(float, r[:4])): r[4:] for r in list(csv.reader(handle))[1:]}
     assert summary.rows == len(rows) == 4 and summary.flagged == 0

@@ -54,7 +54,7 @@ def test_pointwise_antisymmetric_family_vanishes():
         ("0", "0", "0", "1"),
     )
     frame = tuple(tuple(parse_expr(t) for t in row) for row in rot)
-    field = ConjugationField(frame, standard_block(4))
+    field = ConjugationField(frame)
     for x1 in (0.0, 0.4, 1.3):
         jm = field.eval(chart, (x1, 0.0, 0.0, 0.0))
         assert np.max(np.abs(jm.values + jm.values.T)) < 1e-12

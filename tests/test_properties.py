@@ -7,6 +7,8 @@ conjugation and pullback fields built from random expressions with exp, log,
 sqrt, division and powers, with and without a metric section.  A second
 family perturbs the expblock4 pattern slightly off J^2 = -I and checks it
 under ``--tol-alg 1``, where a real ledger anomaly (exit 3) is reachable.
+The same files check that serialising a structure and parsing it back gives
+an equal structure and the same text.
 """
 
 import contextlib
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from test_cli_scan import NEAR_ACS4, NEAR_ACS4_POINT
 from acscheck.cli import main
 from acscheck.expr import Binary, Call, Const, Unary, Var, to_source
+from acscheck.structures import parse_structure, serialize_structure
 
 _VARS = ("x1", "x2", "x3", "x4")
 
@@ -77,6 +80,15 @@ def _structures(draw):
             else:
                 lines += [f"{i} {j} = {entry}", f"{j} {i} = {entry}"]
     return "\n".join(lines) + "\n"
+
+
+@given(_structures())
+def test_serialized_structure_parses_back_equal(text):
+    sf = parse_structure(text)
+    canonical = serialize_structure(sf)
+    again = parse_structure(canonical)
+    assert again == sf
+    assert serialize_structure(again) == canonical
 
 
 _COORD = st.one_of(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from acscheck.expr import Const, Var
-from acscheck.geometry import ConjugationField, ExplicitField, PullbackField
+from acscheck.geometry import ConjugationField, PullbackField
 from acscheck.structures import (
     StructureError,
     gallery,
@@ -21,28 +21,6 @@ dim = 2
 1 2 = -1
 2 1 = 1
 """
-
-
-def fields_equal(a, b):
-    if type(a.j_field) is not type(b.j_field):
-        return False
-    if a.chart != b.chart or a.name != b.name or a.description != b.description:
-        return False
-    ja, jb = a.j_field, b.j_field
-    if isinstance(ja, ExplicitField):
-        if ja.entries != jb.entries:
-            return False
-    elif isinstance(ja, ConjugationField):
-        if ja.frame != jb.frame or not np.array_equal(ja.base, jb.base):
-            return False
-    elif isinstance(ja, PullbackField):
-        if ja.components != jb.components or not np.array_equal(ja.base, jb.base):
-            return False
-    if (a.metric is None) != (b.metric is None):
-        return False
-    if a.metric is not None and a.metric.entries != b.metric.entries:
-        return False
-    return True
 
 
 def test_parse_standard_block():
@@ -113,11 +91,58 @@ def test_metric_entry_mirrored():
 
 
 def test_metric_conflicting_entries_rejected():
-    text = (
-        "[chart]\ndim = 2\n[J]\n1 2 = -1\n2 1 = 1\n"
-        "[metric]\n1 2 = x1\n2 1 = x2\n"
-    )
-    with pytest.raises(StructureError, match="asymmetric metric"):
+    # either line order names the lower-triangle line and the upper pair
+    for entries, line in (("1 2 = x1\n2 1 = x2\n", 8), ("2 1 = x2\n1 2 = x1\n", 7)):
+        text = "[chart]\ndim = 2\n[J]\n1 2 = -1\n2 1 = 1\n[metric]\n" + entries
+        with pytest.raises(StructureError, match=rf"^line {line}: asymmetric metric entries for \(1,2\)$"):
+            parse_structure(text)
+
+
+@pytest.mark.parametrize(
+    "section,entry,form",
+    [
+        ("[J]", "1 = x1", "<row> <col>"),
+        ("[J]\nkind = conjugation", "1 2 3 = x1", "<row> <col>"),
+        ("[J]\nkind = pullback", "1 2 = x1", "<i>"),
+        ("[J]\n1 2 = -1\n2 1 = 1\n[metric]", "a b = 1", "<row> <col>"),
+    ],
+)
+def test_bad_entry_line_message(section, entry, form):
+    text = f"[chart]\ndim = 2\n{section}\n{entry}\n"
+    lineno = text.count("\n")
+    with pytest.raises(StructureError) as info:
+        parse_structure(text)
+    assert str(info.value) == f"line {lineno}: expected '{form} = <expression>'"
+
+
+@pytest.mark.parametrize("name", ["pi", "e", "1a", "x y", ""])
+def test_variable_name_the_expressions_cannot_read_rejected(name):
+    text = f"[chart]\ndim = 2\nvars = {name}, v\n[J]\n1 2 = -1\n2 1 = 1\n"
+    with pytest.raises(StructureError, match=f"^line 3: bad variable name {name!r}"):
+        parse_structure(text)
+
+
+def test_variable_named_pi_is_not_shadowed_by_the_constant():
+    # with `pi` accepted, 'exp(pi*y)' would read the constant and J would be J0
+    text = "[chart]\ndim = 2\nvars = {}, y\n[J]\n1 2 = -exp({}*y)\n2 1 = exp(-{}*y)\n"
+    with pytest.raises(StructureError, match="line 3: bad variable name 'pi'"):
+        parse_structure(text.format("pi", "pi", "pi"))
+    sf = parse_structure(text.format("u", "u", "u"))
+    assert sf.j_field.eval(sf.chart, (0.5, 0.5)).values[0, 1] == -np.exp(0.5 * 0.5)
+
+
+@pytest.mark.parametrize(
+    "text,line,key",
+    [
+        ("[chart]\ndim = 2\ndim = 2\n[J]\n", 3, "dim"),
+        ("[chart]\ndim = 2\nvars = u, v\nvars = a, b\n[J]\n", 4, "vars"),
+        ("[chart]\nname = a\ndim = 2\nname = b\n[J]\n", 4, "name"),
+        ("[chart]\ndim = 2\ndescription = a\ndescription = a\n[J]\n", 4, "description"),
+        ("[chart]\ndim = 2\n[J]\nkind = explicit\n1 2 = -1\nkind = conjugation\n", 6, "kind"),
+    ],
+)
+def test_repeated_key_rejected(text, line, key):
+    with pytest.raises(StructureError, match=f"^line {line}: repeated key {key!r}$"):
         parse_structure(text)
 
 
@@ -152,7 +177,7 @@ def test_round_trip_gallery_structures():
         sf = gallery(name)
         text = serialize_structure(sf)
         again = parse_structure(text)
-        assert fields_equal(sf, again)
+        assert again == sf
         # a second cycle is byte-stable
         assert serialize_structure(again) == text
 
@@ -168,7 +193,7 @@ def test_round_trip_file_with_metric(tmp_path):
     sf = load_structure(path)
     assert sf.name == "disk"
     cycled = parse_structure(serialize_structure(sf))
-    assert fields_equal(sf, cycled)
+    assert cycled == sf
 
 
 def test_load_structure_default_name(tmp_path):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from acscheck import cli
+from acscheck import cli, scan
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -57,3 +57,17 @@ def test_install_wraps_and_uninstall_restores(capsys):
     calls = {name: calls for name, (calls, _) in tracer.self_times().items()}
     # one batched report per dimension, for each of the two metrics
     assert calls["selftest.run_selftest"] == 1 and calls["obstruction.report"] == 2
+
+
+def test_traced_scan_records_one_report_per_chunk(tmp_path, capsys):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        grid = f"0:1:{2 * scan.CHUNK + 1},0:1:1,0:1:1,0:1:1"  # two full chunks and one point
+        argv = ["scan", "gallery:pullback4", "--grid", grid, "--out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    calls = {name: calls for name, (calls, _) in tracer.self_times().items()}
+    assert calls["obstruction.identity_report"] == calls["obstruction.report"] == 3

@@ -55,14 +55,22 @@ class MetricError(GeometryError):
 
 @dataclass(frozen=True)
 class ChartSpec:
-    """A single coordinate chart: even dimension plus variable names."""
+    """A single coordinate chart: even dimension plus variable names; the
+    one place the chart rules are checked."""
 
     n: int
     var_names: tuple[str, ...]
 
     def __post_init__(self):
         if self.n <= 0 or self.n % 2:
-            raise ValueError("dimension must be a positive even integer")
+            raise ValueError("dimension must be even and positive")
+        for name in self.var_names:
+            try:
+                ok = expr.parse_expr(name) == expr.Var(name)
+            except expr.ExprError:
+                ok = False
+            if not ok:  # a constant such as pi would shadow the variable
+                raise ValueError(f"bad variable name {name!r}: reserved, or not a name")
         if len(self.var_names) != self.n:
             raise ValueError("number of variable names must equal the dimension")
         if len(set(self.var_names)) != self.n:
@@ -399,8 +407,7 @@ def _polynomial_jets(expo: np.ndarray, coeffs: np.ndarray, point):
 def _random_frame(dim: int, degree: int, seed: int):
     """P of random_conjugation_acs's frame A = I + P: exponents ``(m, dim)``
     of the monomials of degree <= degree, coefficients ``(dim, dim, m)``."""
-    if dim <= 0 or dim % 2:
-        raise ValueError("dimension must be a positive even integer")
+    ChartSpec.default(dim)  # refuses an odd or non-positive dimension
     if degree < 0:
         raise ValueError("degree must be non-negative")
     expo = np.array(_monomials(dim, degree))

@@ -94,27 +94,15 @@ def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
     return sections
 
 
-def _parse_kv(line: str, lineno: int, seen: set) -> tuple[str, str]:
-    """'key = value'; a key already in `seen` is refused, a new one joins it."""
+def _parse_kv(line: str, lineno: int, seen: dict) -> tuple[str, str]:
+    """'key = value'; a key already in `seen` is refused, a new one maps to its line."""
     if "=" not in line:
         raise StructureError("expected 'key = value' or an entry line", lineno)
     key, value = (part.strip() for part in line.split("=", 1))
     if key in seen:
         raise StructureError(f"repeated key {key!r}", lineno)
-    seen.add(key)
+    seen[key] = lineno
     return key, value
-
-
-def _parse_var_names(value: str, lineno: int) -> tuple[str, ...]:
-    names = tuple(v.strip() for v in value.split(","))
-    for name in names:
-        try:
-            ok = expr.parse_expr(name) == expr.Var(name)
-        except expr.ExprError:
-            ok = False
-        if not ok:  # a constant such as pi would shadow the variable
-            raise StructureError(f"bad variable name {name!r}: reserved, or not a name", lineno)
-    return names
 
 
 def _parse_entry_expr(text: str, lineno: int, chart: ChartSpec) -> expr.ExprNode:
@@ -205,7 +193,7 @@ def parse_structure(text: str, default_name: str = "") -> StructureFile:
     var_names: Optional[tuple[str, ...]] = None
     name = default_name
     description = ""
-    seen: set = set()
+    seen: dict = {}
     for lineno, line in sections["chart"]:
         key, value = _parse_kv(line, lineno, seen)
         if key == "dim":
@@ -213,10 +201,8 @@ def parse_structure(text: str, default_name: str = "") -> StructureFile:
                 dim = int(value)
             except ValueError:
                 raise StructureError(f"bad dimension {value!r}", lineno) from None
-            if dim <= 0 or dim % 2:
-                raise StructureError("dimension must be even and positive", lineno)
         elif key == "vars":
-            var_names = _parse_var_names(value, lineno)
+            var_names = tuple(v.strip() for v in value.split(","))
         elif key == "name":
             name = value
         elif key == "description":
@@ -227,12 +213,12 @@ def parse_structure(text: str, default_name: str = "") -> StructureFile:
         raise StructureError("chart section must set 'dim'")
     try:
         chart = ChartSpec.default(dim) if var_names is None else ChartSpec(dim, var_names)
-    except ValueError as exc:
-        raise StructureError(str(exc)) from exc
+    except ValueError as exc:  # a chart rule: cite vars, or dim without vars
+        raise StructureError(str(exc), seen.get("vars", seen["dim"])) from exc
 
     kind = "explicit"
     j_entry_lines = []
-    seen = set()
+    seen = {}
     for lineno, line in sections["J"]:
         if line.split("=", 1)[0].strip() != "kind":
             j_entry_lines.append((lineno, line))
@@ -252,7 +238,9 @@ def serialize_structure(sf: StructureFile) -> str:
         lines.append(f"name = {sf.name}")
     if sf.description:
         lines.append(f"description = {sf.description}")
-    kind = next(k for k, (cls, _) in _KINDS.items() if isinstance(sf.j_field, cls))
+    kind = next((k for k, (cls, _) in _KINDS.items() if isinstance(sf.j_field, cls)), None)
+    if kind is None:
+        raise StructureError(f"cannot serialise a J field of type {type(sf.j_field).__name__}")
     lines += ["", "[J]", f"kind = {kind}"]
     lines += _entry_lines(kind, sf.chart, getattr(sf.j_field, _KINDS[kind][1]))
     if sf.metric is not None:
@@ -298,10 +286,11 @@ def gallery(name: str) -> StructureFile:
             n = int(name.split(":", 1)[1])
         except ValueError:
             raise StructureError(f"bad gallery dimension in {name!r}") from None
-        if n <= 0 or n % 2:
-            raise StructureError("gallery standard2n needs a positive even dimension")
+        try:
+            j0 = standard_block(ChartSpec.default(n).n)
+        except ValueError as exc:
+            raise StructureError(str(exc)) from None
         description = "constant block structure; integrable"
-        j0 = standard_block(n)
         body = "[J]\n" + "".join(f"{i + 1} {j + 1} = {j0[i, j]:g}\n" for i, j in zip(*j0.nonzero()))
     elif _GALLERY.get(name, (None, None))[1]:
         description, body = _GALLERY[name]

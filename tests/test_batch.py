@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from acscheck import nijenhuis, selftest
 from acscheck.cli import main
 from acscheck.geometry import ChartSpec, random_conjugation_acs
 from acscheck.obstruction import TERM_NAMES, identity_report, report_from_jets
@@ -182,3 +183,25 @@ def test_point_must_be_finite(tmp_path, capsys, point, bad):
 def test_selftest_needs_samples(tmp_path, capsys):
     err = _one_line_error(tmp_path, capsys, ["selftest", "--dims", "2", "--samples", "0"])
     assert "--samples" in err
+
+
+@pytest.mark.parametrize(
+    "args,where",
+    [
+        (["selftest", "--dims", "2,3", "--samples", "1"], ""),
+        (["check", "gallery:standard2n:3", "--point", "0,0,0"], ""),
+        (["check", "FILE", "--point", "0,0,0"], "line 2: "),
+    ],
+)
+def test_refused_dimension_says_the_chart_rule(tmp_path, capsys, args, where):
+    err = _one_line_error(tmp_path, capsys, args, "[chart]\ndim = 3\n[J]\n")
+    assert err == f"acscheck: error: {where}dimension must be even and positive\n"
+
+
+def test_selftest_forms_no_big_n(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("big_n was formed")
+
+    monkeypatch.setattr(nijenhuis, "big_n", refuse)
+    report = selftest.run_selftest((2, 4), 6, 0, 5)  # degree 0: N = 0, zero propagation applies
+    assert report.checks[selftest._CHECK_NAMES[5]] == [12, 12]

@@ -19,6 +19,7 @@ from acscheck.geometry import (
     standard_block,
     validate_acs,
 )
+from acscheck.obstruction import identity_report
 from acscheck.structures import gallery
 
 
@@ -33,8 +34,23 @@ def test_chart_validation():
         ChartSpec(2, ("x1", "x1"))
     with pytest.raises(ValueError):
         ChartSpec(2, ("x1",))
+    for name in ("pi", "e", "1a", ""):
+        with pytest.raises(ValueError, match=f"^bad variable name {name!r}"):
+            ChartSpec(2, (name, "y"))
     chart = ChartSpec.default(4)
     assert chart.var_names == ("x1", "x2", "x3", "x4")
+
+
+def test_library_chart_variable_named_pi_is_not_shadowed():
+    # with `pi` accepted, 'exp(pi*y)' read the constant, J was constant and the obstruction 0.0
+    def report(name):
+        texts = (("0", f"-exp({name}*y)"), (f"exp(-{name}*y)", "0"))
+        field = ExplicitField(tuple(tuple(parse_expr(t) for t in row) for row in texts))
+        return identity_report(field, None, ChartSpec(2, (name, "y")), (0.5, 0.5))
+
+    with pytest.raises(ValueError, match="bad variable name 'pi'"):
+        report("pi")
+    assert report("u").obstruction == pytest.approx(0.2526123168081683, rel=1e-12)
 
 
 def test_standard_block_squares_to_minus_identity():

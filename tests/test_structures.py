@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from acscheck.expr import Const, Var
-from acscheck.geometry import ConjugationField, PullbackField
+from acscheck.geometry import ConjugationField, MetricField, PullbackField
 from acscheck.structures import (
     StructureError,
     gallery,
@@ -194,6 +196,13 @@ def test_round_trip_file_with_metric(tmp_path):
     assert sf.name == "disk"
     cycled = parse_structure(serialize_structure(sf))
     assert cycled == sf
+
+
+def test_serialize_refuses_a_field_that_is_not_a_j_kind():
+    sf = gallery("expblock4")
+    metric = MetricField(((Const(1.0), Const(0.0)), (Const(0.0), Const(1.0))))
+    with pytest.raises(StructureError, match="^cannot serialise a J field of type MetricField$"):
+        serialize_structure(dataclasses.replace(sf, j_field=metric))
 
 
 def test_load_structure_default_name(tmp_path):

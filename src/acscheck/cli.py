@@ -21,8 +21,6 @@ from .obstruction import (
     VERDICT_LEDGER_ANOMALY,
     identity_report,
 )
-from .scan import GridSpec, run_scan
-from .selftest import run_selftest
 from .structures import (
     StructureFile,
     gallery,
@@ -50,6 +48,20 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+# `scan` and `selftest` are imported when their command runs, so that a
+# `check` loads neither; these names stay here for callers that patch them.
+def run_scan(*args, **kwargs):
+    from .scan import run_scan
+
+    return run_scan(*args, **kwargs)
+
+
+def run_selftest(*args, **kwargs):
+    from .selftest import run_selftest
+
+    return run_selftest(*args, **kwargs)
+
+
 def _load(spec: str) -> StructureFile:
     if spec.startswith("gallery:"):
         return gallery(spec.split(":", 1)[1])
@@ -72,6 +84,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def dims(text: str) -> tuple[int, ...]:
+    """--dims: comma-separated dimensions."""
+    try:
+        return tuple(int(d) for d in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def _cmd_check(args) -> int:
     sf = _load(args.structure)
     rep = identity_report(
@@ -90,6 +110,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .scan import GridSpec
+
     sf = _load(args.structure)
     grid = GridSpec.parse(args.grid)
     summary = run_scan(
@@ -111,8 +133,7 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
-    report = run_selftest(dims, args.samples, args.degree, args.seed)
+    report = run_selftest(args.dims, args.samples, args.degree, args.seed)
     sys.stdout.write(report.render_text())
     return EXIT_OK if report.all_passed() else EXIT_LEDGER_ANOMALY
 
@@ -176,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gallery.set_defaults(func=_cmd_gallery)
 
     p_selftest = sub.add_parser("selftest", help="randomised invariant suite and residual tables")
-    p_selftest.add_argument("--dims", default="2,4", help="comma-separated even dims")
+    p_selftest.add_argument("--dims", type=dims, default="2,4", help="comma-separated even dims")
     p_selftest.add_argument("--samples", type=positive_int, default=25)
     p_selftest.add_argument("--degree", type=int, default=2)
     p_selftest.add_argument("--seed", type=int, default=0)

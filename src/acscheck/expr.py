@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from . import jets
+from ._record import Record
 
 __all__ = [
     "Const",
@@ -63,31 +63,26 @@ class ExprDomainError(ExprError):
     """Numeric domain failure, annotated with the offending subexpression."""
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(Record):
     op: str  # "neg"
     operand: "ExprNode"
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(Record):
     op: str  # "add" | "sub" | "mul" | "div" | "pow"
     left: "ExprNode"
     right: "ExprNode"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
     func: str
     arg: "ExprNode"
 
@@ -99,8 +94,7 @@ _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str  # "num" | "name" | "op" | "end"
     text: str
     pos: int

@@ -11,12 +11,12 @@ entry (i, j) = g_ij.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from . import expr, jets
+from ._record import Record
 
 __all__ = [
     "GeometryError",
@@ -53,8 +53,7 @@ class MetricError(GeometryError):
     """Metric is singular or not positive definite at the point."""
 
 
-@dataclass(frozen=True)
-class ChartSpec:
+class ChartSpec(Record):
     """A single coordinate chart: even dimension plus variable names; the
     one place the chart rules are checked."""
 
@@ -81,8 +80,7 @@ class ChartSpec:
         return cls(n, tuple(f"x{i + 1}" for i in range(n)))
 
 
-@dataclass(frozen=True)
-class JetMatrix:
+class JetMatrix(Record):
     """Matrix values and their first partials at a point, or at a batch of
     points along leading axes.
 
@@ -152,8 +150,7 @@ def _frame_cond(frame: np.ndarray, what: str):
     return cond
 
 
-@dataclass(frozen=True)
-class ExplicitField:
+class ExplicitField(Record):
     """n x n matrix of expressions defining each entry directly."""
 
     entries: tuple[tuple[expr.ExprNode, ...], ...]
@@ -165,8 +162,7 @@ class ExplicitField:
         return JetMatrix(values, partials)
 
 
-@dataclass(frozen=True)
-class ConjugationField:
+class ConjugationField(Record):
     """J(x) = A(x) J0 A(x)^-1 for an expression-valued frame A.
 
     Satisfies J^2 = -I wherever A is invertible, which makes it the generic
@@ -198,8 +194,7 @@ def _conjugate(av: np.ndarray, ap: np.ndarray) -> JetMatrix:
     return JetMatrix(values, partials, frame_cond=cond)
 
 
-@dataclass(frozen=True)
-class PullbackField:
+class PullbackField(Record):
     """J = (Dphi)^-1 J0 (Dphi) for an expression-valued map phi.
 
     The pullback of a constant structure under a diffeomorphism; its
@@ -229,8 +224,7 @@ class PullbackField:
 MatrixField = Union[ExplicitField, ConjugationField, PullbackField]
 
 
-@dataclass(frozen=True)
-class MetricField:
+class MetricField(Record):
     """Symmetric matrix of expressions; must be SPD at queried points.
 
     Only the upper triangle of `entries` is read; values and partials are
@@ -254,8 +248,7 @@ def _metric_jets(values: np.ndarray, partials: np.ndarray) -> JetMatrix:
     return JetMatrix(values, partials)
 
 
-@dataclass(frozen=True)
-class AcsValidation:
+class AcsValidation(Record):
     """Verdict of the pointwise J^2 = -I check (arrays over a batch)."""
 
     ok: bool
@@ -286,8 +279,7 @@ def christoffel(g: JetMatrix) -> np.ndarray:
     return 0.5 * (t1 + t2 - t3)
 
 
-@dataclass(frozen=True)
-class NormalChange:
+class NormalChange(Record):
     """Pointwise coordinate change making the metric normal at the point.
 
     New coordinates y satisfy x = p + A y + 1/2 quad[:, b, c] y^b y^c with
@@ -406,8 +398,8 @@ def _polynomial_jets(expo: np.ndarray, coeffs: np.ndarray, point):
 
 def _random_frame(dim: int, degree: int, seed: int):
     """P of random_conjugation_acs's frame A = I + P: exponents ``(m, dim)``
-    of the monomials of degree <= degree, coefficients ``(dim, dim, m)``."""
-    ChartSpec.default(dim)  # refuses an odd or non-positive dimension
+    of the monomials of degree <= degree, coefficients ``(dim, dim, m)``.
+    The caller checks `dim` (through a ChartSpec)."""
     if degree < 0:
         raise ValueError("degree must be non-negative")
     expo = np.array(_monomials(dim, degree))
@@ -421,8 +413,8 @@ def random_conjugation_acs(dim: int, degree: int, seed: int) -> ConjugationField
     uniformly from [-0.3, 0.3]; the draw order is fixed, so the field is
     bit-identical for a given seed.
     """
+    names = ChartSpec.default(dim).var_names  # refuses a bad dimension before drawing
     expo, coeffs = _random_frame(dim, degree, seed)
-    names = ChartSpec.default(dim).var_names
     rows = []
     for i in range(dim):
         row = [_polynomial_ast(expo, coeffs[i, j], names) for j in range(dim)]

@@ -17,11 +17,10 @@ valid structure and is the report's consistency gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import geometry, nijenhuis
+from ._record import Record
 from .geometry import ChartSpec, JetMatrix
 
 __all__ = [
@@ -87,8 +86,7 @@ def obstruction_scalar(jm: JetMatrix) -> float:
     return -nijenhuis.product_sum("jik,ijk", grad_jjt, d) + 0.0
 
 
-@dataclass(frozen=True)
-class TermLedger:
+class TermLedger(Record):
     """Named scalars of the expanded product N^r_ik N^s_ri J^k_s (arrays over a batch).
 
     The expansion writes the contraction as a product of two four-term
@@ -157,8 +155,7 @@ def term_ledger(jm: JetMatrix) -> TermLedger:
     return TermLedger(terms, first_quadratic, total)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     """Every scalar, residual and verdict for one structure at one point
     (arrays over a batch of points)."""
 

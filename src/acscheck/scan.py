@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from ._record import Record
 from .obstruction import identity_report
 from .structures import StructureFile
 
@@ -23,8 +23,7 @@ CHUNK = 128
 NUMERIC_COLUMNS = ("n_max_abs", "obstruction", "contraction", "identity_residual_contraction")
 
 
-@dataclass(frozen=True)
-class GridAxis:
+class GridAxis(Record):
     lo: float
     hi: float
     count: int
@@ -39,8 +38,7 @@ class GridAxis:
         return np.linspace(self.lo, self.hi, self.count)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Per-axis ranges; enumeration is row major (last axis fastest)."""
 
     axes: tuple[GridAxis, ...]
@@ -65,8 +63,7 @@ class GridSpec:
         return itertools.product(*(ax.values() for ax in self.axes))
 
 
-@dataclass(frozen=True)
-class ScanSummary:
+class ScanSummary(Record):
     rows: int
     flagged: int
     max_abs_obstruction: Optional[float]

@@ -18,11 +18,11 @@ and the two sides of such an identity are near zero by construction.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, nijenhuis
+from ._record import Record
 from .geometry import ChartSpec, JetMatrix
 from .obstruction import CANCELLATION_LABELS, report_from_jets
 
@@ -60,8 +60,7 @@ _RESIDUAL_NAMES = (
 _HISTO_EDGES = (1e-15, 1e-12, 1e-9, 1e-6, 1e-3)
 
 
-@dataclass
-class SelfTestReport:
+class SelfTestReport(Record):
     dims: tuple[int, ...]
     samples: int
     degree: int

@@ -25,11 +25,11 @@ defaulting to its own coordinate.  Explicit entries default to 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import expr
+from ._record import Record
 from .geometry import (
     ChartSpec,
     ConjugationField,
@@ -61,8 +61,7 @@ class StructureError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class StructureFile:
+class StructureFile(Record):
     """A chart, an almost-complex-structure field, and an optional metric."""
 
     chart: ChartSpec

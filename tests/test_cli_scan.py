@@ -256,6 +256,29 @@ def test_cli_selftest_deterministic(capsys):
     assert "overall: PASS" in first
 
 
+@pytest.mark.parametrize(
+    "flag,value", [(["--dims", "2,x"], "2,x"), (["--dims="], ""), (["--dims", "2,,4"], "2,,4"), (["--dims", "4.0"], "4.0")]
+)
+def test_selftest_bad_dims_is_one_line_naming_the_option(flag, value, capsys):
+    assert main(["selftest", *flag, "--samples", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"acscheck selftest: error: argument --dims: expected comma-separated integers, got {value!r}\n"
+    )
+    assert captured.out == ""
+
+
+def test_selftest_dims_parse_to_a_tuple_and_default():
+    parser = build_parser()
+    assert parser.parse_args(["selftest", "--dims", "2, 4,6"]).dims == (2, 4, 6)
+    assert parser.parse_args(["selftest"]).dims == (2, 4)
+
+
+def test_selftest_odd_dims_is_still_the_chart_rule(capsys):
+    assert main(["selftest", "--dims", "2,3", "--samples", "1"]) == 1
+    assert capsys.readouterr().err == "acscheck: error: dimension must be even and positive\n"
+
+
 def test_selftest_names_the_failing_sample(monkeypatch):
     # a zero tolerance fails every sample whose ledger residual is not 0
     monkeypatch.setattr(selftest, "TOL_LEDGER", 0.0)

@@ -1,0 +1,55 @@
+"""What a cold start loads.
+
+`import acscheck.cli` must not load the scan and selftest modules or the
+standard-library modules only they use, nor `dataclasses`, whose decorator
+compiles code at import; `import acscheck` resolves each public name on first
+access.  Each check runs in a fresh interpreter.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import acscheck
+
+SRC = str(Path(acscheck.__file__).resolve().parent.parent)
+
+
+def _python(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_cli_import_loads_only_what_check_runs():
+    unwanted = ("acscheck.scan", "acscheck.selftest", "dataclasses", "statistics", "csv")
+    code = f"import sys, acscheck.cli\nprint([m for m in {unwanted!r} if m in sys.modules])\n"
+    assert _python(code).strip() == "[]"
+
+
+def test_no_module_builds_dataclass_code():
+    code = "import sys, acscheck.cli, acscheck.scan, acscheck.selftest\nprint('dataclasses' in sys.modules)\n"
+    assert _python(code).strip() == "False"
+
+
+def test_every_public_name_resolves_and_star_import_binds_it():
+    code = (
+        "import acscheck\n"
+        "missing = [n for n in acscheck.__all__ if getattr(acscheck, n, None) is None]\n"
+        "namespace = {}\n"
+        "exec('from acscheck import *', namespace)\n"
+        "unbound = [n for n in acscheck.__all__ if n not in namespace]\n"
+        "print(len(acscheck.__all__), missing, unbound)\n"
+    )
+    assert _python(code).strip() == f"{len(acscheck.__all__)} [] []"
+    assert len(acscheck.__all__) == len(set(acscheck.__all__)) > 50
+
+
+def test_a_public_name_is_the_submodule_object():
+    from acscheck import geometry, scan
+
+    assert acscheck.GridSpec is scan.GridSpec
+    assert acscheck.ChartSpec is geometry.ChartSpec
+    assert not hasattr(acscheck, "no_such_name")

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -7,6 +5,7 @@ from acscheck.expr import Const, Var
 from acscheck.geometry import ConjugationField, MetricField, PullbackField
 from acscheck.structures import (
     StructureError,
+    StructureFile,
     gallery,
     gallery_names,
     load_structure,
@@ -202,7 +201,7 @@ def test_serialize_refuses_a_field_that_is_not_a_j_kind():
     sf = gallery("expblock4")
     metric = MetricField(((Const(1.0), Const(0.0)), (Const(0.0), Const(1.0))))
     with pytest.raises(StructureError, match="^cannot serialise a J field of type MetricField$"):
-        serialize_structure(dataclasses.replace(sf, j_field=metric))
+        serialize_structure(StructureFile(sf.chart, metric, sf.metric, sf.name, sf.description))
 
 
 def test_load_structure_default_name(tmp_path):

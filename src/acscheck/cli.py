@@ -10,6 +10,7 @@ for hard-invariant failures).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -219,7 +220,13 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    # The interpreter's last collection walks every object numpy and acscheck
+    # made, about 23 ms of a `check` process's 31 ms exit (2-vCPU x86-64,
+    # CPython 3.11); it skips frozen objects.  `main` leaves the collector
+    # alone for library callers.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

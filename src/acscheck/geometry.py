@@ -10,6 +10,7 @@ entry (i, j) = g_ij.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional, Union
 
@@ -340,11 +341,12 @@ def normal_transform(jm: JetMatrix, g: JetMatrix) -> JetMatrix:
     return NormalChange.from_metric(g).transform_endomorphism(jm)
 
 
-def _monomials(n: int, degree: int) -> list[tuple[int, ...]]:
+@functools.cache
+def _monomials(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples with total degree <= degree, in a fixed order."""
-    return sorted(
+    return tuple(sorted(
         e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) <= degree
-    )
+    ))
 
 
 def _polynomial_ast(expo, coeffs, names) -> expr.ExprNode:

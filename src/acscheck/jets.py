@@ -148,7 +148,7 @@ def _chain(u: Operand, kernel, *params) -> Operand:
         for p in params
     ]
     try:
-        rows = [kernel(*args) for args in zip(values, *columns)]
+        rows = list(map(kernel, values, *columns))
     except (OverflowError, ZeroDivisionError):  # float arithmetic's overflow
         raise JetDomainError(f"{kernel.__name__[1:]} overflow") from None
     if not isinstance(u, Jet):
@@ -174,22 +174,37 @@ def _reciprocal(v):
     return 1.0 / v, -1.0 / (v * v), _over(2.0, v * v * v)
 
 
-def _power(v: float, k: float):
-    if math.isfinite(k) and k == round(k):
-        ki = int(round(k))
-        if ki == 0:
+def _power_kernel(k: float):
+    """The kernel of ``v ** k`` for one exponent `k`: the exponent is
+    classified once, and each point makes the same ``**`` calls (``v ** 2``
+    is not always ``v * v``: C ``pow`` is not always correctly rounded).
+    Each kernel is named ``_power``, as `_chain` names its overflow error
+    after the kernel."""
+    if not (math.isfinite(k) and k == round(k)):
+        def _power(v):
+            if v <= 0.0:
+                raise JetDomainError("non-integer exponent requires positive base")
+            return v**k, k * v ** (k - 1.0), k * (k - 1.0) * v ** (k - 2.0)
+    elif (ki := int(round(k))) == 0:
+        def _power(v):
             return 1.0, 0.0, 0.0
-        if ki == 1:
+    elif ki == 1:
+        def _power(v):
             return v, 1.0, 0.0
-        if v == 0.0 and ki < 0:
-            raise JetDomainError("zero base with negative exponent")
-        if v == 0.0:
-            # ki >= 2: value and first derivative vanish; second survives at ki == 2
-            return 0.0, 0.0, 2.0 if ki == 2 else 0.0
-        return v**ki, ki * v ** (ki - 1), ki * (ki - 1) * v ** (ki - 2)
-    if v <= 0.0:
-        raise JetDomainError("non-integer exponent requires positive base")
-    return v**k, k * v ** (k - 1.0), k * (k - 1.0) * v ** (k - 2.0)
+    else:
+        zero = 0.0, 0.0, 2.0 if ki == 2 else 0.0  # the second derivative survives at ki == 2
+        def _power(v):
+            if v == 0.0:
+                if ki < 0:
+                    raise JetDomainError("zero base with negative exponent")
+                return zero
+            return v**ki, ki * v ** (ki - 1), ki * (ki - 1) * v ** (ki - 2)
+    return _power
+
+
+def _power(v: float, k: float):
+    """v ** k at one point, for an exponent that varies over the batch."""
+    return _power_kernel(k)(v)
 
 
 def power(base: Operand, exponent: Operand) -> Operand:
@@ -202,7 +217,7 @@ def power(base: Operand, exponent: Operand) -> Operand:
     refused: evaluate those points one at a time.
     """
     if not isinstance(exponent, Jet):
-        return _chain(base, _power, _float(exponent))
+        return _chain(base, _power_kernel(_float(exponent)))
     if not isinstance(base, Jet):
         base = constant(np.full(np.shape(exponent.value), _float(base)), exponent.n,
                         1 if exponent.hess is None else 2)

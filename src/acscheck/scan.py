@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from pathlib import Path
 from typing import Optional
 
@@ -29,6 +30,8 @@ class GridAxis(Record):
     count: int
 
     def __post_init__(self):
+        if not math.isfinite(self.hi - self.lo):  # also a NaN or infinite bound
+            raise ValueError(f"grid axis bounds and their span must be finite, got {self.lo}:{self.hi}")
         if self.count < 1:
             raise ValueError("grid axis count must be >= 1")
         if self.lo > self.hi:
@@ -47,10 +50,12 @@ class GridSpec(Record):
     def parse(cls, text: str) -> "GridSpec":
         axes = []
         for part in text.split(","):
-            pieces = part.split(":")
-            if len(pieces) != 3:
-                raise ValueError(f"bad grid axis {part!r}, expected lo:hi:count")
-            axes.append(GridAxis(float(pieces[0]), float(pieces[1]), int(pieces[2])))
+            try:
+                lo, hi, count = part.split(":")
+                lo, hi, count = float(lo), float(hi), int(count)
+            except ValueError:
+                raise ValueError(f"bad grid axis {part!r}, expected lo:hi:count") from None
+            axes.append(GridAxis(lo, hi, count))
         return cls(tuple(axes))
 
     def total(self) -> int:
@@ -85,6 +90,13 @@ class ScanSummary(Record):
             )
         lines.append(f"csv: {self.out_path}")
         return "\n".join(lines) + "\n"
+
+
+def _row_format(n: int) -> str:
+    """One successful CSV row of an n-dimensional scan: the coordinates and
+    numeric columns as ``%.17g``, then the verdict.  It gives the bytes
+    ``csv.writer`` writes for the same fields, which need no quoting."""
+    return ",".join(["%.17g"] * (n + len(NUMERIC_COLUMNS))) + ",%s\n"
 
 
 def _rows(structure: StructureFile, chunk: list, tol_alg: float, tol_identity: float) -> list:
@@ -126,7 +138,7 @@ def run_scan(
     chart = structure.chart
     if len(grid.axes) != chart.n:
         raise ValueError(f"grid has {len(grid.axes)} axes, chart has {chart.n}")
-    g17 = lambda x: format(x, ".17g")
+    row_format = _row_format(chart.n)
     rows = 0
     flagged = 0
     best: Optional[float] = None
@@ -139,12 +151,12 @@ def run_scan(
         while chunk := list(itertools.islice(points, CHUNK)):
             for point, row in zip(chunk, _rows(structure, chunk, tol_alg, tol_identity)):
                 rows += 1
-                coords = [g17(v) for v in point]
                 if isinstance(row, Exception):
                     flagged += 1
+                    coords = [format(v, ".17g") for v in point]
                     writer.writerow(coords + ["nan"] * len(NUMERIC_COLUMNS) + [f"error: {row}"])
                     continue
-                writer.writerow(coords + [g17(v) for v in row[:-1]] + [row[-1]])
+                handle.write(row_format % (point + row))
                 if best is None or abs(row[1]) > best:
                     best = abs(row[1])
                     best_point = tuple(float(v) for v in point)

@@ -103,23 +103,47 @@ class SelfTestReport(Record):
         return "\n".join(lines) + "\n"
 
 
-def _draw_spd_metric(rng: np.random.Generator, point):
-    """I + 0.2 (B + B^T) + small linear perturbation, redrawn until SPD at
-    point: exponents and coefficients ``(n, n, n + 1)`` of 1, x1, ..., xn,
-    and the metric's jets at the point."""
-    n = len(point)
-    expo = np.vstack([np.zeros((1, n), dtype=int), np.eye(n, dtype=int)])
+def _metric_coeffs(rng: np.random.Generator, n: int) -> np.ndarray:
+    """One draw of a random metric I + 0.2 (B + B^T) + small linear
+    perturbation: coefficients ``(n, n, n + 1)`` of 1, x1, ..., xn."""
+    b = rng.uniform(-1.0, 1.0, (n, n))
+    lin = rng.uniform(-0.05, 0.05, (n, n, n))  # lin[k, i, j]: x_k coefficient
     lo, hi = np.minimum.outer(range(n), range(n)), np.maximum.outer(range(n), range(n))
-    for _ in range(64):
-        b = rng.uniform(-1.0, 1.0, (n, n))
-        lin = rng.uniform(-0.05, 0.05, (n, n, n))  # lin[k, i, j]: x_k coefficient
-        const = np.eye(n) + 0.2 * (b + b.T)
-        coeffs = np.concatenate([const[..., None], np.moveaxis(lin[:, lo, hi], 0, -1)], axis=-1)
+    const = np.eye(n) + 0.2 * (b + b.T)
+    return np.concatenate([const[..., None], np.moveaxis(lin[:, lo, hi], 0, -1)], axis=-1)
+
+
+def _metric_exponents(n: int) -> np.ndarray:
+    return np.vstack([np.zeros((1, n), dtype=int), np.eye(n, dtype=int)])
+
+
+def _draw_spd_metric(rng: np.random.Generator, point, attempts: int = 64):
+    """A random metric, redrawn until SPD at point: exponents and
+    coefficients of :func:`_metric_coeffs`, and the metric's jets at the
+    point."""
+    n = len(point)
+    expo = _metric_exponents(n)
+    for _ in range(attempts):
+        coeffs = _metric_coeffs(rng, n)
         try:
             return expo, coeffs, geometry._metric_jets(*geometry._polynomial_jets(expo, coeffs, point))
         except geometry.MetricError:
             continue
     raise RuntimeError("failed to draw an SPD metric")
+
+
+def _spd_metrics(rngs, first, points) -> JetMatrix:
+    """Each sample's metric jets, the bits :func:`_draw_spd_metric` gives
+    it.  Every sample's first draw `first` is evaluated in one batch; a
+    sample where that draw is not SPD goes on drawing from its generator."""
+    values, partials = geometry._polynomial_jets(_metric_exponents(points.shape[-1]), first, points)
+    for b, (rng, point) in enumerate(zip(rngs, points)):
+        try:
+            np.linalg.cholesky(values[b])
+        except np.linalg.LinAlgError:
+            g = _draw_spd_metric(rng, point, attempts=63)[2]  # the first of 64 draws is spent
+            values[b], partials[b] = g.values, g.partials
+    return geometry._metric_jets(values, partials)
 
 
 def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
@@ -133,19 +157,19 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
     failures: list[str] = []
 
     for dim in dims:
-        field_seeds, frames, points, metrics = [], [], [], []
+        rngs, field_seeds, frames, points, first_metrics = [], [], [], [], []
         for index in range(samples):
-            rng = np.random.default_rng([seed, dim, index])
+            rngs.append(rng := np.random.default_rng([seed, dim, index]))
             field_seeds.append(int(rng.integers(0, 2**63 - 1)))
             expo, frame = geometry._random_frame(dim, degree, field_seeds[-1])
             frames.append(frame)
             points.append(rng.uniform(0.0, 1.0, dim))
-            metrics.append(_draw_spd_metric(rng, points[-1])[2])
+            first_metrics.append(_metric_coeffs(rng, dim))
         points = np.array(points)
         av, ap = geometry._polynomial_jets(expo, np.array(frames), points)
         av[..., range(dim), range(dim)] += 1.0  # the frame's 1 + poly on the diagonal
         j_jm = geometry._conjugate(av, ap)
-        g_jm = JetMatrix(np.array([g.values for g in metrics]), np.array([g.partials for g in metrics]))
+        g_jm = _spd_metrics(rngs, np.array(first_metrics), points)
 
         n_std = nijenhuis.nijenhuis_standard(j_jm)
         n_red = nijenhuis.nijenhuis_reduced(j_jm)

@@ -1,14 +1,23 @@
 import csv
+import io
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from acscheck import cli, scan, selftest
 from acscheck.cli import build_parser, main
 from acscheck.geometry import ChartSpec, random_conjugation_acs
-from acscheck.obstruction import identity_report, report_from_jets
+from acscheck.obstruction import (
+    VERDICT_CONSISTENT,
+    VERDICT_INVALID_ACS,
+    VERDICT_LEDGER_ANOMALY,
+    identity_report,
+    report_from_jets,
+)
 from acscheck.scan import GridSpec, run_scan
 from acscheck.structures import gallery, parse_structure, serialize_structure
 
@@ -25,6 +34,23 @@ def test_grid_parse_and_total():
         GridSpec.parse("1:0:3")
     with pytest.raises(ValueError):
         GridSpec.parse("0:1:0")
+
+
+@pytest.mark.parametrize("axis", ["nan:1:2", "-inf:1:2", "0:inf:2", "inf:inf:1", "nan:nan:1", "-1e308:1e308:3"])
+def test_grid_refuses_a_non_finite_bound_or_span(axis, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    code = main(["scan", "gallery:standard2n:2", f"--grid={axis},0:1:2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert re.fullmatch(r"acscheck: error: grid axis bounds and their span must be finite, got \S+:\S+\n", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis", ["0:1:2.5", "0:1:x", "0:1:", "a:1:2", "0:1:2:3"])
+def test_grid_axis_that_does_not_parse_names_the_form(axis, tmp_path, capsys):
+    code = main(["scan", "gallery:standard2n:2", f"--grid={axis},0:1:2", "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == f"acscheck: error: bad grid axis {axis!r}, expected lo:hi:count\n"
 
 
 def test_grid_row_major_order():
@@ -353,3 +379,35 @@ def test_gallery_show_roundtrips_through_cli(capsys, tmp_path):
 def test_serialize_structure_stable(capsys):
     sf = gallery("expblock4")
     assert serialize_structure(sf) == serialize_structure(gallery("expblock4"))
+
+
+def test_batched_power_overflow_flags_each_row(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    grid = "--grid=1e200:1e200:1,0:1:2,0:0:1,0:0:1"  # both points in one batch
+    assert main(["scan", "gallery:pullback4", grid, "--out", str(out)]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert printed.out.startswith("scan: 2 points, 2 flagged\n")
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [["9.9999999999999997e+199", "0"], ["9.9999999999999997e+199", "1"]]
+    assert all(r.endswith(",nan,nan,nan,nan,error: power overflow in 'x1^2.0'") for r in rows)
+
+
+_SPECIAL_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, -1e300, 1.7976931348623157e308,
+     float("inf"), float("nan"), 0.1, 1.0 / 3.0, 20.0]
+)
+
+
+@given(
+    n=st.sampled_from([2, 4, 6]),
+    floats=st.lists(st.one_of(st.floats(), _SPECIAL_FLOATS), min_size=10, max_size=10),
+    numpy_coords=st.booleans(),
+    verdict=st.sampled_from([VERDICT_CONSISTENT, VERDICT_LEDGER_ANOMALY, VERDICT_INVALID_ACS]),
+)
+def test_row_format_writes_the_csv_writer_bytes(n, floats, numpy_coords, verdict):
+    coords = tuple(map(np.float64, floats[:n])) if numpy_coords else tuple(floats[:n])
+    numbers = tuple(floats[n : n + len(scan.NUMERIC_COLUMNS)])
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerow([format(v, ".17g") for v in coords + numbers] + [verdict])
+    assert scan._row_format(n) % (coords + numbers + (verdict,)) == text.getvalue()

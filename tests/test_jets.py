@@ -312,3 +312,68 @@ def test_constants_stay_floats():
     assert jet_apply("exp", [0.0]) == 1.0
     with pytest.raises(JetDomainError):
         jet_apply("div", [1.0, 0.0])
+
+
+def _power_per_point(v: float, k: float):
+    """The reference: v ** k with its exponent classified at every point."""
+    if math.isfinite(k) and k == round(k):
+        ki = int(round(k))
+        if ki == 0:
+            return 1.0, 0.0, 0.0
+        if ki == 1:
+            return v, 1.0, 0.0
+        if v == 0.0 and ki < 0:
+            raise JetDomainError("zero base with negative exponent")
+        if v == 0.0:
+            return 0.0, 0.0, 2.0 if ki == 2 else 0.0
+        return v**ki, ki * v ** (ki - 1), ki * (ki - 1) * v ** (ki - 2)
+    if v <= 0.0:
+        raise JetDomainError("non-integer exponent requires positive base")
+    return v**k, k * v ** (k - 1.0), k * (k - 1.0) * v ** (k - 2.0)
+
+
+_POWER_BASES = (
+    0.687611213910762, -1.3747364402296864,  # v ** 2 != v * v for these two
+    0.0, -0.0, 1.0, -1.0, 0.3, -0.3, 2.5, -7.0, 1e-300, -1e-300,
+    5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+    1e100, -1e100, 1.3e154, -1.3e154, 1e200, 1e308, -1.7976931348623157e308,
+)
+_POWER_EXPONENTS = (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 0.5)
+
+
+def _outcome(call):
+    """The bits of a kernel's result, or its exception's type and text."""
+    try:
+        return tuple(float(x).hex() for x in call())
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("k", _POWER_EXPONENTS)
+def test_power_kernel_equals_per_point_classification(k):
+    kernel = jets._power_kernel(k)
+    for v in _POWER_BASES:
+        assert _outcome(lambda: kernel(v)) == _outcome(lambda: _power_per_point(v, k)), v
+        assert _outcome(lambda: jets._power(v, k)) == _outcome(lambda: _power_per_point(v, k)), v
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("k", _POWER_EXPONENTS)
+def test_batched_power_equals_per_point_kernel(k, order):
+    ok = [v for v in _POWER_BASES if len(_outcome(lambda: _power_per_point(v, k))) == 3]
+    ok = [v for v in ok if all(math.isfinite(x) for x in _power_per_point(v, k)[: order + 1])]
+    out = jets.power(seed_variable(0, np.array(ok), 1, order=order), k)
+    ref = np.array([_power_per_point(v, k) for v in ok])
+    assert out.value.tobytes() == ref[:, 0].tobytes()
+    assert out.grad[:, 0].tobytes() == ref[:, 1].tobytes()
+    if order == 2:
+        chained = ref[:, 1] * 0.0 + ref[:, 2] * 1.0  # the chain rule on the seed's jet
+        assert out.hess[:, 0, 0].tobytes() == chained.tobytes()
+    for v in set(_POWER_BASES) - set(ok):  # one refused point refuses the batch
+        with pytest.raises(JetDomainError):
+            jets.power(seed_variable(0, np.array(ok + [v]), 1, order=order), k)
+
+
+def test_power_overflow_is_a_domain_error_in_a_batch():
+    with pytest.raises(JetDomainError, match="^power overflow$"):
+        jets.power(seed_variable(0, np.array([1.0, 1e200]), 1), 2.0)

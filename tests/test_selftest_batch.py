@@ -135,3 +135,32 @@ def test_array_metric_jets_equal_tree_evaluation(rng, batch, dim):
     for b, (_, one) in enumerate(drawn):
         assert values[b].tobytes() == one.values.tobytes()
         assert partials[b].tobytes() == one.partials.tobytes()
+
+
+def test_batched_metric_draws_equal_per_sample_draws():
+    # generators [6, 433] and [6, 1578] give a first draw that is not SPD at their point
+    dim, indices = 6, [430, 431, 432, 433, 434, 1578]
+    rngs = [np.random.default_rng([dim, b]) for b in indices]
+    points = np.array([rng.uniform(0.0, 1.0, dim) for rng in rngs])
+    first = np.array([selftest._metric_coeffs(rng, dim) for rng in rngs])
+    values, _ = geometry._polynomial_jets(selftest._metric_exponents(dim), first, points)
+    redrawn = []
+    for b, v in enumerate(values):
+        try:
+            np.linalg.cholesky(v)
+        except np.linalg.LinAlgError:
+            redrawn.append(b)
+    assert redrawn == [3, 5]
+    g = selftest._spd_metrics(rngs, first, points)
+    for b, (index, point) in enumerate(zip(indices, points)):
+        rng = np.random.default_rng([dim, index])
+        rng.uniform(0.0, 1.0, dim)  # the point
+        _, _, one = selftest._draw_spd_metric(rng, point)
+        assert g.values[b].tobytes() == one.values.tobytes()
+        assert g.partials[b].tobytes() == one.partials.tobytes()
+        assert rngs[b].random() == rng.random()  # the same draws, in order
+
+
+def test_monomials_are_computed_once():
+    assert geometry._monomials(6, 2) is geometry._monomials(6, 2)
+    assert len(geometry._monomials(6, 2)) == 28

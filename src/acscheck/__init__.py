@@ -23,7 +23,7 @@ _EXPORTS = {
         ("expr", "ExprDomainError ExprError ExprNameError ExprSyntaxError bind_and_eval parse_expr to_source"),
         ("geometry", "AcsValidation ChartSpec ConjugationField ExplicitField GeometryError JetMatrix"
                      " MetricError MetricField NormalChange PullbackField SingularFrameError christoffel"
-                     " normal_transform random_conjugation_acs standard_block validate_acs"),
+                     " random_conjugation_acs standard_block validate_acs"),
         ("jets", "Jet JetDomainError constant jet_apply seed_variable"),
         ("nijenhuis", "big_n contraction_scalar double_trace j_swap_residual nijenhuis_reduced"
                       " nijenhuis_standard"),

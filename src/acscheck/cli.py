@@ -78,6 +78,14 @@ def point(text: str) -> tuple[float, ...]:
     return coords
 
 
+def tolerance(text: str) -> float:
+    """--tol-alg, --tol-identity: a finite, non-negative number."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {value}")
+    return value
+
+
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -157,7 +165,7 @@ def _add_tolerance_arguments(p: argparse.ArgumentParser) -> None:
         ("--tol-alg", "tolerance for the J^2 = -I check"),
         ("--tol-identity", "relative tolerance for ledger-vs-contraction"),
     ):
-        p.add_argument(flag, type=float, default=1e-9, help=f"{what} (default 1e-9)")
+        p.add_argument(flag, type=tolerance, default=1e-9, help=f"{what} (default 1e-9)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,7 +35,6 @@ __all__ = [
     "validate_acs",
     "christoffel",
     "NormalChange",
-    "normal_transform",
     "random_conjugation_acs",
 ]
 
@@ -334,11 +333,6 @@ class NormalChange(Record):
         t2 = self._conjugate_partials(a_t, g.partials)
         t3 = np.einsum("...ia,...ij,...jbc->...cab", a, g.values, self.quad)
         return JetMatrix(vals, t1 + t2 + t3)
-
-
-def normal_transform(jm: JetMatrix, g: JetMatrix) -> JetMatrix:
-    """Endomorphism jets re-expressed in coordinates normal for g at the point."""
-    return NormalChange.from_metric(g).transform_endomorphism(jm)
 
 
 @functools.cache

@@ -99,27 +99,22 @@ def _row_format(n: int) -> str:
     return ",".join(["%.17g"] * (n + len(NUMERIC_COLUMNS))) + ",%s\n"
 
 
-def _rows(structure: StructureFile, chunk: list, tol_alg: float, tol_identity: float) -> list:
-    """Per point of `chunk`: the numeric columns and the verdict, or the
-    error that point raises.  The chunk is evaluated as one batch; if that
-    raises, each point goes through its own report, so an error flags only
-    its own row and carries the message a single-point check gives."""
-    fields = NUMERIC_COLUMNS + ("verdict",)
-    report = lambda points: identity_report(
-        structure.j_field, structure.metric, structure.chart, points, tol_alg, tol_identity
-    )
+def _rows(structure: StructureFile, points: np.ndarray, tol_alg: float, tol_identity: float) -> list:
+    """Per point of `points`: the numeric columns and the verdict, or the
+    error that point raises.  The points are evaluated as one batch; if that
+    raises, each point is evaluated again as a batch of one, so an error
+    flags only its own row and carries the message a single-point check
+    gives."""
     try:
-        rep = report(np.array(chunk))
-        return list(zip(*(getattr(rep, name).tolist() for name in fields)))
-    except ValueError:
-        pass
-    rows = []
-    for point in chunk:
-        try:
-            rows.append(tuple(getattr(report(point), name) for name in fields))
-        except ValueError as exc:
-            rows.append(exc)
-    return rows
+        rep = identity_report(
+            structure.j_field, structure.metric, structure.chart, points, tol_alg, tol_identity
+        )
+    except ValueError as exc:
+        if len(points) == 1:
+            return [exc]
+        ones = (points[k:k + 1] for k in range(len(points)))
+        return [row for one in ones for row in _rows(structure, one, tol_alg, tol_identity)]
+    return list(zip(*(getattr(rep, name).tolist() for name in NUMERIC_COLUMNS + ("verdict",))))
 
 
 def run_scan(
@@ -149,7 +144,7 @@ def run_scan(
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(list(chart.var_names) + list(NUMERIC_COLUMNS) + ["status"])
         while chunk := list(itertools.islice(points, CHUNK)):
-            for point, row in zip(chunk, _rows(structure, chunk, tol_alg, tol_identity)):
+            for point, row in zip(chunk, _rows(structure, np.array(chunk), tol_alg, tol_identity)):
                 rows += 1
                 if isinstance(row, Exception):
                     flagged += 1

@@ -117,33 +117,26 @@ def _metric_exponents(n: int) -> np.ndarray:
     return np.vstack([np.zeros((1, n), dtype=int), np.eye(n, dtype=int)])
 
 
-def _draw_spd_metric(rng: np.random.Generator, point, attempts: int = 64):
-    """A random metric, redrawn until SPD at point: exponents and
-    coefficients of :func:`_metric_coeffs`, and the metric's jets at the
-    point."""
-    n = len(point)
-    expo = _metric_exponents(n)
-    for _ in range(attempts):
-        coeffs = _metric_coeffs(rng, n)
-        try:
-            return expo, coeffs, geometry._metric_jets(*geometry._polynomial_jets(expo, coeffs, point))
-        except geometry.MetricError:
-            continue
+def _spd_metrics(rngs, points) -> JetMatrix:
+    """Each sample's random metric jets, redrawn from the sample's own
+    generator until positive definite at its point.  Each round draws from
+    every sample still without a metric and evaluates those draws as one
+    batch, for at most 64 rounds."""
+    n = points.shape[-1]
+    expo, todo = _metric_exponents(n), list(range(len(points)))
+    values, partials = np.empty((len(points), n, n)), np.empty((len(points), n, n, n))
+    for _ in range(64):
+        coeffs = np.array([_metric_coeffs(rngs[b], n) for b in todo])
+        values[todo], partials[todo] = geometry._polynomial_jets(expo, coeffs, points[todo])
+        left = []
+        for b in todo:
+            try:
+                np.linalg.cholesky(values[b])
+            except np.linalg.LinAlgError:
+                left.append(b)
+        if not (todo := left):
+            return geometry._metric_jets(values, partials)
     raise RuntimeError("failed to draw an SPD metric")
-
-
-def _spd_metrics(rngs, first, points) -> JetMatrix:
-    """Each sample's metric jets, the bits :func:`_draw_spd_metric` gives
-    it.  Every sample's first draw `first` is evaluated in one batch; a
-    sample where that draw is not SPD goes on drawing from its generator."""
-    values, partials = geometry._polynomial_jets(_metric_exponents(points.shape[-1]), first, points)
-    for b, (rng, point) in enumerate(zip(rngs, points)):
-        try:
-            np.linalg.cholesky(values[b])
-        except np.linalg.LinAlgError:
-            g = _draw_spd_metric(rng, point, attempts=63)[2]  # the first of 64 draws is spent
-            values[b], partials[b] = g.values, g.partials
-    return geometry._metric_jets(values, partials)
 
 
 def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
@@ -157,19 +150,18 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
     failures: list[str] = []
 
     for dim in dims:
-        rngs, field_seeds, frames, points, first_metrics = [], [], [], [], []
+        rngs, field_seeds, frames, points = [], [], [], []
         for index in range(samples):
             rngs.append(rng := np.random.default_rng([seed, dim, index]))
             field_seeds.append(int(rng.integers(0, 2**63 - 1)))
             expo, frame = geometry._random_frame(dim, degree, field_seeds[-1])
             frames.append(frame)
             points.append(rng.uniform(0.0, 1.0, dim))
-            first_metrics.append(_metric_coeffs(rng, dim))
         points = np.array(points)
         av, ap = geometry._polynomial_jets(expo, np.array(frames), points)
         av[..., range(dim), range(dim)] += 1.0  # the frame's 1 + poly on the diagonal
         j_jm = geometry._conjugate(av, ap)
-        g_jm = _spd_metrics(rngs, np.array(first_metrics), points)
+        g_jm = _spd_metrics(rngs, points)
 
         n_std = nijenhuis.nijenhuis_standard(j_jm)
         n_red = nijenhuis.nijenhuis_reduced(j_jm)

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from acscheck import nijenhuis, selftest
+from acscheck import nijenhuis, scan, selftest
 from acscheck.cli import main
 from acscheck.geometry import ChartSpec, random_conjugation_acs
 from acscheck.obstruction import TERM_NAMES, identity_report, report_from_jets
@@ -83,18 +83,29 @@ def _scan(tmp_path, sf, grid):
     [
         # x1 = 0 makes the conjugation frame singular
         ("[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = x1\n", "-1:1:5,0:1:3", 0.0),
+        ("[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = x1\n", "-1:1:5,0:0:1", 0.0),
         (OVERFLOW2, "0:800:2,0:1:3", 800.0),  # exp(800) overflows
         (POWER2, "-1:2:4,0:0:1", None),  # no failing point
         # the exponent x2*x2 has zero gradient at x2 = 0 only: the batch is
         # refused and every point is evaluated on its own
         (VARIABLE_POWER2, "0.5:2:3,-1:1:3", None),
     ],
-    ids=["singular-frame", "exp-overflow", "no-failure", "mixed-exponent"],
+    ids=["singular-frame", "one-failing-point", "exp-overflow", "no-failure", "mixed-exponent"],
 )
-def test_failing_point_flags_only_its_row(tmp_path, text, grid, bad):
+def test_failing_point_flags_only_its_row(tmp_path, monkeypatch, text, grid, bad):
+    calls = []
+
+    def spy(j_field, metric, chart, points, *tols):
+        calls.append(len(points))
+        return identity_report(j_field, metric, chart, points, *tols)
+
+    monkeypatch.setattr(scan, "identity_report", spy)
     sf = parse_structure(text)
     summary, rows = _scan(tmp_path, sf, grid)
-    assert summary.rows == len(rows) == GridSpec.parse(grid).total() < CHUNK
+    k = GridSpec.parse(grid).total()
+    assert summary.rows == len(rows) == k < CHUNK
+    # one report of the chunk and, if that raises, one report of each point
+    assert calls == ([k] if text == POWER2 else [k] + [1] * k)
     for row, point in zip(rows, GridSpec.parse(grid).points()):
         if point[0] == bad:
             with pytest.raises(ValueError) as err:
@@ -178,6 +189,19 @@ def test_scan_overflow_is_flagged_and_csv_complete(tmp_path, capsys):
 def test_point_must_be_finite(tmp_path, capsys, point, bad):
     err = _one_line_error(tmp_path, capsys, ["check", "FILE", "--point", point])
     assert bad in err and "not finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+@pytest.mark.parametrize("flag", ["--tol-alg", "--tol-identity"])
+@pytest.mark.parametrize("command", ["check", "scan"])
+def test_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "scan.csv"
+    where = {"check": ["--point", "0.3,0.1,0,0"], "scan": ["--grid=0:1:2,0:0:1,0:0:1,0:0:1", "--out", str(out)]}
+    code = main([command, "gallery:expblock4", *where[command], f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not out.exists()
+    reason = f"must be finite and non-negative, got {float(value)}"
+    assert captured.err == f"acscheck {command}: error: argument {flag}: {reason}\n"
 
 
 def test_selftest_needs_samples(tmp_path, capsys):

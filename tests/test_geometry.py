@@ -14,7 +14,6 @@ from acscheck.geometry import (
     NormalChange,
     SingularFrameError,
     christoffel,
-    normal_transform,
     random_conjugation_acs,
     standard_block,
     validate_acs,
@@ -188,7 +187,7 @@ def test_normal_transform_euclidean_is_identity_exactly():
     sf = gallery("expblock4")
     jm = sf.j_field.eval(sf.chart, (0.5, 0.1, -0.2, 0.3))
     g = JetMatrix(np.eye(4), np.zeros((4, 4, 4)))
-    tj = normal_transform(jm, g)
+    tj = NormalChange.from_metric(g).transform_endomorphism(jm)
     assert np.array_equal(tj.values, jm.values)
     assert np.array_equal(tj.partials, jm.partials)
 
@@ -222,7 +221,7 @@ def test_normal_transform_matches_fd_reparameterisation():
     for point in ((2.0, 0.0, 0.0, 0.0), (1.0, 0.5, -0.3, 0.2)):
         jm = sf.j_field.eval(chart, point)
         gm = metric.eval(chart, point)
-        tj = normal_transform(jm, gm)
+        tj = NormalChange.from_metric(gm).transform_endomorphism(jm)
         vals, partials = oracle.normal_transform_fd(sf.j_field, metric, chart, point)
         scale = 1.0 + np.max(np.abs(vals))
         assert np.max(np.abs(tj.values - vals)) < 1e-9 * scale

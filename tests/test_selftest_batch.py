@@ -121,28 +121,26 @@ def test_array_frame_jets_equal_tree_evaluation(rng, batch, dim, degree):
 def test_array_metric_jets_equal_tree_evaluation(rng, batch, dim):
     chart = ChartSpec.default(dim)
     points = rng.uniform(0.0, 1.0, (batch, dim))
-    drawn = []
+    rngs = [np.random.default_rng([dim, b]) for b in range(batch)]
+    g = selftest._spd_metrics(rngs, points)
     for b, point in enumerate(points):
-        a, s = (np.random.default_rng([dim, b]) for _ in range(2))
-        expo, coeffs, g = selftest._draw_spd_metric(a, point)
-        ref = oracle.random_spd_metric_ast(s, chart, point)
-        assert a.random() == s.random()  # the same draws, in order
-        one = ref.eval(chart, point)
-        assert g.values.tobytes() == one.values.tobytes()
-        assert g.partials.tobytes() == one.partials.tobytes()
-        drawn.append((coeffs, one))
-    values, partials = geometry._polynomial_jets(expo, np.array([c for c, _ in drawn]), points)
-    for b, (_, one) in enumerate(drawn):
-        assert values[b].tobytes() == one.values.tobytes()
-        assert partials[b].tobytes() == one.partials.tobytes()
+        s = np.random.default_rng([dim, b])
+        one = oracle.random_spd_metric_ast(s, chart, point).eval(chart, point)
+        assert rngs[b].random() == s.random()  # the same draws, in order
+        assert g.values[b].tobytes() == one.values.tobytes()
+        assert g.partials[b].tobytes() == one.partials.tobytes()
 
 
 def test_batched_metric_draws_equal_per_sample_draws():
     # generators [6, 433] and [6, 1578] give a first draw that is not SPD at their point
     dim, indices = 6, [430, 431, 432, 433, 434, 1578]
-    rngs = [np.random.default_rng([dim, b]) for b in indices]
+    chart = ChartSpec.default(dim)
+    fresh = lambda: [np.random.default_rng([dim, b]) for b in indices]
+    rngs, probes = fresh(), fresh()
     points = np.array([rng.uniform(0.0, 1.0, dim) for rng in rngs])
-    first = np.array([selftest._metric_coeffs(rng, dim) for rng in rngs])
+    for rng in probes:
+        rng.uniform(0.0, 1.0, dim)  # the point
+    first = np.array([selftest._metric_coeffs(rng, dim) for rng in probes])
     values, _ = geometry._polynomial_jets(selftest._metric_exponents(dim), first, points)
     redrawn = []
     for b, v in enumerate(values):
@@ -151,14 +149,15 @@ def test_batched_metric_draws_equal_per_sample_draws():
         except np.linalg.LinAlgError:
             redrawn.append(b)
     assert redrawn == [3, 5]
-    g = selftest._spd_metrics(rngs, first, points)
-    for b, (index, point) in enumerate(zip(indices, points)):
-        rng = np.random.default_rng([dim, index])
-        rng.uniform(0.0, 1.0, dim)  # the point
-        _, _, one = selftest._draw_spd_metric(rng, point)
-        assert g.values[b].tobytes() == one.values.tobytes()
-        assert g.partials[b].tobytes() == one.partials.tobytes()
-        assert rngs[b].random() == rng.random()  # the same draws, in order
+    g = selftest._spd_metrics(rngs, points)
+    for b, (alone, tree) in enumerate(zip(fresh(), fresh())):
+        point = alone.uniform(0.0, 1.0, dim)
+        assert tree.uniform(0.0, 1.0, dim).tobytes() == point.tobytes() == points[b].tobytes()
+        one = selftest._spd_metrics([alone], point[None])  # the sample alone, as a batch of one
+        ref = oracle.random_spd_metric_ast(tree, chart, point).eval(chart, point)
+        assert g.values[b].tobytes() == one.values[0].tobytes() == ref.values.tobytes()
+        assert g.partials[b].tobytes() == one.partials[0].tobytes() == ref.partials.tobytes()
+        assert rngs[b].random() == alone.random() == tree.random()  # the same draws, in order
 
 
 def test_monomials_are_computed_once():

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import sys
 
@@ -112,6 +111,8 @@ def _cmd_check(args) -> int:
         tol_identity=args.tol_identity,
     )
     if args.json:
+        import json  # only --json needs it; a cold start skips its import
+
         sys.stdout.write(json.dumps(rep.to_json_dict(), indent=2) + "\n")
     else:
         sys.stdout.write(rep.render_text(ledger_detail=args.ledger_detail))

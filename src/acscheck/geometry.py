@@ -33,6 +33,7 @@ __all__ = [
     "AcsValidation",
     "standard_block",
     "validate_acs",
+    "contract_first",
     "christoffel",
     "NormalChange",
     "random_conjugation_acs",
@@ -262,20 +263,33 @@ def validate_acs(jm: JetMatrix, tol: float = 1e-9) -> AcsValidation:
     return AcsValidation(res <= tol, res)
 
 
+def contract_first(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """out[a, r, k] = sum_p m[p, a] t[p, r, k], over any leading batch axes.
+
+    One matrix product, m^T against t flattened to (p, r k), so every batch
+    row is one BLAS call with the bits of its point alone.
+    """
+    lead, p = t.shape[:-3], t.shape[-3:]
+    flat = t.reshape(lead + (p[0], p[1] * p[2]))
+    return (np.swapaxes(m, -1, -2) @ flat).reshape(lead + (m.shape[-1],) + p[1:])
+
+
 def christoffel(g: JetMatrix) -> np.ndarray:
     """Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
 
-    Exactly symmetric in (i, j) because the two symmetric contractions are
-    added commutatively and metric partials are stored symmetrically.
+    Exactly symmetric in (i, j): the second term is the first with (i, j)
+    swapped and the two are added commutatively, and the metric partials are
+    stored symmetrically, so the last term's columns (i, j) and (j, i) are
+    products of the same numbers.
     """
     try:
         ginv = np.linalg.inv(g.values)
     except np.linalg.LinAlgError as exc:
         raise MetricError("singular metric") from exc
     p = g.partials
-    t1 = np.einsum("...kl,...ijl->...kij", ginv, p)
-    t2 = np.einsum("...kl,...jil->...kij", ginv, p)
-    t3 = np.einsum("...kl,...lij->...kij", ginv, p)
+    t1 = np.moveaxis(p @ np.swapaxes(ginv, -1, -2)[..., None, :, :], -1, -3)  # g^{kl} d_i g_jl
+    t2 = np.swapaxes(t1, -1, -2)  # g^{kl} d_j g_il
+    t3 = contract_first(np.swapaxes(ginv, -1, -2), p)  # g^{kl} d_l g_ij
     return 0.5 * (t1 + t2 - t3)
 
 
@@ -302,13 +316,14 @@ class NormalChange(Record):
             raise MetricError("metric is not positive definite at the point") from exc
         a = np.swapaxes(np.linalg.inv(lo), -1, -2)
         a_inv = np.swapaxes(lo, -1, -2)
-        quad = -np.einsum("...kij,...ib,...jc->...kbc", christoffel(g), a, a)
+        a_k = a[..., None, :, :]
+        quad = -(np.swapaxes(a_k, -1, -2) @ christoffel(g) @ a_k)  # quad[k] = -A^T Gamma^k A
         return cls(a, a_inv, quad)
 
     def _conjugate_partials(self, left: np.ndarray, partials: np.ndarray) -> np.ndarray:
         """left @ d~_c @ A, with the derivative index turned to the new
         coordinates: d~_c = A^k_c d_k."""
-        rotated = np.einsum("...kc,...kij->...cij", self.a, partials)
+        rotated = contract_first(self.a, partials)
         return left[..., None, :, :] @ rotated @ self.a[..., None, :, :]
 
     def transform_endomorphism(self, jm: JetMatrix) -> JetMatrix:
@@ -319,7 +334,7 @@ class NormalChange(Record):
         #             - J~^a_e [A^-1]^e_i Gamma^i_mn A^m_b A^n_c
         # As Gamma^i_mn A^m_e A^n_c = -quad[i, e, c], the last two lines are
         # r_c @ J~ - J~ @ r_c with r[c, a, e] = -[A^-1]^a_i quad[i, e, c].
-        r = -np.einsum("...ai,...iec->...cae", self.a_inv, self.quad)
+        r = -np.moveaxis(contract_first(np.swapaxes(self.a_inv, -1, -2), self.quad), -1, -3)
         vt = vals[..., None, :, :]
         t1 = self._conjugate_partials(self.a_inv, jm.partials)
         return JetMatrix(vals, t1 + r @ vt - vt @ r, frame_cond=jm.frame_cond)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import JetMatrix
+from .geometry import JetMatrix, contract_first
 
 __all__ = [
     "nijenhuis_standard",
@@ -31,12 +31,13 @@ def product_sum(spec: str, x: np.ndarray, y: np.ndarray):
     `spec` names those axes in each operand, e.g. "irs,isr" for the sum over
     i, r, s of x[i,r,s] y[i,s,r].  The second operand is transposed into the
     first's index order and each point's products are summed as one C-ordered
-    row, so a point's sum has the same bits alone as in a batch.
+    row, so a point's sum has the same bits alone as in a batch.  Leading
+    batch axes broadcast.
     """
     xs, ys = spec.split(",")
-    lead = x.ndim - len(xs)
-    perm = (*range(lead), *(lead + ys.index(c) for c in xs))
-    return (x * y.transpose(perm)).reshape(x.shape[:lead] + (-1,)).sum(-1)
+    lead = y.ndim - len(ys)
+    z = x * y.transpose((*range(lead), *(lead + ys.index(c) for c in xs)))
+    return z.reshape(z.shape[: z.ndim - len(xs)] + (-1,)).sum(-1)
 
 
 def nijenhuis_standard(jm: JetMatrix) -> np.ndarray:
@@ -49,7 +50,8 @@ def nijenhuis_standard(jm: JetMatrix) -> np.ndarray:
     and its transpose.
     """
     j, d = jm.values, jm.partials
-    m = np.einsum("...pi,...pkj->...kij", j, d) - np.einsum("...kp,...ipj->...kij", j, d)
+    # both products indexed [i, k, j]: J^p_i d_p J^k_j and J^k_p d_i J^p_j
+    m = np.swapaxes(contract_first(j, d) - j[..., None, :, :] @ d, -3, -2)
     return m - np.swapaxes(m, -1, -2)
 
 
@@ -63,7 +65,7 @@ def nijenhuis_reduced(jm: JetMatrix) -> np.ndarray:
     """
     j, d = jm.values, jm.partials
     dd = d - np.swapaxes(d, -1, -3)
-    b = np.einsum("...pi,...prk->...rik", j, dd)
+    b = np.swapaxes(contract_first(j, dd), -3, -2)  # b[r, i, k] = J^p_i dd[p, r, k]
     return b - np.swapaxes(b, -1, -2)
 
 
@@ -88,10 +90,16 @@ def double_trace(comps: np.ndarray, j_values: np.ndarray, g_inv: np.ndarray) -> 
     metric, contracted without forming the tensor.
 
     Under that trace the four addends of big_n are equal, and
-    g_td g^{bd} = delta_t^b, so it is sum g^{ac} N^r_ab J^b_s N^s_rc.
+    g_td g^{bd} = delta_t^b, so it is sum g^{ac} N^r_ab J^b_s N^s_rc: the
+    sum over (r, s) is one matrix product, M[a, c], and M is then
+    product-summed against g^-1.
     """
+    lead, n = comps.shape[:-3], comps.shape[-1]
     nj = comps @ j_values[..., None, :, :]  # nj[r, a, s] = N^r_ab J^b_s
-    return np.einsum("...ac,...ras,...src->...", g_inv, nj, comps) + 0.0
+    # rows nj[., a, .] against columns N^._.c, both flattened over (r, s)
+    rows = np.swapaxes(nj, -3, -2).reshape(lead + (n, n * n))
+    m = rows @ np.swapaxes(comps, -3, -2).reshape(lead + (n * n, n))
+    return product_sum("ac,ac", g_inv, m) + 0.0
 
 
 def contraction_scalar(comps: np.ndarray, j_values: np.ndarray) -> float:
@@ -102,5 +110,6 @@ def contraction_scalar(comps: np.ndarray, j_values: np.ndarray) -> float:
 
 def j_swap_residual(comps: np.ndarray, j_values: np.ndarray) -> float:
     """Max-norm residual of the identity N(J e_i, J e_j) = -N(e_i, e_j)."""
-    lhs = np.einsum("...pi,...qj,...kpq->...kij", j_values, j_values, comps)
+    j = j_values[..., None, :, :]
+    lhs = np.swapaxes(j, -1, -2) @ comps @ j  # lhs[k] = J^T N^k J
     return np.max(np.abs(lhs + comps), axis=(-3, -2, -1))

@@ -80,8 +80,9 @@ def obstruction_scalar(jm: JetMatrix) -> float:
     normal coordinates d(J J^T) = 0 at the point.
     """
     j, d = jm.values, jm.partials
-    # grad_jjt[j, i, k] = d_j sum_l J[i, l] J[k, l]
-    grad_jjt = np.einsum("...jil,...kl->...jik", d, j) + np.einsum("...il,...jkl->...jik", j, d)
+    # grad_jjt[j, i, k] = d_j sum_l J[i, l] J[k, l] = x[j, i, k] + x[j, k, i]
+    x = d @ np.swapaxes(j, -1, -2)[..., None, :, :]  # x[j, i, k] = (d_j J[i, l]) J[k, l]
+    grad_jjt = x + np.swapaxes(x, -1, -2)
     # + 0.0 canonicalises IEEE negative zero for the reports
     return -nijenhuis.product_sum("jik,ijk", grad_jjt, d) + 0.0
 
@@ -121,7 +122,7 @@ def term_ledger(jm: JetMatrix) -> TermLedger:
     j, d = jm.values, jm.partials
     ps = nijenhuis.product_sum
     # jd[a, r, k] = J_a J^r_k = sum_m J[m, a] d_m J[r, k]
-    jd = np.einsum("...ma,...mrk->...ark", j, d)
+    jd = geometry.contract_first(j, d)
     # x[a, r, q] = (J_a J^r_k) J^k_q and y[i, s, q] = (d_i J^s_k) J^k_q
     x, y = jd @ j[..., None, :, :], d @ j[..., None, :, :]
     terms = {
@@ -147,7 +148,7 @@ def term_ledger(jm: JetMatrix) -> TermLedger:
         "IV4": +ps("rsi,sri", y, d),  # +J_i^q (d_r J^s_q)(d_s J^r_i)
     }
     # -J_t^k J_p^i J_p^j (d_i J^l_k)(d_j J^t_l), as -[(J J^T)^ij y[i, l, t]] d_j J^t_l
-    jjt_y = np.einsum("...ij,...ilt->...jlt", j @ np.swapaxes(j, -1, -2), y)
+    jjt_y = geometry.contract_first(j @ np.swapaxes(j, -1, -2), y)
     first_quadratic = -ps("jlt,jtl", jjt_y, d) + 0.0
     # + 0.0 canonicalises IEEE negative zeros for the reports
     terms = {name: terms[name] + 0.0 for name in TERM_NAMES}

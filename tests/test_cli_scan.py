@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from acscheck import cli, scan, selftest
+from acscheck import cli, nijenhuis, scan, selftest
 from acscheck.cli import build_parser, main
 from acscheck.geometry import ChartSpec, random_conjugation_acs
 from acscheck.obstruction import (
@@ -411,3 +411,29 @@ def test_row_format_writes_the_csv_writer_bytes(n, floats, numpy_coords, verdict
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerow([format(v, ".17g") for v in coords + numbers] + [verdict])
     assert scan._row_format(n) % (coords + numbers + (verdict,)) == text.getvalue()
+
+
+SWAP = "swap identity N(Je_i,Je_j) = -N(e_i,e_j) (scaled <= 1e-09)"
+
+
+def test_selftest_swap_identity_scaled_by_j_squared(capsys):
+    # dim 6, sample 355 (frame_cond 1.2e4): max|J| is 2.0e3 and max|N| 4.3e6;
+    # against 1 + max|N| alone the swap residual read 1.923e-09, as the
+    # identity's two J factors bring |J|^2 into its rounding
+    args = ["selftest", "--dims", "6", "--samples", "1600", "--degree", "1", "--seed", "6"]
+    assert main(args) == 0
+    assert f"  1600/1600  {SWAP}\n" in capsys.readouterr().out
+
+
+def test_selftest_swap_identity_fails_on_a_perturbed_n(monkeypatch):
+    exact = nijenhuis.j_swap_residual
+    rng = np.random.default_rng(3)
+
+    def perturbed(comps, j_values):
+        size = np.max(np.abs(comps), axis=(-3, -2, -1))[..., None, None, None]
+        return exact(comps + 1e-3 * size * rng.uniform(-1.0, 1.0, comps.shape), j_values)
+
+    monkeypatch.setattr(nijenhuis, "j_swap_residual", perturbed)
+    report = selftest.run_selftest((4, 6), 5, 2, 42)
+    assert report.checks[SWAP] == [0, 10]
+    assert sum(SWAP in line for line in report.failures) == 10

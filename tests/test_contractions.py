@@ -16,22 +16,12 @@ in normal coordinates are rounding noise and would hide a wrong formula).
 import numpy as np
 import pytest
 
-from acscheck.geometry import JetMatrix, NormalChange, christoffel, standard_block
+import oracle
+from acscheck.geometry import NormalChange, christoffel
 from acscheck.nijenhuis import big_n, contraction_scalar, double_trace, nijenhuis_standard
 from acscheck.obstruction import term_ledger
 
 REL = 1e-14
-
-
-def _jets(rng, dim, batch):
-    """A structure J = A J0 A^-1 with random partials and an SPD metric with
-    random symmetric partials, at `batch` points."""
-    a = np.eye(dim) + 0.3 * rng.standard_normal((batch, dim, dim))
-    j = JetMatrix(a @ standard_block(dim) @ np.linalg.inv(a), rng.standard_normal((batch, dim, dim, dim)))
-    m = rng.standard_normal((batch, dim, dim))
-    p = rng.standard_normal((batch, dim, dim, dim))
-    g = JetMatrix(np.eye(dim) + 0.2 * m @ np.swapaxes(m, -1, -2), p + np.swapaxes(p, -1, -2))
-    return j, g
 
 
 def _verbatim(spec, *operands):
@@ -55,7 +45,7 @@ CASES = [(dim, batch) for dim in (2, 4, 6) for batch in (1, 7)]
 
 @pytest.mark.parametrize("dim,batch", CASES)
 def test_transform_endomorphism_matches_verbatim(rng, dim, batch):
-    jm, g = _jets(rng, dim, batch)
+    jm, g = oracle.random_jets(rng, dim, batch)
     change = NormalChange.from_metric(g)
     a, a_inv, gamma = change.a, change.a_inv, christoffel(g)
     got = change.transform_endomorphism(jm)
@@ -71,7 +61,7 @@ def test_transform_endomorphism_matches_verbatim(rng, dim, batch):
 
 @pytest.mark.parametrize("dim,batch", CASES)
 def test_transform_metric_matches_verbatim(rng, dim, batch):
-    _, g = _jets(rng, dim, batch)
+    _, g = oracle.random_jets(rng, dim, batch)
     change = NormalChange.from_metric(g)
     a, quad = change.a, change.quad
     got = change.transform_metric(g)
@@ -104,9 +94,9 @@ THREE_OPERAND_TERMS = {
 
 @pytest.mark.parametrize("dim,batch", CASES)
 def test_ledger_matches_verbatim(rng, dim, batch):
-    jm, _ = _jets(rng, dim, batch)
+    jm, _ = oracle.random_jets(rng, dim, batch)
     j, d = jm.values, jm.partials
-    jd = np.einsum("...ma,...mrk->...ark", j, d)
+    jd = oracle.ledger_jd_einsum(j, d)
     ledger = term_ledger(jm)
     for name, (sign, spec) in FOUR_OPERAND_TERMS.items():
         _assert_close(ledger.terms[name], [(sign, _verbatim(spec, j, j, jd, d))])
@@ -118,7 +108,7 @@ def test_ledger_matches_verbatim(rng, dim, batch):
 
 @pytest.mark.parametrize("dim,batch", CASES)
 def test_double_trace_matches_tensor_trace(rng, dim, batch):
-    jm, g = _jets(rng, dim, batch)
+    jm, g = oracle.random_jets(rng, dim, batch)
     j, g_inv = jm.values, np.linalg.inv(g.values)
     assert np.max(np.abs(np.swapaxes(j, -1, -2) @ g.values @ j - g.values)) > 0.1  # not J-compatible
     comps = nijenhuis_standard(jm)
@@ -131,7 +121,7 @@ def test_double_trace_matches_tensor_trace(rng, dim, batch):
 
 @pytest.mark.parametrize("dim,batch", CASES)
 def test_contraction_matches_verbatim(rng, dim, batch):
-    jm, _ = _jets(rng, dim, batch)
+    jm, _ = oracle.random_jets(rng, dim, batch)
     comps = nijenhuis_standard(jm)
     got = contraction_scalar(comps, jm.values)
     _assert_close(got, [(+1, _verbatim("rik,sri,ks->", comps, comps, jm.values))])

@@ -1,9 +1,9 @@
 """What a cold start loads.
 
 `import acscheck.cli` must not load the scan and selftest modules or the
-standard-library modules only they use, nor `dataclasses`, whose decorator
-compiles code at import; `import acscheck` resolves each public name on first
-access.  Each check runs in a fresh interpreter.
+standard-library modules only they or `check --json` use, nor `dataclasses`,
+whose decorator compiles code at import; `import acscheck` resolves each
+public name on first access.  Each check runs in a fresh interpreter.
 """
 
 import os
@@ -24,7 +24,7 @@ def _python(code: str) -> str:
 
 
 def test_cli_import_loads_only_what_check_runs():
-    unwanted = ("acscheck.scan", "acscheck.selftest", "dataclasses", "statistics", "csv")
+    unwanted = ("acscheck.scan", "acscheck.selftest", "dataclasses", "statistics", "csv", "json")
     code = f"import sys, acscheck.cli\nprint([m for m in {unwanted!r} if m in sys.modules])\n"
     assert _python(code).strip() == "[]"
 

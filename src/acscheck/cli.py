@@ -92,6 +92,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def dims(text: str) -> tuple[int, ...]:
     """--dims: comma-separated dimensions."""
     try:
@@ -210,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_selftest.add_argument("--dims", type=dims, default="2,4", help="comma-separated even dims")
     p_selftest.add_argument("--samples", type=positive_int, default=25)
     p_selftest.add_argument("--degree", type=int, default=2)
-    p_selftest.add_argument("--seed", type=int, default=0)
+    p_selftest.add_argument("--seed", type=non_negative_int, default=0)
     p_selftest.set_defaults(func=_cmd_selftest)
 
     return parser

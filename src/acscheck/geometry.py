@@ -300,7 +300,7 @@ class NormalChange(Record):
     A^T g A = I (A from the Cholesky factor of g) and
     quad[k, b, c] = -Gamma^k_ij A^i_b A^j_c, which kills the transformed
     Christoffel symbols at the point.  Only the point values and first
-    partials of transformed tensors are produced; no chart is actually
+    partials of a transformed endomorphism are produced; no chart is actually
     re-parameterised.  Every array may carry leading batch axes.
     """
 
@@ -320,12 +320,6 @@ class NormalChange(Record):
         quad = -(np.swapaxes(a_k, -1, -2) @ christoffel(g) @ a_k)  # quad[k] = -A^T Gamma^k A
         return cls(a, a_inv, quad)
 
-    def _conjugate_partials(self, left: np.ndarray, partials: np.ndarray) -> np.ndarray:
-        """left @ d~_c @ A, with the derivative index turned to the new
-        coordinates: d~_c = A^k_c d_k."""
-        rotated = contract_first(self.a, partials)
-        return left[..., None, :, :] @ rotated @ self.a[..., None, :, :]
-
     def transform_endomorphism(self, jm: JetMatrix) -> JetMatrix:
         """Values A^-1 J A plus partials with the quadratic-term corrections."""
         vals = self.a_inv @ jm.values @ self.a
@@ -336,18 +330,9 @@ class NormalChange(Record):
         # r_c @ J~ - J~ @ r_c with r[c, a, e] = -[A^-1]^a_i quad[i, e, c].
         r = -np.moveaxis(contract_first(np.swapaxes(self.a_inv, -1, -2), self.quad), -1, -3)
         vt = vals[..., None, :, :]
-        t1 = self._conjugate_partials(self.a_inv, jm.partials)
+        # the first line, with the derivative index turned: d~_c = A^k_c d_k
+        t1 = self.a_inv[..., None, :, :] @ contract_first(self.a, jm.partials) @ self.a[..., None, :, :]
         return JetMatrix(vals, t1 + r @ vt - vt @ r, frame_cond=jm.frame_cond)
-
-    def transform_metric(self, g: JetMatrix) -> JetMatrix:
-        """Values A^T g A (identity up to rounding) plus transformed partials."""
-        a = self.a
-        a_t = np.swapaxes(a, -1, -2)
-        vals = a_t @ g.values @ a
-        t1 = np.einsum("...iac,...ij,...jb->...cab", self.quad, g.values, a)
-        t2 = self._conjugate_partials(a_t, g.partials)
-        t3 = np.einsum("...ia,...ij,...jbc->...cab", a, g.values, self.quad)
-        return JetMatrix(vals, t1 + t2 + t3)
 
 
 @functools.cache

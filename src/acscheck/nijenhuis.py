@@ -85,9 +85,10 @@ def big_n(comps: np.ndarray, j_values: np.ndarray, g_values: np.ndarray) -> np.n
     return 0.25 * (s1 + s2)
 
 
-def double_trace(comps: np.ndarray, j_values: np.ndarray, g_inv: np.ndarray) -> float:
+def double_trace(comps: np.ndarray, j_values: np.ndarray, g_inv: np.ndarray):
     """Trace of :func:`big_n`'s slots (1,3) and (2,4) against the inverse
-    metric, contracted without forming the tensor.
+    metric, contracted without forming the tensor.  A float (possibly -0.0),
+    an array over a batch, or a Fraction for object arrays of Fractions.
 
     Under that trace the four addends of big_n are equal, and
     g_td g^{bd} = delta_t^b, so it is sum g^{ac} N^r_ab J^b_s N^s_rc: the
@@ -99,13 +100,13 @@ def double_trace(comps: np.ndarray, j_values: np.ndarray, g_inv: np.ndarray) -> 
     # rows nj[., a, .] against columns N^._.c, both flattened over (r, s)
     rows = np.swapaxes(nj, -3, -2).reshape(lead + (n, n * n))
     m = rows @ np.swapaxes(comps, -3, -2).reshape(lead + (n * n, n))
-    return product_sum("ac,ac", g_inv, m) + 0.0
+    return product_sum("ac,ac", g_inv, m)
 
 
-def contraction_scalar(comps: np.ndarray, j_values: np.ndarray) -> float:
+def contraction_scalar(comps: np.ndarray, j_values: np.ndarray):
     """sum over i,k,r,s of N^r_ik N^s_ri J^k_s (J^k_s = entry row k, col s),
-    as (N J)^r_is against N^s_ri."""
-    return product_sum("ris,sri", comps @ j_values[..., None, :, :], comps) + 0.0
+    as (N J)^r_is against N^s_ri; returns as :func:`double_trace` does."""
+    return product_sum("ris,sri", comps @ j_values[..., None, :, :], comps)
 
 
 def j_swap_residual(comps: np.ndarray, j_values: np.ndarray) -> float:

@@ -69,8 +69,9 @@ VERDICT_LEDGER_ANOMALY = "ledger-anomaly"
 VERDICT_INVALID_ACS = "invalid-acs"
 
 
-def obstruction_scalar(jm: JetMatrix) -> float:
-    """-d_j(J^i_l J^k_l) d_i J^j_k, all repeated indices summed.
+def obstruction_scalar(jm: JetMatrix):
+    """-d_j(J^i_l J^k_l) d_i J^j_k, all repeated indices summed: a float
+    (possibly -0.0), an array over a batch, or a Fraction for Fraction jets.
 
     Meaningful in coordinates normal for the working metric at the point;
     with the Euclidean metric any chart qualifies.  Vanishes identically
@@ -83,8 +84,7 @@ def obstruction_scalar(jm: JetMatrix) -> float:
     # grad_jjt[j, i, k] = d_j sum_l J[i, l] J[k, l] = x[j, i, k] + x[j, k, i]
     x = d @ np.swapaxes(j, -1, -2)[..., None, :, :]  # x[j, i, k] = (d_j J[i, l]) J[k, l]
     grad_jjt = x + np.swapaxes(x, -1, -2)
-    # + 0.0 canonicalises IEEE negative zero for the reports
-    return -nijenhuis.product_sum("jik,ijk", grad_jjt, d) + 0.0
+    return -nijenhuis.product_sum("jik,ijk", grad_jjt, d)
 
 
 class TermLedger(Record):
@@ -112,12 +112,12 @@ class TermLedger(Record):
 def term_ledger(jm: JetMatrix) -> TermLedger:
     """Evaluate the sixteen expansion terms of the contraction.
 
-    Same coordinate requirements as :func:`obstruction_scalar`.  Notation in
-    the per-term comments: J_a f = J^m_a d_m f is the derivative of f along
-    J(e_a); array labels follow geometry's row/column layout, so the symbol
-    J^b_a (equivalently J_a^b) is the array element J[b, a] and d_a J^b_c is
-    D[a, b, c].  Each term is one product-sum of two of jd, d and the shared
-    products x = jd @ J and y = d @ J.
+    Same coordinate requirements and value types as :func:`obstruction_scalar`.
+    Notation in the per-term comments: J_a f = J^m_a d_m f is the derivative
+    of f along J(e_a); array labels follow geometry's row/column layout, so
+    the symbol J^b_a (equivalently J_a^b) is the array element J[b, a] and
+    d_a J^b_c is D[a, b, c].  Each term is one product-sum of two of jd, d
+    and the shared products x = jd @ J and y = d @ J.
     """
     j, d = jm.values, jm.partials
     ps = nijenhuis.product_sum
@@ -149,11 +149,8 @@ def term_ledger(jm: JetMatrix) -> TermLedger:
     }
     # -J_t^k J_p^i J_p^j (d_i J^l_k)(d_j J^t_l), as -[(J J^T)^ij y[i, l, t]] d_j J^t_l
     jjt_y = geometry.contract_first(j @ np.swapaxes(j, -1, -2), y)
-    first_quadratic = -ps("jlt,jtl", jjt_y, d) + 0.0
-    # + 0.0 canonicalises IEEE negative zeros for the reports
-    terms = {name: terms[name] + 0.0 for name in TERM_NAMES}
-    total = sum(terms[name] for name in TERM_NAMES) + 0.0
-    return TermLedger(terms, first_quadratic, total)
+    first_quadratic = -ps("jlt,jtl", jjt_y, d)
+    return TermLedger(terms, first_quadratic, sum(terms.values()))
 
 
 class ObstructionReport(Record):
@@ -231,7 +228,9 @@ def report_from_jets(
     Nijenhuis components and the double trace use the original coordinates
     with the metric; the obstruction scalar, the ledger and the contraction
     use the normal-coordinate jets so that repeated-index summation is
-    legitimate.  Raises GeometryError if any field of the report is not
+    legitimate.  This is the one place where a negative zero becomes +0.0
+    (``x + 0.0`` changes no other bit), so the kernels stay exact on
+    Fractions.  Raises GeometryError if any field of the report is not
     finite (an overflowing structure): NaN never gets a verdict.
     """
     acs = geometry.validate_acs(j_jm, tol_alg)
@@ -241,10 +240,12 @@ def report_from_jets(
     else:
         tj = geometry.NormalChange.from_metric(g_jm).transform_endomorphism(j_jm)
         tn, g_inv = nijenhuis.nijenhuis_standard(tj), np.linalg.inv(g_jm.values)
-    dtr = nijenhuis.double_trace(n_std, j_jm.values, g_inv)
-    obs = obstruction_scalar(tj)
-    contraction = nijenhuis.contraction_scalar(tn, tj.values)
-    ledger = term_ledger(tj)
+    dtr = nijenhuis.double_trace(n_std, j_jm.values, g_inv) + 0.0
+    obs = obstruction_scalar(tj) + 0.0
+    contraction = nijenhuis.contraction_scalar(tn, tj.values) + 0.0
+    raw = term_ledger(tj)
+    terms = {name: v + 0.0 for name, v in raw.terms.items()}
+    ledger = TermLedger(terms, raw.first_quadratic + 0.0, raw.total + 0.0)
     fields = dict(
         j_squared_residual=acs.residual,
         n_max_abs=np.max(np.abs(n_std), axis=(-3, -2, -1)),

@@ -1,0 +1,113 @@
+"""Write the output of a fixed set of acscheck invocations to OUT_DIR.
+
+    python3 tests/determinism.py OUT_DIR [--src SRC]
+
+Run it for two versions of the program and compare the two directories with
+`diff -r`: no difference means the two give byte-identical text, JSON, CSV,
+stderr and exit codes on this set (README, "Command line").  `--src` names
+the `src/` directory to import acscheck from (default: the one beside this
+script), so one copy of this script serves both versions.
+
+The set, built from the benchmark's inputs in `bench/run.py`:
+
+- `check` and `verify-derivation`, text and `--json`, on the five structures
+  of the benchmark's cold checks, at their seeded points for seeds 1 to 3;
+- `scan` over both benchmark grids (Euclidean and compatible-metric
+  `pullback4`) at seeds 1 to 3, with the CSV named relative to OUT_DIR;
+- `selftest --dims 2,4,6 --samples 100 --degree 2` at seeds 11 to 15 and 42,
+  and `selftest --dims 6 --samples 1600 --degree 1 --seed 6`;
+- two refusals: the benchmark's overflow probe and `selftest --seed -1`.
+
+Every invocation runs in this process through `acscheck.cli.main`, with
+OUT_DIR as the working directory.  Per invocation NAME the directory holds
+NAME.out (stdout), NAME.err (stderr, when there is any) and NAME.csv for a
+scan; `invocations.txt` lists each name, its arguments and its exit code.
+Not collected by pytest; about 3 s on a 2-vCPU x86-64 host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import os
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+SELFTEST_SEEDS = (11, 12, 13, 14, 15, 42)
+
+
+def _bench():
+    spec = importlib.util.spec_from_file_location("acscheck_bench_run", ROOT / "bench" / "run.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _slug(spec: str) -> str:
+    return spec.removeprefix("gallery:").replace(":", "-") if spec.startswith("gallery:") else Path(spec).stem
+
+
+def _structure(spec: str) -> str:
+    return spec if spec.startswith("gallery:") else str(ROOT / spec)
+
+
+def invocations(bench) -> list:
+    """(name, argv) pairs, in a fixed order."""
+    out = []
+    for seed in SEEDS:
+        rng = random.Random(seed * 7919 + 2)  # the points of bench/run.py's check_ops
+        for spec in bench.CHECK_SPECS:
+            for k in range(bench.CHECK_POINTS):
+                point = "--point=" + ",".join(repr(rng.uniform(-1.0, 1.0)) for _ in range(4))
+                for command, json in (("check", ""), ("check", "--json"), ("verify-derivation", "")):
+                    name = f"{command}{json.replace('--', '-')}-{_slug(spec)}-s{seed}p{k}"
+                    out.append((name, [command, _structure(spec), point, *([json] if json else [])]))
+    for seed in SEEDS:
+        for kind, spec, counts in (
+            ("euclid", "gallery:pullback4", bench.EUCLID_COUNTS),
+            ("metric", bench.METRIC_FILE, bench.METRIC_COUNTS),
+        ):
+            name = f"scan-{kind}-s{seed}"
+            grid = "--grid=" + ",".join(f"{lo!r}:{hi!r}:{c}" for lo, hi, c in bench.seeded_grid(seed, counts))
+            out.append((name, ["scan", _structure(spec), grid, "--out", f"{name}.csv"]))
+    for seed in SELFTEST_SEEDS:
+        args = ["--dims", "2,4,6", "--samples", "100", "--degree", "2", "--seed", str(seed)]
+        out.append((f"selftest-s{seed}", ["selftest", *args]))
+    out.append(("selftest-dim6-s6", ["selftest", "--dims", "6", "--samples", "1600", "--degree", "1", "--seed", "6"]))
+    out.append(("probe-overflow", ["check", _structure(bench.PROBE_FILE), "--point", "800,0"]))
+    out.append(("refuse-seed", ["selftest", "--dims", "2", "--samples", "1", "--seed", "-1"]))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", type=Path)
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the acscheck package")
+    args = parser.parse_args(argv)
+    bench = _bench()  # also pins the BLAS threads to one, before numpy loads
+    sys.path.insert(0, str(args.src.resolve()))
+    from acscheck.cli import main as acscheck
+
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    os.chdir(args.out_dir)
+    lines = []
+    for name, argv_ in invocations(bench):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = acscheck(argv_)
+        Path(f"{name}.out").write_text(stdout.getvalue(), encoding="utf-8")
+        if stderr.getvalue():
+            Path(f"{name}.err").write_text(stderr.getvalue(), encoding="utf-8")
+        shown = [a.replace(str(ROOT), ".") for a in argv_]
+        lines.append(f"{name} exit={code}: acscheck {' '.join(shown)}\n")
+    Path("invocations.txt").write_text("".join(lines), encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,6 +13,7 @@ expression-tree code and is compared with it bit for bit.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -354,6 +355,90 @@ def transform_endomorphism_partials_einsum(a, a_inv, quad, j_values, j_partials)
     vt = vals[..., None, :, :]
     t1 = a_inv[..., None, :, :] @ rotated @ a[..., None, :, :]
     return t1 + r @ vt - vt @ r
+
+
+def transform_metric(change: geometry.NormalChange, g: geometry.JetMatrix) -> geometry.JetMatrix:
+    """Values A^T g A (identity up to rounding) plus the partials of the
+    metric in the normal coordinates of `change`, which vanish at the point.
+    Only the tests need the transformed metric; this is the form it had as a
+    method of geometry.NormalChange."""
+    a = change.a
+    a_t = np.swapaxes(a, -1, -2)
+    vals = a_t @ g.values @ a
+    t1 = np.einsum("...iac,...ij,...jb->...cab", change.quad, g.values, a)
+    t2 = a_t[..., None, :, :] @ geometry.contract_first(a, g.partials) @ a[..., None, :, :]
+    t3 = np.einsum("...ia,...ij,...jbc->...cab", a, g.values, change.quad)
+    return geometry.JetMatrix(vals, t1 + t2 + t3)
+
+
+# ---------------------------------------------------------------------------
+# Exact jets.  The report kernels take object arrays of Fractions unchanged,
+# so on these jets the package's own code gives exact values: J and dJ come
+# from sympy, evaluated at the point's exact rationals (a float is a dyadic
+# rational), through exact matrix algebra and no simplification.
+
+
+def _calls(node) -> bool:
+    """Whether an expression AST calls a function (sin, exp, sqrt, ...)."""
+    if isinstance(node, expr_mod.Call):
+        return True
+    if isinstance(node, expr_mod.Unary):
+        return _calls(node.operand)
+    if isinstance(node, expr_mod.Binary):
+        return _calls(node.left) or _calls(node.right)
+    return False
+
+
+def exact_jets(sf, point) -> geometry.JetMatrix:
+    """J and its first partials of the structure `sf` at `point` (floats or
+    Fractions), as object arrays of Fractions in the package's layout.
+
+    The metric is not read: the exact path is the Euclidean one.  A field
+    that calls a function is refused (ValueError), and so is one whose
+    value at the point is not rational (a fractional power).
+    """
+    import sympy
+
+    import symbolic
+
+    field, xs = sf.j_field, symbolic.coordinates(sf.chart)
+    if isinstance(field, PullbackField):
+        table = [field.components]
+    else:
+        table = field.frame if isinstance(field, ConjugationField) else field.entries
+    if any(_calls(node) for row in table for node in row):
+        raise ValueError("exact jets need a field without function calls")
+    env = {x: sympy.Rational(Fraction(v)) for x, v in zip(xs, point)}  # exact for a float
+
+    def at(m: sympy.Matrix) -> sympy.Matrix:
+        out = m.xreplace(env)
+        if not all(v.is_Rational for v in out):
+            raise ValueError("the field is not rational at the point")
+        return out
+
+    if isinstance(field, PullbackField):
+        m = symbolic.jacobian(field.components, xs)  # F[i, j] = d_j phi^i
+    else:
+        m = symbolic.matrix(table, xs)
+    m0, dm = at(m), [at(m.diff(x)) for x in xs]
+    if isinstance(field, ExplicitField):
+        j, dj = m0, dm
+    else:
+        j0 = sympy.Matrix(standard_block(sf.chart.n).astype(int).tolist())
+        inv = m0.inv()
+        if isinstance(field, ConjugationField):  # J = A J0 A^-1, dJ = (dA J0 - J dA) A^-1
+            j = m0 * j0 * inv
+            dj = [(d * j0 - j * d) * inv for d in dm]
+        else:  # J = F^-1 J0 F, dJ = F^-1 (J0 dF - dF J)
+            j = inv * j0 * m0
+            dj = [inv * (j0 * d - d * j) for d in dm]
+
+    def fractions(m: sympy.Matrix) -> list:
+        return [[Fraction(int(v.p), int(v.q)) for v in row] for row in m.tolist()]
+
+    return geometry.JetMatrix(
+        np.array(fractions(j), dtype=object), np.array([fractions(d) for d in dj], dtype=object)
+    )
 
 
 # ---------------------------------------------------------------------------

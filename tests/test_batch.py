@@ -209,6 +209,13 @@ def test_selftest_needs_samples(tmp_path, capsys):
     assert "--samples" in err
 
 
+def test_selftest_refuses_a_negative_seed(capsys):
+    code = main(["selftest", "--dims", "2", "--samples", "1", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "acscheck selftest: error: argument --seed: must be non-negative, got -1\n"
+
+
 @pytest.mark.parametrize(
     "args,where",
     [

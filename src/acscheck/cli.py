@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_selftest = sub.add_parser("selftest", help="randomised invariant suite and residual tables")
     p_selftest.add_argument("--dims", type=dims, default="2,4", help="comma-separated even dims")
     p_selftest.add_argument("--samples", type=positive_int, default=25)
-    p_selftest.add_argument("--degree", type=int, default=2)
+    p_selftest.add_argument("--degree", type=non_negative_int, default=2)
     p_selftest.add_argument("--seed", type=non_negative_int, default=0)
     p_selftest.set_defaults(func=_cmd_selftest)
 

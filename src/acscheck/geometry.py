@@ -86,8 +86,9 @@ class JetMatrix(Record):
     points along leading axes.
 
     ``partials[..., k, i, j]`` is the derivative of entry (i, j) along
-    coordinate k.  ``frame_cond`` carries the condition number of the frame
-    that produced a conjugation or pullback field, for diagnostics.
+    coordinate k.  ``frame_cond`` carries the 1-norm condition number
+    kappa_1 of the frame that produced a conjugation or pullback field, for
+    diagnostics.
     """
 
     values: np.ndarray
@@ -141,14 +142,20 @@ def _eval_table(rows, chart: ChartSpec, point, order: int = 1, upper: bool = Fal
     return values, partials, hessians
 
 
-def _frame_cond(frame: np.ndarray, what: str):
-    """Condition numbers of a frame; refuses one that is nearly singular."""
-    cond = np.linalg.cond(frame)
-    bad = ~(cond <= _MAX_FRAME_COND)
+def _frame_inverse(frame: np.ndarray, what: str):
+    """A frame's inverse and its 1-norm condition number
+    kappa_1 = ||F||_1 ||F^-1||_1 (the quantity LAPACK's gecon estimates),
+    per point of a batch; refuses a frame unless kappa_1 <= 1e12."""
+    try:
+        inv = np.linalg.inv(frame)
+    except np.linalg.LinAlgError:  # exactly singular
+        raise SingularFrameError(f"{what} is singular at the point (cond=inf)") from None
+    cond = np.linalg.norm(frame, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
+    bad = ~(cond <= _MAX_FRAME_COND)  # also NaN and inf
     if np.any(bad):
         worst = np.extract(bad, cond)[0]  # the first singular point of a batch
         raise SingularFrameError(f"{what} is singular at the point (cond={worst:.3e})")
-    return cond
+    return inv, cond
 
 
 class ExplicitField(Record):
@@ -184,8 +191,7 @@ def _conjugate(av: np.ndarray, ap: np.ndarray) -> JetMatrix:
     point or a batch of points (each with its own frame)."""
     if not np.isfinite(av).all():
         raise GeometryError("frame evaluation produced non-finite entries")
-    cond = _frame_cond(av, "conjugation frame")
-    ainv = np.linalg.inv(av)
+    ainv, cond = _frame_inverse(av, "conjugation frame")
     base = standard_block(av.shape[-1])
     values = av @ base @ ainv
     core = base @ ainv
@@ -212,8 +218,8 @@ class PullbackField(Record):
         h = h[..., 0, :, :]  # h[i, j, k] = d_j d_k phi^i
         if not np.isfinite(f).all():
             raise GeometryError("map Jacobian has non-finite entries")
-        cond = _frame_cond(f, "pullback Jacobian")
-        finv, j0 = np.linalg.inv(f), standard_block(f.shape[-1])
+        finv, cond = _frame_inverse(f, "pullback Jacobian")
+        j0 = standard_block(f.shape[-1])
         values = finv @ j0 @ f
         # per coordinate k, with h_k = d_k Dphi: -finv @ h_k @ finv @ J0 @ f + finv @ J0 @ h_k
         hk, fi, fk = np.moveaxis(h, -1, -3), finv[..., None, :, :], f[..., None, :, :]

@@ -17,8 +17,6 @@ and the two sides of such an identity are near zero by construction.
 
 from __future__ import annotations
 
-import statistics
-
 import numpy as np
 
 from . import geometry, nijenhuis
@@ -88,9 +86,10 @@ class SelfTestReport(Record):
         lines += self.failures
         lines += ["", "identity residuals (min / median / max over samples)"]
         for name in _RESIDUAL_NAMES:
-            values = self.residuals[name]
-            low, mid, high = min(values), statistics.median(values), max(values)
-            lines.append(f"  {low:.3e} / {mid:.3e} / {high:.3e}  {name}")
+            values = sorted(self.residuals[name])
+            half = len(values) // 2
+            mid = values[half] if len(values) % 2 else (values[half - 1] + values[half]) / 2
+            lines.append(f"  {values[0]:.3e} / {mid:.3e} / {values[-1]:.3e}  {name}")
         lines += ["", "residual histograms (samples per magnitude bin)"]
         header = ["<=1e-15"] + [f"..1e{int(np.log10(e)):+03d}" for e in _HISTO_EDGES[1:]] + [">1e-03"]
         lines.append("  bins: " + " | ".join(header))

@@ -16,13 +16,20 @@ The set, built from the benchmark's inputs in `bench/run.py`:
   `pullback4`) at seeds 1 to 3, with the CSV named relative to OUT_DIR;
 - `selftest --dims 2,4,6 --samples 100 --degree 2` at seeds 11 to 15 and 42,
   and `selftest --dims 6 --samples 1600 --degree 1 --seed 6`;
-- two refusals: the benchmark's overflow probe and `selftest --seed -1`.
+- `selftest --dims 2,4,6,8 --samples 30 --degree 3 --seed 6`, which prints
+  failure lines with their `frame_cond`;
+- frames refused as singular, from the structures of SINGULAR, written to
+  OUT_DIR: `check` at an exactly singular conjugation frame and pullback
+  Jacobian and scans across them, and a scan of the nearly singular frame
+  `[[1, 1], [1, 1 + x1]]` over `-1e-12 <= x1 <= 1e-12`;
+- three refusals: the benchmark's overflow probe, `selftest --seed -1` and
+  `selftest --degree -1`.
 
 Every invocation runs in this process through `acscheck.cli.main`, with
 OUT_DIR as the working directory.  Per invocation NAME the directory holds
 NAME.out (stdout), NAME.err (stderr, when there is any) and NAME.csv for a
 scan; `invocations.txt` lists each name, its arguments and its exit code.
-Not collected by pytest; about 3 s on a 2-vCPU x86-64 host.
+Not collected by pytest; about 4 s on a 2-vCPU x86-64 host.
 """
 
 from __future__ import annotations
@@ -39,6 +46,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 SELFTEST_SEEDS = (11, 12, 13, 14, 15, 42)
+SINGULAR = {  # file name -> structure text
+    "singular-conjugation.acs": "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = x1\n",
+    "singular-pullback.acs": "[chart]\ndim = 2\n[J]\nkind = pullback\n1 = x1^2\n",
+    "near-singular.acs": "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 2 = 1\n2 1 = 1\n2 2 = 1 + x1\n",
+}
 
 
 def _bench():
@@ -79,8 +91,17 @@ def invocations(bench) -> list:
         args = ["--dims", "2,4,6", "--samples", "100", "--degree", "2", "--seed", str(seed)]
         out.append((f"selftest-s{seed}", ["selftest", *args]))
     out.append(("selftest-dim6-s6", ["selftest", "--dims", "6", "--samples", "1600", "--degree", "1", "--seed", "6"]))
+    args = ["--dims", "2,4,6,8", "--samples", "30", "--degree", "3", "--seed", "6"]
+    out.append(("selftest-dim8-s6", ["selftest", *args]))
+    for kind in ("conjugation", "pullback"):
+        name = f"singular-{kind}"
+        out.append((f"check-{name}", ["check", f"{name}.acs", "--point", "0,0"]))
+        out.append((f"scan-{name}", ["scan", f"{name}.acs", "--grid=-1:1:3,0:0:1", "--out", f"scan-{name}.csv"]))
+    near = ["near-singular.acs", "--grid=-1e-12:1e-12:5,0:0:1", "--out", "scan-near-singular.csv"]
+    out.append(("scan-near-singular", ["scan", *near]))
     out.append(("probe-overflow", ["check", _structure(bench.PROBE_FILE), "--point", "800,0"]))
     out.append(("refuse-seed", ["selftest", "--dims", "2", "--samples", "1", "--seed", "-1"]))
+    out.append(("refuse-degree", ["selftest", "--dims", "2", "--samples", "1", "--degree", "-1"]))
     return out
 
 
@@ -95,6 +116,8 @@ def main(argv=None) -> int:
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     os.chdir(args.out_dir)
+    for name, text in SINGULAR.items():
+        Path(name).write_text(text, encoding="utf-8")
     lines = []
     for name, argv_ in invocations(bench):
         stdout, stderr = io.StringIO(), io.StringIO()

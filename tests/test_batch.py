@@ -216,6 +216,13 @@ def test_selftest_refuses_a_negative_seed(capsys):
     assert captured.err == "acscheck selftest: error: argument --seed: must be non-negative, got -1\n"
 
 
+def test_selftest_refuses_a_negative_degree(capsys):
+    code = main(["selftest", "--dims", "2", "--samples", "1", "--degree", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "acscheck selftest: error: argument --degree: must be non-negative, got -1\n"
+
+
 @pytest.mark.parametrize(
     "args,where",
     [

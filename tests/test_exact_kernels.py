@@ -22,7 +22,7 @@ U = 2.0**-53
 # |float - exact| <= C_REPORT * U * (1 + sum of |exact ledger terms|) for the
 # report's obstruction, contraction, double trace and ledger total.  The
 # largest ratio measured on seeds 0-9 below was 46.7 (ledger total, seed 5,
-# frame_cond 25); most of it is the rounding of J and dJ themselves, which
+# frame_cond 43, kappa_1 of the frame); most of it is the rounding of J and dJ themselves, which
 # come through the frame's inverse.
 C_REPORT = 50
 SEEDS = range(6)

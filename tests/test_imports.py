@@ -2,8 +2,9 @@
 
 `import acscheck.cli` must not load the scan and selftest modules or the
 standard-library modules only they or `check --json` use, nor `dataclasses`,
-whose decorator compiles code at import; `import acscheck` resolves each
-public name on first access.  Each check runs in a fresh interpreter.
+whose decorator compiles code at import, and `import acscheck.selftest` must
+not load `statistics`; `import acscheck` resolves each public name on first
+access.  Each check runs in a fresh interpreter.
 """
 
 import os
@@ -27,6 +28,11 @@ def test_cli_import_loads_only_what_check_runs():
     unwanted = ("acscheck.scan", "acscheck.selftest", "dataclasses", "statistics", "csv", "json")
     code = f"import sys, acscheck.cli\nprint([m for m in {unwanted!r} if m in sys.modules])\n"
     assert _python(code).strip() == "[]"
+
+
+def test_selftest_import_loads_no_statistics():
+    code = "import sys, acscheck.selftest\nprint('statistics' in sys.modules)\n"
+    assert _python(code).strip() == "False"
 
 
 def test_no_module_builds_dataclass_code():

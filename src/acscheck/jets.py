@@ -46,10 +46,6 @@ class Jet:
     def __init__(self, value, grad: np.ndarray, hess: Optional[np.ndarray] = None):
         self.value, self.grad, self.hess = value, grad, hess
 
-    @property
-    def n(self) -> int:
-        return self.grad.shape[-1]
-
     def __neg__(self) -> "Jet":
         return Jet(-self.value, -self.grad, None if self.hess is None else -self.hess)
 
@@ -137,18 +133,13 @@ def seed_variable(index: int, value, n: int, order: int = 1) -> Jet:
     return jet
 
 
-def _chain(u: Operand, kernel, *params) -> Operand:
-    """A smooth unary function of `u`: `kernel(v, *params)` returns its value
-    and first two derivatives at one point, in float arithmetic.  A param is
-    a float, or an array of per-point values."""
+def _chain(u: Operand, kernel) -> Operand:
+    """A smooth unary function of `u`: `kernel(v)` returns its value and
+    first two derivatives at one point, in float arithmetic."""
     shape = np.shape(u.value) if isinstance(u, Jet) else ()
     values = np.ravel(u.value).tolist() if isinstance(u, Jet) else [u]
-    columns = [
-        np.broadcast_to(p, shape).ravel().tolist() if isinstance(p, np.ndarray) else [p] * len(values)
-        for p in params
-    ]
     try:
-        rows = list(map(kernel, values, *columns))
+        rows = list(map(kernel, values))
     except (OverflowError, ZeroDivisionError):  # float arithmetic's overflow
         raise JetDomainError(f"{kernel.__name__[1:]} overflow") from None
     if not isinstance(u, Jet):
@@ -181,54 +172,39 @@ def _power_kernel(k: float):
     Each kernel is named ``_power``, as `_chain` names its overflow error
     after the kernel."""
     if not (math.isfinite(k) and k == round(k)):
-        def _power(v):
+        def kernel(v):
             if v <= 0.0:
                 raise JetDomainError("non-integer exponent requires positive base")
             return v**k, k * v ** (k - 1.0), k * (k - 1.0) * v ** (k - 2.0)
     elif (ki := int(round(k))) == 0:
-        def _power(v):
+        def kernel(v):
             return 1.0, 0.0, 0.0
     elif ki == 1:
-        def _power(v):
+        def kernel(v):
             return v, 1.0, 0.0
     else:
         zero = 0.0, 0.0, 2.0 if ki == 2 else 0.0  # the second derivative survives at ki == 2
-        def _power(v):
+        def kernel(v):
             if v == 0.0:
                 if ki < 0:
                     raise JetDomainError("zero base with negative exponent")
                 return zero
             return v**ki, ki * v ** (ki - 1), ki * (ki - 1) * v ** (ki - 2)
-    return _power
-
-
-def _power(v: float, k: float):
-    """v ** k at one point, for an exponent that varies over the batch."""
-    return _power_kernel(k)(v)
+    kernel.__name__ = "_power"
+    return kernel
 
 
 def power(base: Operand, exponent: Operand) -> Operand:
     """base ** exponent.
 
-    Integer exponents work on any base; non-integer exponents require a
-    strictly positive base.  A jet exponent with nonzero derivatives goes
-    through exp(exponent * log(base)) and therefore also needs base > 0.
-    A batch whose exponent has zero derivatives at some points only is
-    refused: evaluate those points one at a time.
+    A float exponent works on any base if it is an integer, and needs a
+    strictly positive base otherwise.  A jet exponent, whatever its
+    derivatives, is exp(exponent * log(base)) and needs base > 0 at every
+    point: pass a float for a constant exponent.
     """
     if not isinstance(exponent, Jet):
         return _chain(base, _power_kernel(_float(exponent)))
-    if not isinstance(base, Jet):
-        base = constant(np.full(np.shape(exponent.value), _float(base)), exponent.n,
-                        1 if exponent.hess is None else 2)
-    free = np.all(exponent.grad == 0.0, axis=-1)
-    if exponent.hess is not None:
-        free &= np.all(exponent.hess == 0.0, axis=(-2, -1))
-    if np.all(free):
-        return _chain(base, _power, exponent.value)
-    if np.any(free):
-        raise JetDomainError("exponent is constant at only some points of the batch")
-    if np.any(base.value <= 0.0):
+    if np.any((base.value if isinstance(base, Jet) else _float(base)) <= 0.0):
         raise JetDomainError("variable exponent requires positive base")
     return exp(exponent * log(base))
 

@@ -18,10 +18,16 @@ The set, built from the benchmark's inputs in `bench/run.py`:
   and `selftest --dims 6 --samples 1600 --degree 1 --seed 6`;
 - `selftest --dims 2,4,6,8 --samples 30 --degree 3 --seed 6`, which prints
   failure lines with their `frame_cond`;
-- frames refused as singular, from the structures of SINGULAR, written to
+- frames refused as singular, from the structures of STRUCTURES, written to
   OUT_DIR: `check` at an exactly singular conjugation frame and pullback
   Jacobian and scans across them, and a scan of the nearly singular frame
   `[[1, 1], [1, 1 + x1]]` over `-1e-12 <= x1 <= 1e-12`;
+- powers with an exponent that reads a variable: `check` of `x1^(x2*x2)`,
+  as an explicit entry and as a pullback component, at `(-0.5, 0)` and
+  `(0.5, 0)`, scans of the explicit entry over `-1:1:5,-1:1:5` and
+  `0.5:2:3,-1:1:3`, and `check` of `2^x1` in both forms;
+- fields that overflow to non-finite entries at `x1 = 0.5`, one of each
+  kind;
 - three refusals: the benchmark's overflow probe, `selftest --seed -1` and
   `selftest --degree -1`.
 
@@ -46,10 +52,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 SELFTEST_SEEDS = (11, 12, 13, 14, 15, 42)
-SINGULAR = {  # file name -> structure text
+STRUCTURES = {  # file name -> structure text
     "singular-conjugation.acs": "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = x1\n",
     "singular-pullback.acs": "[chart]\ndim = 2\n[J]\nkind = pullback\n1 = x1^2\n",
     "near-singular.acs": "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 2 = 1\n2 1 = 1\n2 2 = 1 + x1\n",
+    "square-exponent-explicit.acs": "[chart]\ndim = 2\n[J]\n1 2 = -1 - x1^(x2*x2)\n2 1 = 1/(1 + x1^(x2*x2))\n",
+    "square-exponent-pullback.acs": "[chart]\ndim = 2\n[J]\nkind = pullback\n1 = x1 + x1^(x2*x2)\n",
+    "float-base-explicit.acs": "[chart]\ndim = 2\n[J]\n1 2 = -2^x1\n2 1 = 2^(-x1)\n",
+    "float-base-pullback.acs": "[chart]\ndim = 2\n[J]\nkind = pullback\n1 = 2^x1 + x2\n",
+    "non-finite-explicit.acs": "[chart]\ndim = 2\n[J]\n1 2 = -1e300*x1*1e300\n",
+    "non-finite-conjugation.acs": "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = 1e300*x1*1e300\n",
+    "non-finite-pullback.acs": "[chart]\ndim = 2\n[J]\nkind = pullback\n1 = 1e300*x1*x1*1e300\n",
 }
 
 
@@ -99,6 +112,15 @@ def invocations(bench) -> list:
         out.append((f"scan-{name}", ["scan", f"{name}.acs", "--grid=-1:1:3,0:0:1", "--out", f"scan-{name}.csv"]))
     near = ["near-singular.acs", "--grid=-1e-12:1e-12:5,0:0:1", "--out", "scan-near-singular.csv"]
     out.append(("scan-near-singular", ["scan", *near]))
+    for form in ("explicit", "pullback"):
+        for x1 in ("-0.5", "0.5"):
+            out.append((f"check-square-exponent-{form}-{x1}", ["check", f"square-exponent-{form}.acs", f"--point={x1},0"]))
+        out.append((f"check-float-base-{form}", ["check", f"float-base-{form}.acs", "--point=0.7,-0.2", "--json"]))
+    for k, grid in enumerate(("-1:1:5,-1:1:5", "0.5:2:3,-1:1:3")):
+        name = f"scan-square-exponent-{k}"
+        out.append((name, ["scan", "square-exponent-explicit.acs", f"--grid={grid}", "--out", f"{name}.csv"]))
+    for kind in ("explicit", "conjugation", "pullback"):
+        out.append((f"check-non-finite-{kind}", ["check", f"non-finite-{kind}.acs", "--point", "0.5,0"]))
     out.append(("probe-overflow", ["check", _structure(bench.PROBE_FILE), "--point", "800,0"]))
     out.append(("refuse-seed", ["selftest", "--dims", "2", "--samples", "1", "--seed", "-1"]))
     out.append(("refuse-degree", ["selftest", "--dims", "2", "--samples", "1", "--degree", "-1"]))
@@ -116,7 +138,7 @@ def main(argv=None) -> int:
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     os.chdir(args.out_dir)
-    for name, text in SINGULAR.items():
+    for name, text in STRUCTURES.items():
         Path(name).write_text(text, encoding="utf-8")
     lines = []
     for name, argv_ in invocations(bench):

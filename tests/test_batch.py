@@ -21,7 +21,9 @@ from test_acceptance import PULLBACK4_COMPATIBLE
 
 OVERFLOW2 = "[chart]\ndim = 2\n[J]\n1 2 = -exp(x1)\n2 1 = exp(-x1)\n"
 POWER2 = "[chart]\ndim = 2\n[J]\n1 2 = -1 - x1^200\n2 1 = 1/(1 + x1^200)\n"
-VARIABLE_POWER2 = "[chart]\ndim = 2\n[J]\n1 2 = -1 - x1^(x2*x2)\n2 1 = 1/(1 + x1^(x2*x2))\n"
+VARIABLE_POWER = "x1^(x2*x2)"  # the exponent's gradient vanishes at x2 = 0, its Hessian does not
+VARIABLE_POWER2 = f"[chart]\ndim = 2\n[J]\n1 2 = -1 - {VARIABLE_POWER}\n2 1 = 1/(1 + {VARIABLE_POWER})\n"
+VARIABLE_POWER2_PULLBACK = f"[chart]\ndim = 2\n[J]\nkind = pullback\n1 = x1 + {VARIABLE_POWER}\n"
 SCAN_FIELDS = ("n_max_abs", "obstruction", "contraction", "identity_residual_contraction", "verdict")
 REPORT_FIELDS = (
     "j_squared_residual",
@@ -86,8 +88,8 @@ def _scan(tmp_path, sf, grid):
         ("[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = x1\n", "-1:1:5,0:0:1", 0.0),
         (OVERFLOW2, "0:800:2,0:1:3", 800.0),  # exp(800) overflows
         (POWER2, "-1:2:4,0:0:1", None),  # no failing point
-        # the exponent x2*x2 has zero gradient at x2 = 0 only: the batch is
-        # refused and every point is evaluated on its own
+        # the exponent x2*x2 reads a variable: exp(x2*x2 * log(x1)) at every
+        # point, also at x2 = 0 where its gradient vanishes
         (VARIABLE_POWER2, "0.5:2:3,-1:1:3", None),
     ],
     ids=["singular-frame", "one-failing-point", "exp-overflow", "no-failure", "mixed-exponent"],
@@ -105,7 +107,7 @@ def test_failing_point_flags_only_its_row(tmp_path, monkeypatch, text, grid, bad
     k = GridSpec.parse(grid).total()
     assert summary.rows == len(rows) == k < CHUNK
     # one report of the chunk and, if that raises, one report of each point
-    assert calls == ([k] if text == POWER2 else [k] + [1] * k)
+    assert calls == ([k] if bad is None else [k] + [1] * k)
     for row, point in zip(rows, GridSpec.parse(grid).points()):
         if point[0] == bad:
             with pytest.raises(ValueError) as err:
@@ -145,6 +147,56 @@ def _one_line_error(tmp_path, capsys, args, text=OVERFLOW2):
     assert code == 1
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
     return captured.err
+
+
+NON_FINITE = {  # structure -> the refusal of its field at x1 = 0.5
+    "[chart]\ndim = 2\n[J]\n1 2 = -1e300*x1*1e300\n": "field evaluation produced non-finite entries",
+    "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = 1e300*x1*1e300\n": "frame evaluation produced non-finite entries",
+    "[chart]\ndim = 2\n[J]\nkind = pullback\n1 = 1e300*x1*x1*1e300\n": "map Jacobian has non-finite entries",
+}
+
+
+@pytest.mark.parametrize("text", [VARIABLE_POWER2, VARIABLE_POWER2_PULLBACK], ids=["explicit", "pullback"])
+def test_variable_exponent_on_a_negative_base_is_refused_at_both_orders(tmp_path, capsys, text):
+    # an explicit entry needs order-1 jets, a pullback component order 2
+    err = _one_line_error(tmp_path, capsys, ["check", "FILE", "--point=-0.5,0"], text)
+    assert err == f"acscheck: error: variable exponent requires positive base in {VARIABLE_POWER!r}\n"
+
+
+@pytest.mark.parametrize(
+    "text,grid",
+    [(VARIABLE_POWER2, "-1:1:5,-1:1:5"), *((text, "-0.5:0.5:3,0:0:1") for text in NON_FINITE)],
+    ids=["square-exponent", "non-finite-explicit", "non-finite-conjugation", "non-finite-pullback"],
+)
+def test_each_scan_row_is_its_own_check(tmp_path, capsys, text, grid):
+    path, out = tmp_path / "s.acs", tmp_path / "scan.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["scan", str(path), f"--grid={grid}", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.reader(out.open()))[1:]
+    assert len(rows) == GridSpec.parse(grid).total()
+    for row in rows:
+        code = main(["check", str(path), f"--point={row[0]},{row[1]}", "--json"])
+        captured = capsys.readouterr()
+        if row[-1].startswith("error: "):
+            assert code == 1 and captured.err == f"acscheck: {row[-1]}\n"
+            continue
+        report = json.loads(captured.out)
+        assert row[-1] == report["verdict"]
+        assert [float(v) for v in row[2:-1]] == [report[f] for f in SCAN_FIELDS[:-1]]
+    flagged = [float(row[0]) for row in rows if row[-1].startswith("error: ")]
+    if text == VARIABLE_POWER2:  # refused exactly where the base x1 is not positive
+        assert flagged == [x1 for x1, _ in GridSpec.parse(grid).points() if x1 <= 0.0]
+        assert all(row[-1] == f"error: variable exponent requires positive base in {VARIABLE_POWER!r}"
+                   for row in rows if float(row[0]) <= 0.0)
+    else:  # 1e300 * 1e300 overflows at every point; x1 = 0 is a singular frame, if any
+        assert rows[-1][-1] == f"error: {NON_FINITE[text]}"
+
+
+@pytest.mark.parametrize("text", NON_FINITE, ids=["explicit", "conjugation", "pullback"])
+def test_non_finite_field_is_one_line(tmp_path, capsys, text):
+    err = _one_line_error(tmp_path, capsys, ["check", "FILE", "--point", "0.5,0"], text)
+    assert err == f"acscheck: error: {NON_FINITE[text]}\n"
 
 
 def test_check_overflow_is_one_line(tmp_path, capsys):

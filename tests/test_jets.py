@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from acscheck import jets
+from acscheck.expr import ExprDomainError, bind_and_eval, parse_expr
 from acscheck.jets import Jet, JetDomainError, jet_apply, seed_variable
 
 
@@ -120,9 +121,7 @@ def _poly_jet(terms, point, order):
         term = jets.constant(coef, n, order)
         for i, k in enumerate(expo):
             if k:
-                term = term * jet_apply(
-                    "pow", [seed_variable(i, point[i], n, order), jets.constant(float(k), n, order)]
-                )
+                term = term * jet_apply("pow", [seed_variable(i, point[i], n, order), float(k)])
         total = total + term
     return total
 
@@ -220,6 +219,53 @@ def test_variable_exponent_positive_base():
     assert y.value == pytest.approx(8.0)
     assert y.grad[0] == pytest.approx(12.0)  # e * x^(e-1)
     assert y.grad[1] == pytest.approx(8.0 * math.log(2.0))
+
+
+def test_float_base_to_a_jet_exponent():
+    # 2^x1 is exp(x1 log 2): slope 2^x ln 2, curvature 2^x (ln 2)^2, and each
+    # batch row has the bits of its own point
+    xs = [-1.5, -0.0, 0.3, 2.0, 7.25]
+    ln2 = math.log(2.0)
+    node = parse_expr("2^x1")
+    batch = bind_and_eval(node, ["x1"], np.array(xs)[:, None], order=2)
+    for k, x in enumerate(xs):
+        one = bind_and_eval(node, ["x1"], [x], order=2)
+        assert one.value == pytest.approx(2.0**x, rel=1e-15, abs=0)
+        assert one.grad[0] == pytest.approx(2.0**x * ln2, rel=1e-15, abs=0)
+        assert one.hess[0, 0] == pytest.approx(2.0**x * ln2 * ln2, rel=1e-15, abs=0)
+        assert batch.value[k] == one.value
+        assert np.array_equal(batch.grad[k], one.grad)
+        assert np.array_equal(batch.hess[k], one.hess)
+
+
+@pytest.mark.parametrize("order", (1, 2))
+def test_jet_exponent_needs_a_positive_base(order):
+    x = seed_variable(0, -1.0, 1, order=order)
+    for base, exponent in ((-2.0, x), (x, jets.constant(2.0, 1, order))):
+        with pytest.raises(JetDomainError, match="^variable exponent requires positive base$"):
+            jets.power(base, exponent)
+    with pytest.raises(ExprDomainError, match="^variable exponent requires positive base in "):
+        bind_and_eval(parse_expr("(-2)^x1"), ["x1"], [0.5], order=order)
+    assert jets.power(x, 2.0).value == 1.0  # a float exponent keeps the integer kernel
+
+
+def test_exponent_reading_a_variable_follows_one_rule():
+    # x1^(x2*x2): the exponent's gradient vanishes at x2 = 0, its Hessian
+    # does not; the rule is exp(x2*x2 * log x1) at both orders and at every
+    # point, so a batch raises only where one of its points raises alone
+    node = parse_expr("x1^(x2*x2)")
+    pts = np.array([[0.5, -1.0], [0.5, 0.0], [2.0, 0.0], [2.0, 1.0]])
+    for order in (1, 2):
+        batch = bind_and_eval(node, ["x1", "x2"], pts, order=order)
+        for k, point in enumerate(pts):
+            one = bind_and_eval(node, ["x1", "x2"], point, order=order)
+            assert batch.value[k] == one.value
+            assert np.array_equal(batch.grad[k], one.grad)
+        for point in ([-0.5, 0.0], [0.0, 1.0]):
+            with pytest.raises(ExprDomainError, match="^variable exponent requires positive base"):
+                bind_and_eval(node, ["x1", "x2"], point, order=order)
+            with pytest.raises(ExprDomainError, match="^variable exponent requires positive base"):
+                bind_and_eval(node, ["x1", "x2"], np.vstack([pts, point]), order=order)
 
 
 # One batched case per operation: a jet over a batch of points carries, at
@@ -354,7 +400,6 @@ def test_power_kernel_equals_per_point_classification(k):
     kernel = jets._power_kernel(k)
     for v in _POWER_BASES:
         assert _outcome(lambda: kernel(v)) == _outcome(lambda: _power_per_point(v, k)), v
-        assert _outcome(lambda: jets._power(v, k)) == _outcome(lambda: _power_per_point(v, k)), v
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -147,6 +147,29 @@ def test_repeated_key_rejected(text, line, key):
         parse_structure(text)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[chart]\ndim = 2\n[J]\n1 2 = -1\n[chart]\n", "line 5: duplicate section [chart]"),
+        ("[chart]\ndim 2\n[J]\n", "line 2: expected 'key = value' or an entry line"),
+        ("[chart]\ndim = two\n[J]\n", "line 2: bad dimension 'two'"),
+        ("[chart]\ndim = 2\nsize = 2\n[J]\n", "line 3: unknown chart key 'size'"),
+        ("[chart]\nvars = u, v\n[J]\n", "chart section must set 'dim'"),
+        ("[chart]\ndim = 2\n[J]\nkind = spiral\n", "line 4: unknown J kind 'spiral'"),
+    ],
+)
+def test_structure_file_refusal_names_its_line(text, message):
+    with pytest.raises(StructureError) as info:
+        parse_structure(text)
+    assert str(info.value) == message
+
+
+def test_gallery_dimension_must_be_an_integer():
+    with pytest.raises(StructureError) as info:
+        gallery("standard2n:x")
+    assert str(info.value) == "bad gallery dimension in 'standard2n:x'"
+
+
 def test_vars_and_metadata():
     text = (
         "[chart]\ndim = 2\nvars = u, v\nname = demo\ndescription = two words\n"

@@ -398,14 +398,15 @@ def _polynomial_jets(expo: np.ndarray, coeffs: np.ndarray, point):
     return value, np.ascontiguousarray(np.moveaxis(grad, -1, -3))
 
 
-def _random_frame(dim: int, degree: int, seed: int):
-    """P of random_conjugation_acs's frame A = I + P: exponents ``(m, dim)``
-    of the monomials of degree <= degree, coefficients ``(dim, dim, m)``.
-    The caller checks `dim` (through a ChartSpec)."""
+def _random_frames(dim: int, degree: int, seeds):
+    """P of random_conjugation_acs's frame A = I + P per seed: exponents ``(m, dim)`` of the
+    monomials of degree <= degree, coefficients ``(seeds, dim, dim, m)``.  The caller checks `dim`."""
+    from ._pcg64 import Streams  # only selftest and its replays draw
+
     if degree < 0:
         raise ValueError("degree must be non-negative")
     expo = np.array(_monomials(dim, degree))
-    return expo, np.random.default_rng(seed).uniform(-0.3, 0.3, (dim, dim, len(expo)))
+    return expo, Streams(seeds).uniform(-0.3, 0.3, (dim, dim, len(expo)))
 
 
 def random_conjugation_acs(dim: int, degree: int, seed: int) -> ConjugationField:
@@ -416,7 +417,7 @@ def random_conjugation_acs(dim: int, degree: int, seed: int) -> ConjugationField
     bit-identical for a given seed.
     """
     names = ChartSpec.default(dim).var_names  # refuses a bad dimension before drawing
-    expo, coeffs = _random_frame(dim, degree, seed)
+    expo, (coeffs,) = _random_frames(dim, degree, [seed])
     rows = []
     for i in range(dim):
         row = [_polynomial_ast(expo, coeffs[i, j], names) for j in range(dim)]

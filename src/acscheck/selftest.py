@@ -7,8 +7,8 @@ truth is the package's experimental subject: the double-trace identity, the
 final reduction to the obstruction scalar, the individual cancellation
 claims, and the metric independence of the double trace.
 
-Each sample uses its own child generator seeded by (seed, dim, index), so a
-sample's draws never depend on how many experiments earlier samples ran.
+Each sample draws from its own stream, numpy's ``default_rng([seed, dim,
+index])``, so its draws never depend on how many experiments earlier samples ran.
 
 Cancellation identities are compared at tolerances relative to the magnitude
 of the summed terms: that sum is the conditioning scale of the cancellation,
@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry, nijenhuis
+from ._pcg64 import Streams
 from ._record import Record
 from .geometry import ChartSpec, JetMatrix
 from .obstruction import CANCELLATION_LABELS, report_from_jets
@@ -102,30 +103,31 @@ class SelfTestReport(Record):
         return "\n".join(lines) + "\n"
 
 
-def _metric_coeffs(rng: np.random.Generator, n: int) -> np.ndarray:
+def _metric_coeffs(streams: Streams, rows, n: int) -> np.ndarray:
     """One draw of a random metric I + 0.2 (B + B^T) + small linear
-    perturbation: coefficients ``(n, n, n + 1)`` of 1, x1, ..., xn."""
-    b = rng.uniform(-1.0, 1.0, (n, n))
-    lin = rng.uniform(-0.05, 0.05, (n, n, n))  # lin[k, i, j]: x_k coefficient
+    perturbation for each of `rows`: coefficients ``(rows, n, n, n + 1)`` of
+    1, x1, ..., xn."""
+    b = streams.uniform(-1.0, 1.0, (n, n), rows)
+    lin = streams.uniform(-0.05, 0.05, (n, n, n), rows)  # lin[:, k, i, j]: x_k coefficient
     lo, hi = np.minimum.outer(range(n), range(n)), np.maximum.outer(range(n), range(n))
-    const = np.eye(n) + 0.2 * (b + b.T)
-    return np.concatenate([const[..., None], np.moveaxis(lin[:, lo, hi], 0, -1)], axis=-1)
+    const = np.eye(n) + 0.2 * (b + np.swapaxes(b, -1, -2))
+    return np.concatenate([const[..., None], np.moveaxis(lin[:, :, lo, hi], 1, -1)], axis=-1)
 
 
 def _metric_exponents(n: int) -> np.ndarray:
     return np.vstack([np.zeros((1, n), dtype=int), np.eye(n, dtype=int)])
 
 
-def _spd_metrics(rngs, points) -> JetMatrix:
+def _spd_metrics(streams: Streams, points) -> JetMatrix:
     """Each sample's random metric jets, redrawn from the sample's own
-    generator until positive definite at its point.  Each round draws from
+    stream until positive definite at its point.  Each round draws from
     every sample still without a metric and evaluates those draws as one
     batch, for at most 64 rounds."""
     n = points.shape[-1]
     expo, todo = _metric_exponents(n), list(range(len(points)))
     values, partials = np.empty((len(points), n, n)), np.empty((len(points), n, n, n))
     for _ in range(64):
-        coeffs = np.array([_metric_coeffs(rngs[b], n) for b in todo])
+        coeffs = _metric_coeffs(streams, todo, n)
         values[todo], partials[todo] = geometry._polynomial_jets(expo, coeffs, points[todo])
         left = []
         for b in todo:
@@ -149,18 +151,14 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
     failures: list[str] = []
 
     for dim in dims:
-        rngs, field_seeds, frames, points = [], [], [], []
-        for index in range(samples):
-            rngs.append(rng := np.random.default_rng([seed, dim, index]))
-            field_seeds.append(int(rng.integers(0, 2**63 - 1)))
-            expo, frame = geometry._random_frame(dim, degree, field_seeds[-1])
-            frames.append(frame)
-            points.append(rng.uniform(0.0, 1.0, dim))
-        points = np.array(points)
-        av, ap = geometry._polynomial_jets(expo, np.array(frames), points)
+        streams = Streams([[seed, dim, index] for index in range(samples)])
+        field_seeds = streams.integers63()
+        expo, frames = geometry._random_frames(dim, degree, field_seeds)
+        points = streams.uniform(0.0, 1.0, (dim,))
+        av, ap = geometry._polynomial_jets(expo, frames, points)
         av[..., range(dim), range(dim)] += 1.0  # the frame's 1 + poly on the diagonal
         j_jm = geometry._conjugate(av, ap)
-        g_jm = _spd_metrics(rngs, points)
+        g_jm = _spd_metrics(streams, points)
 
         n_std = nijenhuis.nijenhuis_standard(j_jm)
         n_red = nijenhuis.nijenhuis_reduced(j_jm)

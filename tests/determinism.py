@@ -18,6 +18,10 @@ The set, built from the benchmark's inputs in `bench/run.py`:
   and `selftest --dims 6 --samples 1600 --degree 1 --seed 6`;
 - `selftest --dims 2,4,6,8 --samples 30 --degree 3 --seed 6`, which prints
   failure lines with their `frame_cond`;
+- `selftest --dims 2,4 --samples 7 --degree 0` at seeds 2**32 + 1 and
+  2**64 + 1, whose entropies `[seed, dim, index]` are four and five 32-bit
+  words, `selftest --dims 8 --samples 1 --seed 0` and
+  `selftest --dims 6 --samples 400 --degree 3 --seed 6`;
 - frames refused as singular, from the structures of STRUCTURES, written to
   OUT_DIR: `check` at an exactly singular conjugation frame and pullback
   Jacobian and scans across them, and a scan of the nearly singular frame
@@ -106,6 +110,11 @@ def invocations(bench) -> list:
     out.append(("selftest-dim6-s6", ["selftest", "--dims", "6", "--samples", "1600", "--degree", "1", "--seed", "6"]))
     args = ["--dims", "2,4,6,8", "--samples", "30", "--degree", "3", "--seed", "6"]
     out.append(("selftest-dim8-s6", ["selftest", *args]))
+    for seed in ("4294967297", "18446744073709551617"):  # entropies of four and five words
+        out.append((f"selftest-s{seed}", ["selftest", "--dims", "2,4", "--samples", "7", "--degree", "0", "--seed", seed]))
+    out.append(("selftest-dim8-one", ["selftest", "--dims", "8", "--samples", "1", "--seed", "0"]))
+    args = ["--dims", "6", "--samples", "400", "--degree", "3", "--seed", "6"]
+    out.append(("selftest-dim6-degree3", ["selftest", *args]))
     for kind in ("conjugation", "pullback"):
         name = f"singular-{kind}"
         out.append((f"check-{name}", ["check", f"{name}.acs", "--point", "0,0"]))

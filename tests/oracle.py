@@ -525,6 +525,13 @@ def random_spd_metric_ast(rng: np.random.Generator, chart: ChartSpec, point) -> 
     raise RuntimeError("failed to draw an SPD metric")
 
 
+def pcg64_state(streams, row: int) -> dict:
+    """Row `row` of an `acscheck._pcg64.Streams` as numpy's
+    `PCG64().state["state"]`, to compare with a generator's."""
+    (sh, sl), (ih, il) = streams.s[:, row].tolist(), streams.inc[:, row].tolist()
+    return {"state": sh << 64 | sl, "inc": ih << 64 | il}
+
+
 def run_selftest_per_sample(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
     """Run the suite; deterministic in (dims, samples, degree, seed)."""
     dims = tuple(int(d) for d in dims)

@@ -14,6 +14,7 @@ import pytest
 
 import oracle
 from acscheck import expr, geometry, selftest
+from acscheck._pcg64 import Streams
 from acscheck.geometry import ChartSpec, random_conjugation_acs
 from acscheck.obstruction import CANCELLATION_LABELS, report_from_jets
 
@@ -96,8 +97,7 @@ def test_array_frame_jets_equal_tree_evaluation(rng, batch, dim, degree):
     chart = ChartSpec.default(dim)
     seeds = [int(s) for s in rng.integers(0, 2**63 - 1, batch)]
     points = rng.uniform(-1.0, 1.0, (batch, dim))  # both signs of every coordinate
-    expo = geometry._random_frame(dim, degree, 0)[0]
-    coeffs = np.array([geometry._random_frame(dim, degree, s)[1] for s in seeds])
+    expo, coeffs = geometry._random_frames(dim, degree, seeds)
     diag = (..., range(dim), range(dim))
     frame_values, frame_partials = geometry._polynomial_jets(expo, coeffs, points)
     frame_values[diag] += 1.0  # the AST's 1 + poly
@@ -121,26 +121,25 @@ def test_array_frame_jets_equal_tree_evaluation(rng, batch, dim, degree):
 def test_array_metric_jets_equal_tree_evaluation(rng, batch, dim):
     chart = ChartSpec.default(dim)
     points = rng.uniform(0.0, 1.0, (batch, dim))
-    rngs = [np.random.default_rng([dim, b]) for b in range(batch)]
-    g = selftest._spd_metrics(rngs, points)
+    streams = Streams([[dim, b] for b in range(batch)])
+    g = selftest._spd_metrics(streams, points)
     for b, point in enumerate(points):
         s = np.random.default_rng([dim, b])
         one = oracle.random_spd_metric_ast(s, chart, point).eval(chart, point)
-        assert rngs[b].random() == s.random()  # the same draws, in order
+        assert oracle.pcg64_state(streams, b) == s.bit_generator.state["state"]  # the same draws, in order
         assert g.values[b].tobytes() == one.values.tobytes()
         assert g.partials[b].tobytes() == one.partials.tobytes()
 
 
 def test_batched_metric_draws_equal_per_sample_draws():
-    # generators [6, 433] and [6, 1578] give a first draw that is not SPD at their point
+    # streams [6, 433] and [6, 1578] give a first draw that is not SPD at their point
     dim, indices = 6, [430, 431, 432, 433, 434, 1578]
     chart = ChartSpec.default(dim)
-    fresh = lambda: [np.random.default_rng([dim, b]) for b in indices]
-    rngs, probes = fresh(), fresh()
-    points = np.array([rng.uniform(0.0, 1.0, dim) for rng in rngs])
-    for rng in probes:
-        rng.uniform(0.0, 1.0, dim)  # the point
-    first = np.array([selftest._metric_coeffs(rng, dim) for rng in probes])
+    fresh = lambda: Streams([[dim, b] for b in indices])
+    streams, probes = fresh(), fresh()
+    points = streams.uniform(0.0, 1.0, (dim,))
+    probes.uniform(0.0, 1.0, (dim,))  # the points
+    first = selftest._metric_coeffs(probes, np.arange(len(indices)), dim)
     values, _ = geometry._polynomial_jets(selftest._metric_exponents(dim), first, points)
     redrawn = []
     for b, v in enumerate(values):
@@ -149,15 +148,17 @@ def test_batched_metric_draws_equal_per_sample_draws():
         except np.linalg.LinAlgError:
             redrawn.append(b)
     assert redrawn == [3, 5]
-    g = selftest._spd_metrics(rngs, points)
-    for b, (alone, tree) in enumerate(zip(fresh(), fresh())):
-        point = alone.uniform(0.0, 1.0, dim)
+    g = selftest._spd_metrics(streams, points)
+    for b, index in enumerate(indices):
+        alone, tree = Streams([[dim, index]]), np.random.default_rng([dim, index])
+        point = alone.uniform(0.0, 1.0, (dim,))[0]
         assert tree.uniform(0.0, 1.0, dim).tobytes() == point.tobytes() == points[b].tobytes()
-        one = selftest._spd_metrics([alone], point[None])  # the sample alone, as a batch of one
+        one = selftest._spd_metrics(alone, point[None])  # the sample alone, as a batch of one
         ref = oracle.random_spd_metric_ast(tree, chart, point).eval(chart, point)
         assert g.values[b].tobytes() == one.values[0].tobytes() == ref.values.tobytes()
         assert g.partials[b].tobytes() == one.partials[0].tobytes() == ref.partials.tobytes()
-        assert rngs[b].random() == alone.random() == tree.random()  # the same draws, in order
+        state = tree.bit_generator.state["state"]  # the same draws, in order
+        assert oracle.pcg64_state(streams, b) == oracle.pcg64_state(alone, 0) == state
 
 
 def test_monomials_are_computed_once():

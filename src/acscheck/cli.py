@@ -70,7 +70,7 @@ def _load(spec: str) -> StructureFile:
 
 def point(text: str) -> tuple[float, ...]:
     """--point: comma-separated finite coordinates."""
-    coords = tuple(float(p) for p in text.split(",") if p.strip())
+    coords = tuple(float(p) for p in text.split(","))  # float("") refuses an empty field
     for k, value in enumerate(coords, start=1):
         if not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"coordinate {k} is not finite: {value}")

@@ -90,140 +90,85 @@ class Call(Record):
 ExprNode = Union[Const, Var, Unary, Binary, Call]
 
 
-_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-
-
-class _Token(Record):
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        m = _NUMBER.match(text, i)
-        if m:
-            out.append(_Token("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _NAME.match(text, i)
-        if m:
-            out.append(_Token("name", m.group(), i))
-            i = m.end()
-            continue
-        if c in "+-*/^()":
-            out.append(_Token("op", c, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    out.append(_Token("end", "", len(text)))
-    return out
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.k = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.k]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in ops
-
-    def parse(self) -> ExprNode:
-        node = self.sum_()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(
-                f"expected an operator or end of input, found {tok.text!r}", tok.pos
-            )
-        return node
-
-    def sum_(self) -> ExprNode:
-        node = self.product()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            node = Binary("add" if op == "+" else "sub", node, self.product())
-        return node
-
-    def product(self) -> ExprNode:
-        node = self.unary()
-        while self.at_op("*", "/"):
-            op = self.advance().text
-            node = Binary("mul" if op == "*" else "div", node, self.unary())
-        return node
-
-    def unary(self) -> ExprNode:
-        if self.at_op("-"):
-            self.advance()
-            return Unary("neg", self.unary())
-        return self.power()
-
-    def power(self) -> ExprNode:
-        base = self.atom()
-        if self.at_op("^"):
-            self.advance()
-            # exponent goes through unary(), making ^ right associative and
-            # letting x^-2 parse without parentheses
-            return Binary("pow", base, self.unary())
-        return base
-
-    def atom(self) -> ExprNode:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Const(float(tok.text))
-        if tok.kind == "name":
-            self.advance()
-            if self.at_op("("):
-                if tok.text not in FUNCTIONS:
-                    raise ExprNameError(
-                        f"unknown function {tok.text!r} (offset {tok.pos})"
-                    )
-                self.advance()
-                arg = self.sum_()
-                self.expect_close()
-                return Call(tok.text, arg)
-            if tok.text in CONSTANTS:
-                return Const(CONSTANTS[tok.text])
-            return Var(tok.text)
-        if self.at_op("("):
-            self.advance()
-            node = self.sum_()
-            self.expect_close()
-            return node
-        found = tok.text if tok.kind != "end" else "end of input"
-        raise ExprSyntaxError(
-            f"expected a number, name, unary minus or '(', found {found!r}", tok.pos
-        )
-
-    def expect_close(self) -> None:
-        tok = self.peek()
-        if not self.at_op(")"):
-            found = tok.text if tok.kind != "end" else "end of input"
-            raise ExprSyntaxError(f"expected ')', found {found!r}", tok.pos)
-        self.advance()
+# Optional whitespace, then one token: a number, a name or an operator.  Any
+# other character falls to the last group and is refused at its own offset.
+_TOKEN = re.compile(
+    r"\s*(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[A-Za-z][A-Za-z0-9_]*|[-+*/^()])|(\S))"
+)
+_OPERATORS = ("+", "-", "*", "/", "^", "(", ")")
+_BINARY = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
 
 def parse_expr(text: str) -> ExprNode:
     """Parse an expression; raises ExprSyntaxError/ExprNameError on bad input."""
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(text).parse()
+    tokens = []  # (text, offset) pairs, every one read before the grammar runs
+    for m in _TOKEN.finditer(text):
+        if m[2]:
+            raise ExprSyntaxError(f"unexpected character {m[2]!r}", m.start(2))
+        tokens.append((m[1], m.start(1)))
+    tokens.append(("", len(text)))  # the end of input
+    k = 0
+
+    def take(*ops: str) -> str:
+        """Consume and return the next token if it is one of `ops`, else ""."""
+        nonlocal k
+        if tokens[k][0] in ops:
+            k += 1
+            return tokens[k - 1][0]
+        return ""
+
+    def expected(what: str) -> ExprSyntaxError:
+        tok, pos = tokens[k]
+        return ExprSyntaxError(f"expected {what}, found {tok or 'end of input'!r}", pos)
+
+    def sum_() -> ExprNode:
+        node = product()
+        while op := take("+", "-"):
+            node = Binary(_BINARY[op], node, product())
+        return node
+
+    def product() -> ExprNode:
+        node = unary()
+        while op := take("*", "/"):
+            node = Binary(_BINARY[op], node, unary())
+        return node
+
+    def unary() -> ExprNode:
+        if take("-"):
+            return Unary("neg", unary())
+        base = atom()
+        # the exponent goes through unary(), making ^ right associative and
+        # letting x^-2 parse without parentheses
+        return Binary("pow", base, unary()) if take("^") else base
+
+    def atom() -> ExprNode:
+        nonlocal k
+        tok, pos = tokens[k]
+        if take("("):
+            return closed(sum_())
+        if tok[:1].isalpha():  # a name: a variable, a constant or a call
+            k += 1
+            if not take("("):
+                return Const(CONSTANTS[tok]) if tok in CONSTANTS else Var(tok)
+            if tok not in FUNCTIONS:
+                raise ExprNameError(f"unknown function {tok!r} (offset {pos})")
+            return Call(tok, closed(sum_()))
+        if not tok or tok in _OPERATORS:
+            raise expected("a number, name, unary minus or '('")
+        k += 1  # what is left is a number
+        return Const(float(tok))
+
+    def closed(node: ExprNode) -> ExprNode:
+        if not take(")"):
+            raise expected("')'")
+        return node
+
+    node = sum_()
+    if tokens[k][0]:
+        raise expected("an operator or end of input")
+    return node
 
 
 _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}

@@ -263,10 +263,12 @@ class AcsValidation(Record):
 
 
 def validate_acs(jm: JetMatrix, tol: float = 1e-9) -> AcsValidation:
-    """Check ||J^2 + I||_max <= tol at the point."""
+    """Check ||J^2 + I||_max <= tol * max(1, ||J||_max)^2 at the point: the
+    rounding of J J grows with |J|^2, and J^2 = -I exactly for a conjugation."""
     r = jm.values @ jm.values + np.eye(jm.n)
     res = np.max(np.abs(r), axis=(-2, -1))
-    return AcsValidation(res <= tol, res)
+    j_max = np.maximum(1.0, np.max(np.abs(jm.values), axis=(-2, -1)))
+    return AcsValidation(res <= tol * (j_max * j_max), res)
 
 
 def contract_first(m: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -210,6 +210,14 @@ def _verdict(acs_ok, total, contraction, terms: dict, tol_identity: float):
     return np.where(acs_ok, verdict, VERDICT_INVALID_ACS)
 
 
+def _check_tolerances(tol_alg: float, tol_identity: float) -> None:
+    """A NaN, infinite or negative tolerance would give every point the same
+    verdict whatever its residuals, so it is refused (ValueError)."""
+    for name, tol in (("tol_alg", tol_alg), ("tol_identity", tol_identity)):
+        if not 0 <= tol < np.inf:
+            raise ValueError(f"{name} must be finite and non-negative, got {tol}")
+
+
 @np.errstate(all="ignore")  # a non-finite result is refused below
 def report_from_jets(
     j_jm: JetMatrix,
@@ -231,8 +239,10 @@ def report_from_jets(
     legitimate.  This is the one place where a negative zero becomes +0.0
     (``x + 0.0`` changes no other bit), so the kernels stay exact on
     Fractions.  Raises GeometryError if any field of the report is not
-    finite (an overflowing structure): NaN never gets a verdict.
+    finite (an overflowing structure): NaN never gets a verdict.  Raises
+    ValueError for a NaN, infinite or negative tolerance.
     """
+    _check_tolerances(tol_alg, tol_identity)
     acs = geometry.validate_acs(j_jm, tol_alg)
     n_std = nijenhuis.nijenhuis_standard(j_jm)
     if g_jm is None:

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from ._record import Record
-from .obstruction import identity_report
+from .obstruction import _check_tolerances, identity_report
 from .structures import StructureFile
 
 __all__ = ["CHUNK", "GridAxis", "GridSpec", "ScanSummary", "run_scan"]
@@ -131,6 +131,7 @@ def run_scan(
     flagged in the status column and the scan continues.
     """
     chart = structure.chart
+    _check_tolerances(tol_alg, tol_identity)  # before a chunk could flag every row with it
     if len(grid.axes) != chart.n:
         raise ValueError(f"grid has {len(grid.axes)} axes, chart has {chart.n}")
     row_format = _row_format(chart.n)

@@ -32,8 +32,11 @@ The set, built from the benchmark's inputs in `bench/run.py`:
   `0.5:2:3,-1:1:3`, and `check` of `2^x1` in both forms;
 - fields that overflow to non-finite entries at `x1 = 0.5`, one of each
   kind;
-- three refusals: the benchmark's overflow probe, `selftest --seed -1` and
-  `selftest --degree -1`.
+- `check` of `random_conjugation_acs(8, 3, ILL_FIELD_SEED)`, serialised to
+  OUT_DIR, at ILL_POINT: sample 8 of dimension 8 of the selftest above, a
+  valid conjugation whose max|J| is 2.38e4;
+- four refusals: the benchmark's overflow probe, `selftest --seed -1`,
+  `selftest --degree -1` and `check --point 0.1,,0.2,0.3,0.4`.
 
 Every invocation runs in this process through `acscheck.cli.main`, with
 OUT_DIR as the working directory.  Per invocation NAME the directory holds
@@ -68,6 +71,13 @@ STRUCTURES = {  # file name -> structure text
     "non-finite-conjugation.acs": "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = 1e300*x1*1e300\n",
     "non-finite-pullback.acs": "[chart]\ndim = 2\n[J]\nkind = pullback\n1 = 1e300*x1*x1*1e300\n",
 }
+
+
+ILL_FIELD_SEED = 1467295807674471777
+ILL_POINT = (
+    "0.80480963670686523,0.036042293462262509,0.47643494467726144,0.85689565664129874,"
+    "0.17347221800568668,0.39013736506786012,0.33555348186956413,0.11906631159965186"
+)
 
 
 def _bench():
@@ -130,9 +140,11 @@ def invocations(bench) -> list:
         out.append((name, ["scan", "square-exponent-explicit.acs", f"--grid={grid}", "--out", f"{name}.csv"]))
     for kind in ("explicit", "conjugation", "pullback"):
         out.append((f"check-non-finite-{kind}", ["check", f"non-finite-{kind}.acs", "--point", "0.5,0"]))
+    out.append(("check-ill-conditioned", ["check", "ill-conditioned.acs", "--point", ILL_POINT]))
     out.append(("probe-overflow", ["check", _structure(bench.PROBE_FILE), "--point", "800,0"]))
     out.append(("refuse-seed", ["selftest", "--dims", "2", "--samples", "1", "--seed", "-1"]))
     out.append(("refuse-degree", ["selftest", "--dims", "2", "--samples", "1", "--degree", "-1"]))
+    out.append(("refuse-empty-point-field", ["check", "gallery:shear4", "--point", "0.1,,0.2,0.3,0.4"]))
     return out
 
 
@@ -144,11 +156,15 @@ def main(argv=None) -> int:
     bench = _bench()  # also pins the BLAS threads to one, before numpy loads
     sys.path.insert(0, str(args.src.resolve()))
     from acscheck.cli import main as acscheck
+    from acscheck.geometry import ChartSpec, random_conjugation_acs
+    from acscheck.structures import StructureFile, serialize_structure
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     os.chdir(args.out_dir)
     for name, text in STRUCTURES.items():
         Path(name).write_text(text, encoding="utf-8")
+    ill = StructureFile(ChartSpec.default(8), random_conjugation_acs(8, 3, ILL_FIELD_SEED), None)
+    Path("ill-conditioned.acs").write_text(serialize_structure(ill), encoding="utf-8")
     lines = []
     for name, argv_ in invocations(bench):
         stdout, stderr = io.StringIO(), io.StringIO()

@@ -19,7 +19,7 @@ from acscheck.obstruction import (
     report_from_jets,
 )
 from acscheck.scan import GridSpec, run_scan
-from acscheck.structures import gallery, parse_structure, serialize_structure
+from acscheck.structures import StructureFile, gallery, parse_structure, serialize_structure
 
 IDENTITY_STRUCTURE = "[chart]\ndim = 2\n[J]\n1 1 = 1\n2 2 = 1\n"
 
@@ -208,6 +208,70 @@ def test_scan_real_ledger_anomaly_through_the_batch(tmp_path, monkeypatch):
     rep = report_from_jets(sf.j_field.eval(sf.chart, NEAR_ACS4_POINT), None, NEAR_ACS4_POINT, tol_alg=1.0)
     assert rep.verdict == rows[NEAR_ACS4_POINT][-1] == "ledger-anomaly"
     assert float(rows[NEAR_ACS4_POINT][2]) == rep.contraction
+
+
+def test_cli_check_near_acs_is_invalid_at_the_default_tolerance(tmp_path, capsys):
+    path = tmp_path / "near.acs"
+    path.write_text(NEAR_ACS4, encoding="utf-8")
+    code = main(["check", str(path), "--point", "0.3,0.7,0.1,0.9", "--json"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "invalid-acs"
+
+
+# selftest --dims 2,4,6,8 --samples 30 --degree 3 --seed 6, dim 8, sample 8:
+# max|J| is 2.38e4 and the frame's condition number 3.3e5
+ILL_FIELD_SEED = 1467295807674471777
+ILL_POINT = (
+    0.80480963670686523, 0.036042293462262509, 0.47643494467726144, 0.85689565664129874,
+    0.17347221800568668, 0.39013736506786012, 0.33555348186956413, 0.11906631159965186,
+)
+
+
+def test_j_squared_check_is_scaled_by_j_squared(tmp_path, capsys):
+    # a conjugation has J^2 = -I exactly: max|J^2 + I| = 7.2e-8 is rounding,
+    # 1.3e-16 of max|J|^2, where the unscaled check called it invalid-acs
+    field = random_conjugation_acs(8, 3, ILL_FIELD_SEED)
+    j_jm = field.eval(ChartSpec.default(8), ILL_POINT)
+    rep = report_from_jets(j_jm, None, ILL_POINT)
+    assert rep.j_squared_residual == 7.217787962561394e-08
+    j_max = np.max(np.abs(j_jm.values))
+    assert rep.j_squared_residual / j_max**2 < 1e-15
+    # the ledger row at this frame is a separate rounding question
+    assert rep.verdict == VERDICT_LEDGER_ANOMALY
+    path = tmp_path / "ill.acs"
+    path.write_text(serialize_structure(StructureFile(ChartSpec.default(8), field, None)), encoding="utf-8")
+    point = ",".join(repr(v) for v in ILL_POINT)
+    assert main(["check", str(path), "--point", point]) == 3
+    assert "verdict: ledger-anomaly\n" in capsys.readouterr().out
+    # selftest's acs row has the same scale: sample 8 of dim 8 passes it
+    report = selftest.run_selftest((8,), 9, 3, 6)
+    assert report.checks["acs validity (max |J^2+I| <= 1e-09)"] == [9, 9]
+    assert [line.split(" at ")[0] for line in report.failures] == [
+        "  failed: ledger total vs contraction (scaled <= 1e-09)"
+    ]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1e-9])
+@pytest.mark.parametrize("name", ["tol_alg", "tol_identity"])
+def test_library_refuses_a_bad_tolerance(name, bad, tmp_path):
+    # at this point a NaN tol_identity once gave consistent, 1e-9 ledger-anomaly
+    sf = parse_structure(NEAR_ACS4)
+    tols = {"tol_alg": 1.0, "tol_identity": 1e-9, name: bad}
+    message = rf"^{name} must be finite and non-negative, got {bad}$"
+    with pytest.raises(ValueError, match=message):
+        identity_report(sf.j_field, sf.metric, sf.chart, NEAR_ACS4_POINT, **tols)
+    out = tmp_path / "near.csv"
+    with pytest.raises(ValueError, match=message):
+        run_scan(sf, GridSpec.parse("0.3:0.3:1,0.7:0.7:1,0:0.1:2,0.8:0.9:2"), out, **tols)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["0.1,,0.2,0.3,0.4", "0.1,0.2,0.3,0.4,", ",0.1,0.2,0.3,0.4", ""])
+def test_point_refuses_an_empty_field(text, capsys):
+    assert main(["check", "gallery:shear4", f"--point={text}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"acscheck check: error: argument --point: invalid point value: {text!r}\n"
+    assert captured.out == ""
 
 
 def test_cli_operational_errors(tmp_path, capsys):

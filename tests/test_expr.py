@@ -82,6 +82,45 @@ def test_unknown_function():
         parse_expr("foo(x1)")
 
 
+_END = "expected a number, name, unary minus or '(', found"
+
+
+@pytest.mark.parametrize(
+    "text, error, message, offset",
+    [
+        ("x1 ? 2", ExprSyntaxError, "unexpected character '?'", 3),
+        ("x1 ² 2", ExprSyntaxError, "unexpected character '²'", 3),
+        ("x1 + * ?", ExprSyntaxError, "unexpected character '?'", 7),  # before any grammar error
+        ("x1 x2", ExprSyntaxError, "expected an operator or end of input, found 'x2'", 3),
+        ("1.5.2", ExprSyntaxError, "expected an operator or end of input, found '.2'", 3),
+        ("x1 )", ExprSyntaxError, "expected an operator or end of input, found ')'", 3),
+        ("x1 + * x2", ExprSyntaxError, f"{_END} '*'", 5),
+        ("+x1", ExprSyntaxError, f"{_END} '+'", 0),
+        ("x**2", ExprSyntaxError, f"{_END} '*'", 2),
+        ("x1^", ExprSyntaxError, f"{_END} 'end of input'", 3),
+        ("sqrt(", ExprSyntaxError, f"{_END} 'end of input'", 5),
+        ("(x1 + 2", ExprSyntaxError, "expected ')', found 'end of input'", 7),
+        ("(x1 + 2   ", ExprSyntaxError, "expected ')', found 'end of input'", 10),
+        ("(x1 x2)", ExprSyntaxError, "expected ')', found 'x2'", 4),
+        ("sin(x1", ExprSyntaxError, "expected ')', found 'end of input'", 6),
+        ("foo(x1)", ExprNameError, "unknown function 'foo' (offset 0)", None),
+        ("1 + bar (x1)", ExprNameError, "unknown function 'bar' (offset 4)", None),
+        ("", ExprSyntaxError, "empty expression", 0),
+        (" \t\n", ExprSyntaxError, "empty expression", 0),
+    ],
+)
+def test_parse_error_type_message_and_offset(text, error, message, offset):
+    with pytest.raises(error) as err:
+        parse_expr(text)
+    assert type(err.value) is error
+    if offset is None:
+        assert str(err.value) == message
+        assert not hasattr(err.value, "offset")
+    else:
+        assert str(err.value) == f"{message} (offset {offset})"
+        assert err.value.offset == offset
+
+
 def test_number_forms():
     assert parse_expr("1.5e-3") == Const(1.5e-3)
     assert parse_expr(".5") == Const(0.5)

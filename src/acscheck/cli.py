@@ -19,6 +19,7 @@ from .obstruction import (
     VERDICT_CONSISTENT,
     VERDICT_INVALID_ACS,
     VERDICT_LEDGER_ANOMALY,
+    _tolerance_fault,
     identity_report,
 )
 from .structures import (
@@ -80,8 +81,8 @@ def point(text: str) -> tuple[float, ...]:
 def tolerance(text: str) -> float:
     """--tol-alg, --tol-identity: a finite, non-negative number."""
     value = float(text)
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {value}")
+    if fault := _tolerance_fault(value):
+        raise argparse.ArgumentTypeError(fault)
     return value
 
 
@@ -110,12 +111,7 @@ def dims(text: str) -> tuple[int, ...]:
 def _cmd_check(args) -> int:
     sf = _load(args.structure)
     rep = identity_report(
-        sf.j_field,
-        sf.metric,
-        sf.chart,
-        args.point,
-        tol_alg=args.tol_alg,
-        tol_identity=args.tol_identity,
+        sf.j_field, sf.metric, sf.chart, args.point, tol_alg=args.tol_alg, tol_identity=args.tol_identity
     )
     if args.json:
         import json  # only --json needs it; a cold start skips its import
@@ -131,9 +127,7 @@ def _cmd_scan(args) -> int:
 
     sf = _load(args.structure)
     grid = GridSpec.parse(args.grid)
-    summary = run_scan(
-        sf, grid, args.out, tol_alg=args.tol_alg, tol_identity=args.tol_identity
-    )
+    summary = run_scan(sf, grid, args.out, tol_alg=args.tol_alg, tol_identity=args.tol_identity)
     sys.stdout.write(summary.render_text())
     return EXIT_OK
 

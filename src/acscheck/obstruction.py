@@ -210,12 +210,16 @@ def _verdict(acs_ok, total, contraction, terms: dict, tol_identity: float):
     return np.where(acs_ok, verdict, VERDICT_INVALID_ACS)
 
 
+def _tolerance_fault(tol: float) -> str | None:
+    """Why the library and the command line refuse `tol`, or None: a NaN,
+    infinite or negative tolerance gives every point one verdict."""
+    return None if 0 <= tol < np.inf else f"must be finite and non-negative, got {tol}"
+
+
 def _check_tolerances(tol_alg: float, tol_identity: float) -> None:
-    """A NaN, infinite or negative tolerance would give every point the same
-    verdict whatever its residuals, so it is refused (ValueError)."""
     for name, tol in (("tol_alg", tol_alg), ("tol_identity", tol_identity)):
-        if not 0 <= tol < np.inf:
-            raise ValueError(f"{name} must be finite and non-negative, got {tol}")
+        if fault := _tolerance_fault(tol):
+            raise ValueError(f"{name} {fault}")
 
 
 @np.errstate(all="ignore")  # a non-finite result is refused below

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from acscheck import cli, nijenhuis, scan, selftest
 from acscheck.cli import build_parser, main
-from acscheck.geometry import ChartSpec, random_conjugation_acs
+from acscheck.geometry import ChartSpec, JetMatrix, random_conjugation_acs, validate_acs
 from acscheck.obstruction import (
     VERDICT_CONSISTENT,
     VERDICT_INVALID_ACS,
@@ -229,13 +229,14 @@ ILL_POINT = (
 
 def test_j_squared_check_is_scaled_by_j_squared(tmp_path, capsys):
     # a conjugation has J^2 = -I exactly: max|J^2 + I| = 7.2e-8 is rounding,
-    # 1.3e-16 of max|J|^2, where the unscaled check called it invalid-acs
+    # at most 1.9e-16 of each entry's bound |J| |J|, where the unscaled check
+    # called it invalid-acs
     field = random_conjugation_acs(8, 3, ILL_FIELD_SEED)
     j_jm = field.eval(ChartSpec.default(8), ILL_POINT)
     rep = report_from_jets(j_jm, None, ILL_POINT)
     assert rep.j_squared_residual == 7.217787962561394e-08
-    j_max = np.max(np.abs(j_jm.values))
-    assert rep.j_squared_residual / j_max**2 < 1e-15
+    a = np.abs(j_jm.values)
+    assert np.max(np.abs(j_jm.values @ j_jm.values + np.eye(8)) / (a @ a)) < 1e-15
     # the ledger row at this frame is a separate rounding question
     assert rep.verdict == VERDICT_LEDGER_ANOMALY
     path = tmp_path / "ill.acs"
@@ -249,6 +250,20 @@ def test_j_squared_check_is_scaled_by_j_squared(tmp_path, capsys):
     assert [line.split(" at ")[0] for line in report.failures] == [
         "  failed: ledger total vs contraction (scaled <= 1e-09)"
     ]
+
+
+def test_j_squared_check_scales_each_entry_by_its_own_bound(tmp_path, capsys):
+    # J^2 = -2I exactly: each entry of J J is one product of O(1), so its
+    # rounding is u, not u max|J|^2 = 1e10 u; a max-scaled check passed it
+    path = tmp_path / "aniso.acs"
+    path.write_text("[chart]\ndim = 2\n[J]\n1 2 = -1e5\n2 1 = 2e-5\n", encoding="utf-8")
+    assert main(["check", str(path), "--point", "0.1,0.2", "--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "invalid-acs" and payload["j_squared_residual"] == 1.0
+    # the check is entry by entry: 0.5 of this entry's bound |J| |J| = 2 fails
+    # at the default tolerance and passes at 0.5
+    j_jm = JetMatrix(np.array([[0.0, -1e5], [2e-5, 0.0]]), np.zeros((2, 2, 2)))
+    assert not validate_acs(j_jm).ok and validate_acs(j_jm, 0.5).ok
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1e-9])

@@ -97,6 +97,9 @@ _TOKEN = re.compile(
 )
 _OPERATORS = ("+", "-", "*", "/", "^", "(", ")")
 _BINARY = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+# Python stops at 1,000 frames; kept to 4 * _MAX_DEPTH: the parser takes up to four per
+# parenthesis, call, unary minus or power around a token (its `depth`), a walker one per tree level.
+_MAX_DEPTH = 200
 
 
 def parse_expr(text: str) -> ExprNode:
@@ -110,6 +113,7 @@ def parse_expr(text: str) -> ExprNode:
         tokens.append((m[1], m.start(1)))
     tokens.append(("", len(text)))  # the end of input
     k = 0
+    height = {}  # id of each operator node built -> levels of its tree; a leaf has none
 
     def take(*ops: str) -> str:
         """Consume and return the next token if it is one of `ops`, else ""."""
@@ -123,38 +127,46 @@ def parse_expr(text: str) -> ExprNode:
         tok, pos = tokens[k]
         return ExprSyntaxError(f"expected {what}, found {tok or 'end of input'!r}", pos)
 
-    def sum_() -> ExprNode:
-        node = product()
+    def level(node: ExprNode) -> ExprNode:
+        h = height[id(node)] = 1 + max(height.get(id(getattr(node, f)), 0) for f in node._fields[1:])
+        if h > 4 * _MAX_DEPTH:  # refused at the token after the node
+            raise ExprSyntaxError("expression nested too deeply", tokens[k][1])
+        return node
+
+    def sum_(depth: int) -> ExprNode:
+        node = product(depth)
         while op := take("+", "-"):
-            node = Binary(_BINARY[op], node, product())
+            node = level(Binary(_BINARY[op], node, product(depth)))
         return node
 
-    def product() -> ExprNode:
-        node = unary()
+    def product(depth: int) -> ExprNode:
+        node = unary(depth)
         while op := take("*", "/"):
-            node = Binary(_BINARY[op], node, unary())
+            node = level(Binary(_BINARY[op], node, unary(depth)))
         return node
 
-    def unary() -> ExprNode:
+    def unary(depth: int) -> ExprNode:
+        if depth > _MAX_DEPTH:  # refused at the token that opened this level
+            raise ExprSyntaxError("expression nested too deeply", tokens[k - 1][1])
         if take("-"):
-            return Unary("neg", unary())
-        base = atom()
+            return level(Unary("neg", unary(depth + 1)))
+        base = atom(depth)
         # the exponent goes through unary(), making ^ right associative and
         # letting x^-2 parse without parentheses
-        return Binary("pow", base, unary()) if take("^") else base
+        return level(Binary("pow", base, unary(depth + 1))) if take("^") else base
 
-    def atom() -> ExprNode:
+    def atom(depth: int) -> ExprNode:
         nonlocal k
         tok, pos = tokens[k]
         if take("("):
-            return closed(sum_())
+            return closed(sum_(depth + 1))
         if tok[:1].isalpha():  # a name: a variable, a constant or a call
             k += 1
             if not take("("):
                 return Const(CONSTANTS[tok]) if tok in CONSTANTS else Var(tok)
             if tok not in FUNCTIONS:
                 raise ExprNameError(f"unknown function {tok!r} (offset {pos})")
-            return Call(tok, closed(sum_()))
+            return level(Call(tok, closed(sum_(depth + 1))))
         if not tok or tok in _OPERATORS:
             raise expected("a number, name, unary minus or '('")
         k += 1  # what is left is a number
@@ -165,7 +177,7 @@ def parse_expr(text: str) -> ExprNode:
             raise expected("')'")
         return node
 
-    node = sum_()
+    node = sum_(0)
     if tokens[k][0]:
         raise expected("an operator or end of input")
     return node

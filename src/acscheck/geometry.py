@@ -242,17 +242,13 @@ class MetricField(Record):
 
     @_quiet
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
-        return _metric_jets(*_eval_table(self.entries, chart, point, upper=True)[:2])
-
-
-def _metric_jets(values: np.ndarray, partials: np.ndarray) -> JetMatrix:
-    """Metric jets, refused unless finite and positive definite."""
-    _require_finite(values, partials)
-    try:
-        np.linalg.cholesky(values)
-    except np.linalg.LinAlgError as exc:
-        raise MetricError("metric is not positive definite at the point") from exc
-    return JetMatrix(values, partials)
+        values, partials = _eval_table(self.entries, chart, point, upper=True)[:2]
+        _require_finite(values, partials)
+        try:
+            np.linalg.cholesky(values)
+        except np.linalg.LinAlgError as exc:
+            raise MetricError("metric is not positive definite at the point") from exc
+        return JetMatrix(values, partials)
 
 
 class AcsValidation(Record):

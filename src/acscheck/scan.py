@@ -14,7 +14,7 @@ from ._record import Record
 from .obstruction import _check_tolerances, identity_report
 from .structures import StructureFile
 
-__all__ = ["CHUNK", "GridAxis", "GridSpec", "ScanSummary", "run_scan"]
+__all__ = ["CHUNK", "GridSpec", "ScanSummary", "run_scan"]
 
 # Points per batch.  A 1,000-point scan of pullback4 (2-core x86-64, numpy
 # 2.4) ran as fast in 128-point chunks as in one 1,000-point chunk; peak RSS
@@ -24,48 +24,39 @@ CHUNK = 128
 NUMERIC_COLUMNS = ("n_max_abs", "obstruction", "contraction", "identity_residual_contraction")
 
 
-class GridAxis(Record):
-    lo: float
-    hi: float
-    count: int
+class GridSpec(Record):
+    """Per-axis ``(lo, hi, count)`` ranges; enumeration is row major (last axis fastest)."""
+
+    axes: tuple[tuple[float, float, int], ...]
 
     def __post_init__(self):
-        if not math.isfinite(self.hi - self.lo):  # also a NaN or infinite bound
-            raise ValueError(f"grid axis bounds and their span must be finite, got {self.lo}:{self.hi}")
-        if self.count < 1:
-            raise ValueError("grid axis count must be >= 1")
-        if self.lo > self.hi:
-            raise ValueError("grid axis needs lo <= hi")
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.count)
-
-
-class GridSpec(Record):
-    """Per-axis ranges; enumeration is row major (last axis fastest)."""
-
-    axes: tuple[GridAxis, ...]
+        for lo, hi, count in self.axes:
+            if not math.isfinite(hi - lo):  # also a NaN or infinite bound
+                raise ValueError(f"grid axis bounds and their span must be finite, got {lo}:{hi}")
+            if count < 1:
+                raise ValueError("grid axis count must be >= 1")
+            if lo > hi:
+                raise ValueError("grid axis needs lo <= hi")
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":
-        axes = []
+        grid = cls(())
         for part in text.split(","):
             try:
                 lo, hi, count = part.split(":")
-                lo, hi, count = float(lo), float(hi), int(count)
+                axis = (float(lo), float(hi), int(count))
             except ValueError:
                 raise ValueError(f"bad grid axis {part!r}, expected lo:hi:count") from None
-            axes.append(GridAxis(lo, hi, count))
-        return cls(tuple(axes))
-
-    def total(self) -> int:
-        out = 1
-        for ax in self.axes:
-            out *= ax.count
-        return out
+            grid = cls(grid.axes + (axis,))  # each axis is checked before the next is read
+        return grid
 
     def points(self):
-        return itertools.product(*(ax.values() for ax in self.axes))
+        try:
+            values = [np.linspace(lo, hi, count) for lo, hi, count in self.axes]
+        except (MemoryError, ValueError, IndexError):  # numpy cannot build an axis this long
+            counts = " x ".join(str(count) for _, _, count in self.axes)
+            raise ValueError(f"grid {counts} is too large to allocate") from None
+        return itertools.product(*values)
 
 
 class ScanSummary(Record):

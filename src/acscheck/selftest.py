@@ -136,7 +136,7 @@ def _spd_metrics(streams: Streams, points) -> JetMatrix:
             except np.linalg.LinAlgError:
                 left.append(b)
         if not (todo := left):
-            return geometry._metric_jets(values, partials)
+            return JetMatrix(values, partials)
     raise RuntimeError("failed to draw an SPD metric")
 
 

@@ -36,10 +36,16 @@ The set, built from the benchmark's inputs in `bench/run.py`:
   OUT_DIR, at ILL_POINT: sample 8 of dimension 8 of the selftest above, a
   valid conjugation whose max|J| is 2.38e4;
 - four refusals: the benchmark's overflow probe, `selftest --seed -1`,
-  `selftest --degree -1` and `check --point 0.1,,0.2,0.3,0.4`.
+  `selftest --degree -1` and `check --point 0.1,,0.2,0.3,0.4`;
+- five more refusals: `check` of entries nested past the parser's limits
+  (NESTED: 400 parentheses, 1,200 minus signs, 985 minus signs before
+  `x1`, and a sum of 1,000 terms), and a scan whose axis of 10**17 points
+  no 64-bit address space can hold.
 
 Every invocation runs in this process through `acscheck.cli.main`, with
-OUT_DIR as the working directory.  Per invocation NAME the directory holds
+OUT_DIR as the working directory; an exception that escapes `main` is
+recorded as a process would end: exit 1 and a traceback's first and last
+lines on stderr.  Per invocation NAME the directory holds
 NAME.out (stdout), NAME.err (stderr, when there is any) and NAME.csv for a
 scan; `invocations.txt` lists each name, its arguments and its exit code.
 Not collected by pytest; about 4 s on a 2-vCPU x86-64 host.
@@ -54,6 +60,7 @@ import io
 import os
 import random
 import sys
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +77,12 @@ STRUCTURES = {  # file name -> structure text
     "non-finite-explicit.acs": "[chart]\ndim = 2\n[J]\n1 2 = -1e300*x1*1e300\n",
     "non-finite-conjugation.acs": "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = 1e300*x1*1e300\n",
     "non-finite-pullback.acs": "[chart]\ndim = 2\n[J]\nkind = pullback\n1 = 1e300*x1*x1*1e300\n",
+}
+NESTED = {  # name -> an entry nested too deeply for the parser or the AST walkers
+    "parentheses": "-" + "(" * 400 + "1" + ")" * 400,
+    "minuses": "-" * 1200 + "1",
+    "minuses-x1": "-" * 985 + "x1",
+    "sum": "+".join(["1"] * 1000),
 }
 
 
@@ -145,6 +158,10 @@ def invocations(bench) -> list:
     out.append(("refuse-seed", ["selftest", "--dims", "2", "--samples", "1", "--seed", "-1"]))
     out.append(("refuse-degree", ["selftest", "--dims", "2", "--samples", "1", "--degree", "-1"]))
     out.append(("refuse-empty-point-field", ["check", "gallery:shear4", "--point", "0.1,,0.2,0.3,0.4"]))
+    for name in NESTED:
+        out.append((f"refuse-nested-{name}", ["check", f"nested-{name}.acs", "--point", "0,0"]))
+    huge = ["gallery:pullback4", f"--grid=0:1:{10**17},0:0:1,0:0:1,0:0:1", "--out", "refuse-huge-grid.csv"]
+    out.append(("refuse-huge-grid", ["scan", *huge]))
     return out
 
 
@@ -163,13 +180,19 @@ def main(argv=None) -> int:
     os.chdir(args.out_dir)
     for name, text in STRUCTURES.items():
         Path(name).write_text(text, encoding="utf-8")
+    for name, entry in NESTED.items():
+        Path(f"nested-{name}.acs").write_text(f"[chart]\ndim = 2\n[J]\n1 2 = {entry}\n", encoding="utf-8")
     ill = StructureFile(ChartSpec.default(8), random_conjugation_acs(8, 3, ILL_FIELD_SEED), None)
     Path("ill-conditioned.acs").write_text(serialize_structure(ill), encoding="utf-8")
     lines = []
     for name, argv_ in invocations(bench):
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = acscheck(argv_)
+            try:
+                code = acscheck(argv_)
+            except Exception as exc:  # what a process would print, and its exit code
+                stderr.write("Traceback (most recent call last):\n" + "".join(traceback.format_exception_only(exc)))
+                code = 1
         Path(f"{name}.out").write_text(stdout.getvalue(), encoding="utf-8")
         if stderr.getvalue():
             Path(f"{name}.err").write_text(stderr.getvalue(), encoding="utf-8")

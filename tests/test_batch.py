@@ -104,7 +104,7 @@ def test_failing_point_flags_only_its_row(tmp_path, monkeypatch, text, grid, bad
     monkeypatch.setattr(scan, "identity_report", spy)
     sf = parse_structure(text)
     summary, rows = _scan(tmp_path, sf, grid)
-    k = GridSpec.parse(grid).total()
+    k = len(list(GridSpec.parse(grid).points()))
     assert summary.rows == len(rows) == k < CHUNK
     # one report of the chunk and, if that raises, one report of each point
     assert calls == ([k] if bad is None else [k] + [1] * k)
@@ -174,7 +174,7 @@ def test_each_scan_row_is_its_own_check(tmp_path, capsys, text, grid):
     assert main(["scan", str(path), f"--grid={grid}", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     rows = list(csv.reader(out.open()))[1:]
-    assert len(rows) == GridSpec.parse(grid).total()
+    assert len(rows) == len(list(GridSpec.parse(grid).points()))
     for row in rows:
         code = main(["check", str(path), f"--point={row[0]},{row[1]}", "--json"])
         captured = capsys.readouterr()

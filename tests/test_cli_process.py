@@ -62,3 +62,34 @@ def test_process_gives_the_code_and_stdout_of_main(argv, code, tmp_path, capsys)
         [sys.executable, "-m", "acscheck.cli", *argv], env=env, capture_output=True, text=True
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err)
+
+
+_J = "[chart]\ndim = 2\n[J]\n1 2 = {}\n"
+
+
+# Entries nested past the parser's limit (refused at the token that opens the
+# 201st level) and a grid axis too long to allocate, whose 10**17 doubles no
+# 64-bit address space can hold, end in one line and exit 1, not a traceback.
+@pytest.mark.parametrize(
+    "text, argv, err",
+    [
+        (_J.format("-" + "(" * 400 + "1" + ")" * 400), ["check", "{s}", "--point=0,0"],
+         "line 4: bad expression: expression nested too deeply (offset 200)"),
+        (_J.format("-" * 1200 + "1"), ["check", "{s}", "--point=0,0"],
+         "line 4: bad expression: expression nested too deeply (offset 200)"),
+        (_J.format("-" * 985 + "x1"), ["check", "{s}", "--point=0,0"],
+         "line 4: bad expression: expression nested too deeply (offset 200)"),
+        ("", ["scan", "gallery:pullback4", f"--grid=0:1:{10**17},0:0:1,0:0:1,0:0:1", "--out", "{csv}"],
+         f"grid {10**17} x 1 x 1 x 1 is too large to allocate"),
+    ],
+    ids=["parentheses", "minuses", "minuses-x1", "huge-grid"],
+)
+def test_refusal_is_one_line_without_traceback(text, argv, err, tmp_path):
+    structure, out = tmp_path / "s.acs", tmp_path / "scan.csv"
+    structure.write_text(text, encoding="utf-8")
+    argv = [a.format(s=structure, csv=out) for a in argv]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "acscheck.cli", *argv], env=env, capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"acscheck: error: {err}\n")
+    assert not out.exists()

@@ -26,14 +26,19 @@ IDENTITY_STRUCTURE = "[chart]\ndim = 2\n[J]\n1 1 = 1\n2 2 = 1\n"
 
 def test_grid_parse_and_total():
     grid = GridSpec.parse("0:1:3,-1:1:2")
-    assert grid.total() == 6
-    assert [ax.count for ax in grid.axes] == [3, 2]
+    assert grid.axes == ((0.0, 1.0, 3), (-1.0, 1.0, 2))
+    assert len(list(grid.points())) == 6
     with pytest.raises(ValueError):
         GridSpec.parse("0:1")
     with pytest.raises(ValueError):
         GridSpec.parse("1:0:3")
     with pytest.raises(ValueError):
         GridSpec.parse("0:1:0")
+    # each axis is checked before the next is read, so the first fault wins
+    with pytest.raises(ValueError, match="lo <= hi"):
+        GridSpec.parse("1:0:3,0:1")
+    with pytest.raises(ValueError, match="expected lo:hi:count"):
+        GridSpec.parse("0:1,1:0:3")
 
 
 @pytest.mark.parametrize("axis", ["nan:1:2", "-inf:1:2", "0:inf:2", "inf:inf:1", "nan:nan:1", "-1e308:1e308:3"])
@@ -43,6 +48,18 @@ def test_grid_refuses_a_non_finite_bound_or_span(axis, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert re.fullmatch(r"acscheck: error: grid axis bounds and their span must be finite, got \S+:\S+\n", err)
+    assert not out.exists()
+
+
+# Each count is refused before any memory is taken: 10**17 doubles are 711 PiB,
+# past any 64-bit address space (MemoryError), 2**62 of them overflow numpy's
+# byte count (ValueError) and 2**63 overflows its index (IndexError).
+@pytest.mark.parametrize("count", [10**17, 2**62, 2**63])
+def test_grid_too_large_to_allocate_is_one_line(count, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    code = main(["scan", "gallery:pullback4", f"--grid=0:1:{count},0:0:1,0:0:1,0:0:1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr() == ("", f"acscheck: error: grid {count} x 1 x 1 x 1 is too large to allocate\n")
     assert not out.exists()
 
 
@@ -92,7 +109,7 @@ def test_scan_argmax_reverifies(tmp_path):
     out = tmp_path / "scan.csv"
     grid = GridSpec.parse("-1:1:3,-1:1:2,-1:1:2,-1:1:2")
     summary = run_scan(sf, grid, out)
-    assert summary.rows == grid.total()
+    assert summary.rows == len(list(grid.points()))
     rep = identity_report(sf.j_field, sf.metric, sf.chart, summary.argmax_point)
     assert abs(abs(rep.obstruction) - summary.max_abs_obstruction) <= 1e-12
 

@@ -242,3 +242,54 @@ def test_bind_and_eval_overflow_names_subexpression():
         bind_and_eval(parse_expr("1 + exp(x1)"), ("x1",), (800.0,))
     with pytest.raises(ExprDomainError, match="power overflow"):
         bind_and_eval(parse_expr("x1^200"), ("x1",), (100.0,))
+
+
+# Nesting is refused before the parser or an AST walker could reach Python's
+# recursion limit: past 200 parentheses, calls, unary minuses and powers around
+# a token (at the token that opens the 201st), or a tree more than 800 levels
+# deep (at the token after the node that passes 800).
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("-" + "(" * 400 + "1" + ")" * 400, 200),  # the 200th parenthesis
+        ("-" * 1200 + "1", 200),
+        ("-" * 985 + "x1", 200),
+        ("(" * 201 + "x1" + ")" * 201, 200),
+        ("sin(" * 201 + "x1" + ")" * 201, 4 * 201 - 1),  # the 201st call's parenthesis
+        ("x1^" * 201 + "x1", 3 * 201 - 1),  # the 201st ^
+        ("+".join(["x1"] * 803), 3 * 802 - 1),  # the 802nd +, after the sum of 802 terms
+        ("-(" + "*".join(["x1"] * 801) + ")", 2 + 3 * 801),  # the end, after a minus over 800 levels
+    ],
+    ids=["parentheses", "minuses", "minuses-x1", "parentheses-x1", "calls", "powers", "sum", "minus-product"],
+)
+def test_nesting_past_the_limit_is_refused(text, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text)
+    assert str(err.value) == f"expression nested too deeply (offset {offset})"
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 199 + "-x1" + ")" * 199,  # 200 levels around x1
+        "sin(" * 199 + "-x1" + ")" * 199,
+        "x1^" * 199 + "-x1",
+        "+".join(["x1"] * 801),  # a tree of 800 levels
+        "sin(" * 199 + "+".join(["x1"] * 601) + ")" * 199,  # 199 + 600 levels
+    ],
+    ids=["parentheses", "calls", "powers", "sum", "calls-sum"],
+)
+def test_nesting_at_the_limit_parses_and_every_walker_runs(text):
+    ast = parse_expr(text)
+    source = to_source(ast)
+    assert to_source(parse_expr(source)) == source  # `==` on such a tree would recurse twice as deep
+    assert free_variables(ast) == {"x1"}
+    jet = bind_and_eval(ast, ("x1",), (0.5,))
+    assert np.isfinite(jet.value) and np.isfinite(jet.grad).all()
+
+
+def test_a_domain_error_at_the_limit_names_its_subexpression():
+    ast = parse_expr("log(" + "+".join(["x1"] * 800) + ")")  # 800 levels
+    with pytest.raises(ExprDomainError, match=r"log of non-positive value in 'log\(x1 \+ x1"):
+        bind_and_eval(ast, ("x1",), (-0.5,))

@@ -2,7 +2,7 @@
 
 Callers and the README rely on construction by position or keyword,
 immutability, equality by exact type and field values, a matching hash, the
-dataclass repr text and the field checks of ChartSpec and GridAxis.
+dataclass repr text and the field checks of ChartSpec and GridSpec.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ from acscheck._record import Record
 from acscheck.expr import Binary, Const, Var
 from acscheck.geometry import ChartSpec, ConjugationField, ExplicitField, JetMatrix
 from acscheck.obstruction import ObstructionReport
-from acscheck.scan import GridAxis
+from acscheck.scan import GridSpec
 from acscheck.structures import StructureFile, gallery, parse_structure
 
 TABLE = ((Const(0.0), Const(-1.0)), (Const(1.0), Const(0.0)))
@@ -109,7 +109,7 @@ def test_post_init_checks_run_on_every_construction(keywords):
     with pytest.raises(ValueError, match="reserved, or not a name"):
         build(ChartSpec, 2, ("pi", "y"))
     with pytest.raises(ValueError, match="count must be >= 1"):
-        build(GridAxis, 0.0, 1.0, 0)
+        build(GridSpec, ((0.0, 1.0, 2), (0.0, 1.0, 0)))
     with pytest.raises(ValueError, match="lo <= hi"):
-        build(GridAxis, 1.0, 0.0, 3)
+        build(GridSpec, ((1.0, 0.0, 3),))
     assert build(ChartSpec, 2, ("u", "v")).var_names == ("u", "v")

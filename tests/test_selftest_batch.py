@@ -123,6 +123,7 @@ def test_array_metric_jets_equal_tree_evaluation(rng, batch, dim):
     points = rng.uniform(0.0, 1.0, (batch, dim))
     streams = Streams([[dim, b] for b in range(batch)])
     g = selftest._spd_metrics(streams, points)
+    np.linalg.cholesky(g.values)  # every returned metric is positive definite
     for b, point in enumerate(points):
         s = np.random.default_rng([dim, b])
         one = oracle.random_spd_metric_ast(s, chart, point).eval(chart, point)

@@ -5,6 +5,9 @@ associative); atoms.  Atoms are decimal numbers with an optional exponent
 part, variables, the constants ``pi`` and ``e``, function calls, and
 parenthesised expressions.  Functions: sin, cos, exp, log, sqrt, tanh.
 
+An AST is a nested tuple: ``("const", value)``, ``("var", name)``, or
+``(op, *operands)`` with `op` a :func:`jets.jet_apply` operation name
+(``neg``, ``add``, ``sub``, ``mul``, ``div``, ``pow`` or a function name).
 ASTs are immutable and compare structurally; ``to_source`` renders an AST
 back to text that re-parses to an identical tree.
 """
@@ -13,19 +16,12 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Union
 
 import numpy as np
 
 from . import jets
-from ._record import Record
 
 __all__ = [
-    "Const",
-    "Var",
-    "Unary",
-    "Binary",
-    "Call",
     "ExprNode",
     "ExprError",
     "ExprSyntaxError",
@@ -63,31 +59,7 @@ class ExprDomainError(ExprError):
     """Numeric domain failure, annotated with the offending subexpression."""
 
 
-class Const(Record):
-    value: float
-
-
-class Var(Record):
-    name: str
-
-
-class Unary(Record):
-    op: str  # "neg"
-    operand: "ExprNode"
-
-
-class Binary(Record):
-    op: str  # "add" | "sub" | "mul" | "div" | "pow"
-    left: "ExprNode"
-    right: "ExprNode"
-
-
-class Call(Record):
-    func: str
-    arg: "ExprNode"
-
-
-ExprNode = Union[Const, Var, Unary, Binary, Call]
+ExprNode = tuple  # ("const", value), ("var", name) or (op, *operands)
 
 
 # Optional whitespace, then one token: a number, a name or an operator.  Any
@@ -128,7 +100,7 @@ def parse_expr(text: str) -> ExprNode:
         return ExprSyntaxError(f"expected {what}, found {tok or 'end of input'!r}", pos)
 
     def level(node: ExprNode) -> ExprNode:
-        h = height[id(node)] = 1 + max(height.get(id(getattr(node, f)), 0) for f in node._fields[1:])
+        h = height[id(node)] = 1 + max(height.get(id(child), 0) for child in node[1:])
         if h > 4 * _MAX_DEPTH:  # refused at the token after the node
             raise ExprSyntaxError("expression nested too deeply", tokens[k][1])
         return node
@@ -136,24 +108,24 @@ def parse_expr(text: str) -> ExprNode:
     def sum_(depth: int) -> ExprNode:
         node = product(depth)
         while op := take("+", "-"):
-            node = level(Binary(_BINARY[op], node, product(depth)))
+            node = level((_BINARY[op], node, product(depth)))
         return node
 
     def product(depth: int) -> ExprNode:
         node = unary(depth)
         while op := take("*", "/"):
-            node = level(Binary(_BINARY[op], node, unary(depth)))
+            node = level((_BINARY[op], node, unary(depth)))
         return node
 
     def unary(depth: int) -> ExprNode:
         if depth > _MAX_DEPTH:  # refused at the token that opened this level
             raise ExprSyntaxError("expression nested too deeply", tokens[k - 1][1])
         if take("-"):
-            return level(Unary("neg", unary(depth + 1)))
+            return level(("neg", unary(depth + 1)))
         base = atom(depth)
         # the exponent goes through unary(), making ^ right associative and
         # letting x^-2 parse without parentheses
-        return level(Binary("pow", base, unary(depth + 1))) if take("^") else base
+        return level(("pow", base, unary(depth + 1))) if take("^") else base
 
     def atom(depth: int) -> ExprNode:
         nonlocal k
@@ -163,14 +135,14 @@ def parse_expr(text: str) -> ExprNode:
         if tok[:1].isalpha():  # a name: a variable, a constant or a call
             k += 1
             if not take("("):
-                return Const(CONSTANTS[tok]) if tok in CONSTANTS else Var(tok)
+                return ("const", CONSTANTS[tok]) if tok in CONSTANTS else ("var", tok)
             if tok not in FUNCTIONS:
                 raise ExprNameError(f"unknown function {tok!r} (offset {pos})")
-            return level(Call(tok, closed(sum_(depth + 1))))
+            return level((tok, closed(sum_(depth + 1))))
         if not tok or tok in _OPERATORS:
             raise expected("a number, name, unary minus or '('")
         k += 1  # what is left is a number
-        return Const(float(tok))
+        return ("const", float(tok))
 
     def closed(node: ExprNode) -> ExprNode:
         if not take(")"):
@@ -183,8 +155,7 @@ def parse_expr(text: str) -> ExprNode:
     return node
 
 
-_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
-_SYM = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}
+_INFIX = {"add": (" + ", 1), "sub": (" - ", 1), "mul": ("*", 2), "div": ("/", 2)}  # symbol, precedence
 
 
 def to_source(node: ExprNode) -> str:
@@ -193,37 +164,31 @@ def to_source(node: ExprNode) -> str:
 
 
 def _render(node: ExprNode, context: int) -> str:
-    if isinstance(node, Const):
-        s, prec = repr(float(node.value)), 5
-    elif isinstance(node, Var):
-        s, prec = node.name, 5
-    elif isinstance(node, Call):
-        s, prec = f"{node.func}({_render(node.arg, 0)})", 5
-    elif isinstance(node, Unary):
-        s, prec = "-" + _render(node.operand, 3), 3
-    elif isinstance(node, Binary):
-        prec = _PREC[node.op]
-        if node.op == "pow":
-            s = _render(node.left, 5) + "^" + _render(node.right, 3)
-        else:
-            s = _render(node.left, prec) + _SYM[node.op] + _render(node.right, prec + 1)
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
+    op = node[0]
+    if op == "const":
+        s, prec = repr(float(node[1])), 5
+    elif op == "var":
+        s, prec = node[1], 5
+    elif op == "neg":
+        s, prec = "-" + _render(node[1], 3), 3
+    elif op == "pow":
+        s, prec = _render(node[1], 5) + "^" + _render(node[2], 3), 4
+    elif op in _INFIX:
+        sym, prec = _INFIX[op]
+        s = _render(node[1], prec) + sym + _render(node[2], prec + 1)
+    else:  # a function call
+        s, prec = f"{op}({_render(node[1], 0)})", 5
     if prec < context:
         s = "(" + s + ")"
     return s
 
 
 def free_variables(node: ExprNode) -> set[str]:
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Unary):
-        return free_variables(node.operand)
-    if isinstance(node, Binary):
-        return free_variables(node.left) | free_variables(node.right)
-    if isinstance(node, Call):
-        return free_variables(node.arg)
-    return set()
+    if node[0] == "var":
+        return {node[1]}
+    if node[0] == "const":
+        return set()
+    return set().union(*map(free_variables, node[1:]))  # map, unlike a comprehension, adds no frame
 
 
 @np.errstate(all="ignore")  # overflow shows as a domain error or a non-finite entry
@@ -247,24 +212,19 @@ def bind_and_eval(node: ExprNode, chart, point, order: int = 1) -> jets.Jet:
 
 def _eval(node: ExprNode, index: dict, pts: np.ndarray, order: int, seeds: dict):
     """A jet, or a float where the subtree holds no variable."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        i = index.get(node.name)
+    op = node[0]
+    if op == "const":
+        return node[1]
+    if op == "var":
+        i = index.get(node[1])
         if i is None:
-            raise ExprNameError(f"unbound variable {node.name!r}")
+            raise ExprNameError(f"unbound variable {node[1]!r}")
         if i not in seeds:
             seeds[i] = jets.seed_variable(i, pts[..., i], pts.shape[-1], order)
         return seeds[i]
-    if isinstance(node, Unary):
-        return jets.jet_apply(node.op, [_eval(node.operand, index, pts, order, seeds)])
-    if isinstance(node, Binary):
-        op = node.op
-        values = [_eval(node.left, index, pts, order, seeds), _eval(node.right, index, pts, order, seeds)]
-    elif isinstance(node, Call):
-        op, values = node.func, [_eval(node.arg, index, pts, order, seeds)]
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
+    values = []
+    for child in node[1:]:  # a loop, not a comprehension: one frame per tree level
+        values.append(_eval(child, index, pts, order, seeds))
     try:
         return jets.jet_apply(op, values)
     except jets.JetDomainError as exc:

@@ -66,7 +66,7 @@ class ChartSpec(Record):
             raise ValueError("dimension must be even and positive")
         for name in self.var_names:
             try:
-                ok = expr.parse_expr(name) == expr.Var(name)
+                ok = expr.parse_expr(name) == ("var", name)
             except expr.ExprError:
                 ok = False
             if not ok:  # a constant such as pi would shadow the variable
@@ -357,13 +357,13 @@ def _polynomial_ast(expo, coeffs, names) -> expr.ExprNode:
     ((|c| x_a^k) x_b^l)... in variable order, negated where c < 0."""
     node = None
     for e, c in zip(expo, coeffs):
-        term: expr.ExprNode = expr.Const(abs(float(c)))
+        term: expr.ExprNode = ("const", abs(float(c)))
         for name, k in zip(names, e):
             if k:
-                factor = expr.Var(name) if k == 1 else expr.Binary("pow", expr.Var(name), expr.Const(float(k)))
-                term = expr.Binary("mul", term, factor)
-        term = expr.Unary("neg", term) if c < 0 else term
-        node = term if node is None else expr.Binary("add", node, term)
+                factor = ("var", name) if k == 1 else ("pow", ("var", name), ("const", float(k)))
+                term = ("mul", term, factor)
+        term = ("neg", term) if c < 0 else term
+        node = term if node is None else ("add", node, term)
     return node
 
 
@@ -424,6 +424,6 @@ def random_conjugation_acs(dim: int, degree: int, seed: int) -> ConjugationField
     rows = []
     for i in range(dim):
         row = [_polynomial_ast(expo, coeffs[i, j], names) for j in range(dim)]
-        row[i] = expr.Binary("add", expr.Const(1.0), row[i])
+        row[i] = ("add", ("const", 1.0), row[i])
         rows.append(tuple(row))
     return ConjugationField(tuple(rows))

@@ -51,12 +51,16 @@ class GridSpec(Record):
         return grid
 
     def points(self):
+        """The points in order as tuples of floats; the axes are built, or refused, first."""
+        counts = tuple(count for _, _, count in self.axes)
         try:
             values = [np.linspace(lo, hi, count) for lo, hi, count in self.axes]
-        except (MemoryError, ValueError, IndexError):  # numpy cannot build an axis this long
-            counts = " x ".join(str(count) for _, _, count in self.axes)
-            raise ValueError(f"grid {counts} is too large to allocate") from None
-        return itertools.product(*values)
+            np.unravel_index(0, counts)  # numpy cannot index more than 2^63 - 1 points
+        except (MemoryError, ValueError, IndexError):  # numpy cannot build or index a grid this large
+            raise ValueError(f"grid {' x '.join(map(str, counts))} is too large to allocate") from None
+        total = math.prod(counts)  # enumerated CHUNK flat indices at a time, with no copy of an axis
+        blocks = (np.unravel_index(np.arange(k, min(k + CHUNK, total)), counts) for k in range(0, total, CHUNK))
+        return (point for index in blocks for point in zip(*(axis[i].tolist() for axis, i in zip(values, index))))
 
 
 class ScanSummary(Record):
@@ -146,5 +150,5 @@ def run_scan(
                 handle.write(row_format % (point + row))
                 if best is None or abs(row[1]) > best:
                     best = abs(row[1])
-                    best_point = tuple(float(v) for v in point)
+                    best_point = point
     return ScanSummary(rows, flagged, best, best_point, str(out_path))

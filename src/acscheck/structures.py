@@ -130,8 +130,8 @@ def _default_entry(kind: str, chart: ChartSpec, index: tuple[int, ...]) -> expr.
     component is its own coordinate; a frame or metric diagonal is 1; the
     rest is 0."""
     if kind == "pullback":
-        return expr.Var(chart.var_names[index[0]])
-    return expr.Const(1.0 if kind in ("conjugation", "metric") and index[0] == index[1] else 0.0)
+        return ("var", chart.var_names[index[0]])
+    return ("const", 1.0 if kind in ("conjugation", "metric") and index[0] == index[1] else 0.0)
 
 
 def _indices(kind: str, n: int) -> list[tuple[int, ...]]:

@@ -40,7 +40,10 @@ The set, built from the benchmark's inputs in `bench/run.py`:
 - five more refusals: `check` of entries nested past the parser's limits
   (NESTED: 400 parentheses, 1,200 minus signs, 985 minus signs before
   `x1`, and a sum of 1,000 terms), and a scan whose axis of 10**17 points
-  no 64-bit address space can hold.
+  no 64-bit address space can hold;
+- `check` at the origin of MIRRORED, written to OUT_DIR: a 2-D structure
+  whose `[metric]` gives `1 2` and `2 1` as the same entry, a sum 790
+  levels deep, so that parsing compares two trees of that height.
 
 Every invocation runs in this process through `acscheck.cli.main`, with
 OUT_DIR as the working directory; an exception that escapes `main` is
@@ -78,6 +81,8 @@ STRUCTURES = {  # file name -> structure text
     "non-finite-conjugation.acs": "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = 1e300*x1*1e300\n",
     "non-finite-pullback.acs": "[chart]\ndim = 2\n[J]\nkind = pullback\n1 = 1e300*x1*x1*1e300\n",
 }
+DEEP_SUM = "+".join(["x1"] * 791)  # a tree of 790 levels
+MIRRORED = f"[chart]\ndim = 2\n[J]\n1 2 = -1\n2 1 = 1\n[metric]\n1 2 = {DEEP_SUM}\n2 1 = {DEEP_SUM}\n"
 NESTED = {  # name -> an entry nested too deeply for the parser or the AST walkers
     "parentheses": "-" + "(" * 400 + "1" + ")" * 400,
     "minuses": "-" * 1200 + "1",
@@ -162,6 +167,7 @@ def invocations(bench) -> list:
         out.append((f"refuse-nested-{name}", ["check", f"nested-{name}.acs", "--point", "0,0"]))
     huge = ["gallery:pullback4", f"--grid=0:1:{10**17},0:0:1,0:0:1,0:0:1", "--out", "refuse-huge-grid.csv"]
     out.append(("refuse-huge-grid", ["scan", *huge]))
+    out.append(("check-mirrored-deep-metric", ["check", "mirrored-deep-metric.acs", "--point", "0,0"]))
     return out
 
 
@@ -182,6 +188,7 @@ def main(argv=None) -> int:
         Path(name).write_text(text, encoding="utf-8")
     for name, entry in NESTED.items():
         Path(f"nested-{name}.acs").write_text(f"[chart]\ndim = 2\n[J]\n1 2 = {entry}\n", encoding="utf-8")
+    Path("mirrored-deep-metric.acs").write_text(MIRRORED, encoding="utf-8")
     ill = StructureFile(ChartSpec.default(8), random_conjugation_acs(8, 3, ILL_FIELD_SEED), None)
     Path("ill-conditioned.acs").write_text(serialize_structure(ill), encoding="utf-8")
     lines = []

@@ -58,28 +58,27 @@ _FUNCS = {
 
 def eval_value(node, env: dict) -> float:
     """Plain float evaluation of an expression AST."""
-    if isinstance(node, expr_mod.Const):
-        return float(node.value)
-    if isinstance(node, expr_mod.Var):
-        return float(env[node.name])
-    if isinstance(node, expr_mod.Unary):
-        return -eval_value(node.operand, env)
-    if isinstance(node, expr_mod.Binary):
-        a = eval_value(node.left, env)
-        b = eval_value(node.right, env)
-        if node.op == "add":
+    op = node[0]
+    if op == "const":
+        return float(node[1])
+    if op == "var":
+        return float(env[node[1]])
+    if op == "neg":
+        return -eval_value(node[1], env)
+    if op in ("add", "sub", "mul", "div", "pow"):
+        a = eval_value(node[1], env)
+        b = eval_value(node[2], env)
+        if op == "add":
             return a + b
-        if node.op == "sub":
+        if op == "sub":
             return a - b
-        if node.op == "mul":
+        if op == "mul":
             return a * b
-        if node.op == "div":
+        if op == "div":
             return a / b
-        if node.op == "pow":
-            return a**b
-        raise ValueError(node.op)
-    if isinstance(node, expr_mod.Call):
-        return _FUNCS[node.func](eval_value(node.arg, env))
+        return a**b
+    if op in _FUNCS:
+        return _FUNCS[op](eval_value(node[1], env))
     raise TypeError(node)
 
 
@@ -380,13 +379,11 @@ def transform_metric(change: geometry.NormalChange, g: geometry.JetMatrix) -> ge
 
 def _calls(node) -> bool:
     """Whether an expression AST calls a function (sin, exp, sqrt, ...)."""
-    if isinstance(node, expr_mod.Call):
+    if node[0] in expr_mod.FUNCTIONS:
         return True
-    if isinstance(node, expr_mod.Unary):
-        return _calls(node.operand)
-    if isinstance(node, expr_mod.Binary):
-        return _calls(node.left) or _calls(node.right)
-    return False
+    if node[0] in ("const", "var"):
+        return False
+    return any(_calls(child) for child in node[1:])
 
 
 def exact_jets(sf, point) -> geometry.JetMatrix:
@@ -450,16 +447,16 @@ def exact_jets(sf, point) -> geometry.JetMatrix:
 
 
 def _coefficient_term(c: float, expo: tuple[int, ...], names) -> expr.ExprNode:
-    node: expr.ExprNode = expr.Const(abs(c))
+    node: expr.ExprNode = ("const", abs(c))
     for name, k in zip(names, expo):
         if k == 0:
             continue
-        factor: expr.ExprNode = expr.Var(name)
+        factor: expr.ExprNode = ("var", name)
         if k > 1:
-            factor = expr.Binary("pow", factor, expr.Const(float(k)))
-        node = expr.Binary("mul", node, factor)
+            factor = ("pow", factor, ("const", float(k)))
+        node = ("mul", node, factor)
     if c < 0:
-        node = expr.Unary("neg", node)
+        node = ("neg", node)
     return node
 
 
@@ -485,10 +482,10 @@ def random_conjugation_acs_ast(dim: int, degree: int, seed: int) -> ConjugationF
             for expo in monos:
                 c = float(rng.uniform(-0.3, 0.3))
                 term = _coefficient_term(c, expo, names)
-                poly = term if poly is None else expr.Binary("add", poly, term)
+                poly = term if poly is None else ("add", poly, term)
             assert poly is not None
             if i == j:
-                poly = expr.Binary("add", expr.Const(1.0), poly)
+                poly = ("add", ("const", 1.0), poly)
             row.append(poly)
         rows.append(tuple(row))
     return ConjugationField(tuple(rows))
@@ -507,13 +504,13 @@ def random_spd_metric_ast(rng: np.random.Generator, chart: ChartSpec, point) -> 
             row = []
             for j in range(n):
                 const = (1.0 if i == j else 0.0) + sym[i, j]
-                node: expr.ExprNode = expr.Const(const)
+                node: expr.ExprNode = ("const", const)
                 for k in range(n):
                     c = float(lin[k, min(i, j), max(i, j)])
-                    term = expr.Binary("mul", expr.Const(abs(c)), expr.Var(names[k]))
+                    term = ("mul", ("const", abs(c)), ("var", names[k]))
                     if c < 0:
-                        term = expr.Unary("neg", term)
-                    node = expr.Binary("add", node, term)
+                        term = ("neg", term)
+                    node = ("add", node, term)
                 row.append(node)
             rows.append(tuple(row))
         field = MetricField(tuple(rows))

@@ -39,16 +39,17 @@ def coordinates(chart) -> tuple[sympy.Symbol, ...]:
 
 def to_sympy(node, xs) -> sympy.Expr:
     """Exact sympy expression of an AST over the chart symbols `xs`."""
-    if isinstance(node, expr_mod.Const):
-        return sympy.Rational(node.value)
-    if isinstance(node, expr_mod.Var):
-        return next(x for x in xs if x.name == node.name)
-    if isinstance(node, expr_mod.Unary):
-        return -to_sympy(node.operand, xs)
-    if isinstance(node, expr_mod.Binary):
-        return _BINARY[node.op](to_sympy(node.left, xs), to_sympy(node.right, xs))
-    if isinstance(node, expr_mod.Call):
-        return getattr(sympy, node.func)(to_sympy(node.arg, xs))
+    op = node[0]
+    if op == "const":
+        return sympy.Rational(node[1])
+    if op == "var":
+        return next(x for x in xs if x.name == node[1])
+    if op == "neg":
+        return -to_sympy(node[1], xs)
+    if op in _BINARY:
+        return _BINARY[op](to_sympy(node[1], xs), to_sympy(node[2], xs))
+    if op in expr_mod.FUNCTIONS:
+        return getattr(sympy, op)(to_sympy(node[1], xs))
     raise TypeError(node)
 
 

@@ -68,8 +68,9 @@ _J = "[chart]\ndim = 2\n[J]\n1 2 = {}\n"
 
 
 # Entries nested past the parser's limit (refused at the token that opens the
-# 201st level) and a grid axis too long to allocate, whose 10**17 doubles no
-# 64-bit address space can hold, end in one line and exit 1, not a traceback.
+# 201st level), a grid axis too long to allocate, whose 10**17 doubles no
+# 64-bit address space can hold, and a grid of 10**20 points, past the 2**63 - 1
+# that numpy can index, end in one line and exit 1, not a traceback.
 @pytest.mark.parametrize(
     "text, argv, err",
     [
@@ -81,8 +82,10 @@ _J = "[chart]\ndim = 2\n[J]\n1 2 = {}\n"
          "line 4: bad expression: expression nested too deeply (offset 200)"),
         ("", ["scan", "gallery:pullback4", f"--grid=0:1:{10**17},0:0:1,0:0:1,0:0:1", "--out", "{csv}"],
          f"grid {10**17} x 1 x 1 x 1 is too large to allocate"),
+        ("", ["scan", "gallery:pullback4", "--grid=" + ",".join(["0:1:100000"] * 4), "--out", "{csv}"],
+         "grid 100000 x 100000 x 100000 x 100000 is too large to allocate"),
     ],
-    ids=["parentheses", "minuses", "minuses-x1", "huge-grid"],
+    ids=["parentheses", "minuses", "minuses-x1", "huge-grid", "unindexable-grid"],
 )
 def test_refusal_is_one_line_without_traceback(text, argv, err, tmp_path):
     structure, out = tmp_path / "s.acs", tmp_path / "scan.csv"
@@ -93,3 +96,15 @@ def test_refusal_is_one_line_without_traceback(text, argv, err, tmp_path):
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"acscheck: error: {err}\n")
     assert not out.exists()
+
+
+def test_a_mirrored_metric_entry_790_levels_deep_is_checked(tmp_path):
+    deep = "+".join(["x1"] * 791)  # a tree of 790 levels, given as both (1,2) and (2,1)
+    structure = tmp_path / "s.acs"
+    structure.write_text(_J.format("-1") + f"2 1 = 1\n[metric]\n1 2 = {deep}\n2 1 = {deep}\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    argv = ["check", str(structure), "--point=0,0"]
+    proc = subprocess.run([sys.executable, "-m", "acscheck.cli", *argv], env=env, capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("point: (0, 0)\nverdict: consistent\n")

@@ -1,7 +1,9 @@
 import csv
 import io
+import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +79,26 @@ def test_grid_row_major_order():
     assert pts[0] == (0.0, 0.0)
     assert pts[1] == (0.0, 1.0)  # last axis varies fastest
     assert pts[3] == (1.0, 0.0)
+
+
+def test_grid_points_are_the_product_of_the_axes_as_floats():
+    grid = GridSpec.parse("0:1:10,-1:1:10,-3:2.7:10,0.1:0.3:10")  # 10**4 points, many chunks
+    axes = [np.linspace(lo, hi, count) for lo, hi, count in grid.axes]
+    points = list(grid.points())
+    assert all(type(v) is float for point in points for v in point)
+    assert np.array(points).tobytes() == np.array(list(itertools.product(*axes))).tobytes()
+
+
+def test_grid_points_start_without_copying_an_axis():
+    grid = GridSpec.parse("0:1:1000000,0:0:1,0:0:1,0:0:1")
+    tracemalloc.start()
+    try:
+        first = next(grid.points())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == (0.0, 0.0, 0.0, 0.0)
+    assert peak <= 12e6  # the first axis alone is 8e6 bytes
 
 
 def test_scan_constant_structure(tmp_path):

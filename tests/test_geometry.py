@@ -3,7 +3,6 @@ import pytest
 
 import oracle
 from acscheck import parse_expr
-from acscheck.expr import Const
 from acscheck.geometry import (
     ChartSpec,
     ConjugationField,
@@ -63,7 +62,7 @@ def test_standard_block_squares_to_minus_identity():
 def test_explicit_constant_field():
     chart = ChartSpec.default(2)
     field = ExplicitField(
-        ((Const(0.0), Const(-1.0)), (Const(1.0), Const(0.0)))
+        ((("const", 0.0), ("const", -1.0)), (("const", 1.0), ("const", 0.0)))
     )
     jm = field.eval(chart, (0.3, -0.8))
     assert np.array_equal(jm.values, [[0.0, -1.0], [1.0, 0.0]])
@@ -85,7 +84,7 @@ def test_expblock4_values_and_partials_at_origin():
 def test_identity_conjugation_reproduces_base():
     chart = ChartSpec.default(4)
     frame = tuple(
-        tuple(Const(1.0 if i == j else 0.0) for j in range(4)) for i in range(4)
+        tuple(("const", 1.0 if i == j else 0.0) for j in range(4)) for i in range(4)
     )
     field = ConjugationField(frame)
     jm = field.eval(chart, (0.2, 0.4, -0.1, 0.9))
@@ -107,7 +106,7 @@ def test_shear4_matches_hand_formula():
 def test_singular_frame_raises():
     chart = ChartSpec.default(2)
     # A = diag(1 + x1, 1) is singular at x1 = -1
-    frame = ((parse_expr("1 + x1"), Const(0.0)), (Const(0.0), Const(1.0)))
+    frame = ((parse_expr("1 + x1"), ("const", 0.0)), (("const", 0.0), ("const", 1.0)))
     field = ConjugationField(frame)
     with pytest.raises(SingularFrameError):
         field.eval(chart, (-1.0, 0.0))

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from test_cli_scan import NEAR_ACS4, NEAR_ACS4_POINT
 from acscheck.cli import main
-from acscheck.expr import Binary, Call, Const, Unary, Var, to_source
+from acscheck.expr import to_source
 from acscheck.structures import parse_structure, serialize_structure
 
 _VARS = ("x1", "x2", "x3", "x4")
@@ -31,17 +31,15 @@ _VARS = ("x1", "x2", "x3", "x4")
 
 def _exprs():
     leaves = st.one_of(
-        st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0)).map(Const),
-        st.sampled_from(_VARS).map(Var),
+        st.tuples(st.just("const"), st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0))),
+        st.tuples(st.just("var"), st.sampled_from(_VARS)),
     )
 
     def extend(children):
         return st.one_of(
-            st.tuples(st.sampled_from(("add", "sub", "mul", "div", "pow")), children, children).map(
-                lambda t: Binary(*t)
-            ),
-            children.map(lambda c: Unary("neg", c)),
-            st.tuples(st.sampled_from(("exp", "log", "sqrt")), children).map(lambda t: Call(*t)),
+            st.tuples(st.sampled_from(("add", "sub", "mul", "div", "pow")), children, children),
+            st.tuples(st.just("neg"), children),
+            st.tuples(st.sampled_from(("exp", "log", "sqrt")), children),
         )
 
     return st.recursive(leaves, extend, max_leaves=5).map(to_source)

@@ -9,18 +9,33 @@ import numpy as np
 import pytest
 
 from acscheck._record import Record
-from acscheck.expr import Binary, Const, Var
 from acscheck.geometry import ChartSpec, ConjugationField, ExplicitField, JetMatrix
 from acscheck.obstruction import ObstructionReport
 from acscheck.scan import GridSpec
 from acscheck.structures import StructureFile, gallery, parse_structure
 
-TABLE = ((Const(0.0), Const(-1.0)), (Const(1.0), Const(0.0)))
+TABLE = ((("const", 0.0), ("const", -1.0)), (("const", 1.0), ("const", 0.0)))
 
 
 class Pair(Record):
     left: int
     right: int = 7
+
+
+# Example records shaped like small expression nodes (the package's own
+# expression trees are plain tuples).
+class Const(Record):
+    value: float
+
+
+class Var(Record):
+    name: str
+
+
+class Binary(Record):
+    op: str
+    left: Record
+    right: Record
 
 
 def test_fields_are_the_annotations_in_order():
@@ -92,10 +107,10 @@ def test_repr_is_the_dataclass_text():
     text = "[chart]\ndim = 2\nname = tiny\n[J]\n1 2 = -1\n2 1 = 1\n[metric]\n1 1 = exp(x1)\n"
     assert repr(parse_structure(text)) == (
         "StructureFile(chart=ChartSpec(n=2, var_names=('x1', 'x2')), "
-        "j_field=ExplicitField(entries=((Const(value=0.0), Unary(op='neg', operand=Const(value=1.0))), "
-        "(Const(value=1.0), Const(value=0.0)))), "
-        "metric=MetricField(entries=((Call(func='exp', arg=Var(name='x1')), Const(value=0.0)), "
-        "(Const(value=0.0), Const(value=1.0)))), name='tiny', description='')"
+        "j_field=ExplicitField(entries=((('const', 0.0), ('neg', ('const', 1.0))), "
+        "(('const', 1.0), ('const', 0.0)))), "
+        "metric=MetricField(entries=((('exp', ('var', 'x1')), ('const', 0.0)), "
+        "(('const', 0.0), ('const', 1.0)))), name='tiny', description='')"
     )
 
 

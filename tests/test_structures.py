@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from acscheck.expr import Const, Var
 from acscheck.geometry import ConjugationField, MetricField, PullbackField
 from acscheck.structures import (
     StructureError,
@@ -185,15 +184,15 @@ def test_pullback_kind_parses():
     text = "[chart]\ndim = 4\n[J]\nkind = pullback\n2 = x2 + x1^2\n4 = x4 + x1*x3\n"
     sf = parse_structure(text)
     assert isinstance(sf.j_field, PullbackField)
-    assert sf.j_field.components[0] == Var("x1")
+    assert sf.j_field.components[0] == ("var", "x1")
 
 
 def test_conjugation_kind_parses_with_identity_default():
     text = "[chart]\ndim = 4\n[J]\nkind = conjugation\n1 3 = x1\n"
     sf = parse_structure(text)
     assert isinstance(sf.j_field, ConjugationField)
-    assert sf.j_field.frame[0][0] == Const(1.0)
-    assert sf.j_field.frame[0][2] == Var("x1")
+    assert sf.j_field.frame[0][0] == ("const", 1.0)
+    assert sf.j_field.frame[0][2] == ("var", "x1")
 
 
 def test_round_trip_gallery_structures():
@@ -220,9 +219,20 @@ def test_round_trip_file_with_metric(tmp_path):
     assert cycled == sf
 
 
+def test_structures_holding_an_entry_at_the_nesting_limit_compare_hash_and_print():
+    deep = "+".join(["x1"] * 801)  # a tree of 800 levels, the parser's limit
+    text = f"[chart]\ndim = 2\n[J]\n1 2 = -1\n2 1 = 1\n[metric]\n1 2 = {deep}\n"
+    sf = parse_structure(text)
+    assert parse_structure(text) == sf
+    assert parse_structure(text.replace("= x1+", "= x2+")) != sf  # differs at the deepest leaf
+    assert hash(parse_structure(text)) == hash(sf)
+    assert repr(sf).count("('var', 'x1')") == 2 * 801  # the entry and its mirror
+    assert parse_structure(serialize_structure(sf)) == sf
+
+
 def test_serialize_refuses_a_field_that_is_not_a_j_kind():
     sf = gallery("expblock4")
-    metric = MetricField(((Const(1.0), Const(0.0)), (Const(0.0), Const(1.0))))
+    metric = MetricField(((("const", 1.0), ("const", 0.0)), (("const", 0.0), ("const", 1.0))))
     with pytest.raises(StructureError, match="^cannot serialise a J field of type MetricField$"):
         serialize_structure(StructureFile(sf.chart, metric, sf.metric, sf.name, sf.description))
 

@@ -27,8 +27,8 @@ _EXPORTS = {
         ("jets", "Jet JetDomainError constant jet_apply seed_variable"),
         ("nijenhuis", "big_n contraction_scalar double_trace j_swap_residual nijenhuis_reduced"
                       " nijenhuis_standard"),
-        ("obstruction", "ObstructionReport TermLedger identity_report obstruction_scalar report_from_jets"
-                        " term_ledger"),
+        ("obstruction", "ObstructionReport cancellation_residuals identity_report obstruction_scalar"
+                        " report_from_jets term_ledger"),
         ("scan", "GridSpec ScanSummary run_scan"),
         ("selftest", "SelfTestReport run_selftest"),
         ("structures", "StructureError StructureFile gallery gallery_names load_structure parse_structure"

@@ -3,8 +3,6 @@ once (README, "How points are evaluated")."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 _BLOCK = 1 << 14  # draws computed at once, over all rows: bounds the temporaries
@@ -74,9 +72,7 @@ class Streams:
     def __init__(self, entropies):
         words = []
         for e in entropies:
-            if e is None:  # fresh entropy, as numpy takes it
-                e = int.from_bytes(os.urandom(16), "little")
-            elif not isinstance(e, (int, np.integer, list, tuple, range, np.ndarray)):
+            if not isinstance(e, (int, np.integer, list, tuple, range, np.ndarray)):
                 raise TypeError(f"SeedSequence expects int or sequence of ints for entropy not {e}")
             words.append(_words(e))
         seeds = np.empty((4, len(words)), np.uint64)

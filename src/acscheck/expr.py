@@ -202,7 +202,7 @@ def bind_and_eval(node: ExprNode, chart, point, order: int = 1) -> jets.Jet:
     names = list(getattr(chart, "var_names", chart))
     pts = np.asarray(point, dtype=float)
     if pts.shape[-1:] != (len(names),):
-        raise ValueError(f"point has {pts.shape[-1]} coordinates, chart has {len(names)}")
+        raise ValueError(f"point has {(pts.shape or (0,))[-1]} coordinates, chart has {len(names)}")
     index = {name: i for i, name in enumerate(names)}
     out = _eval(node, index, pts, order, {})
     if isinstance(out, jets.Jet):

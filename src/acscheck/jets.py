@@ -24,12 +24,6 @@ __all__ = [
     "seed_variable",
     "jet_apply",
     "power",
-    "sin",
-    "cos",
-    "exp",
-    "log",
-    "sqrt",
-    "tanh",
 ]
 
 
@@ -39,60 +33,13 @@ class JetDomainError(ValueError):
 
 class Jet:
     """Values, gradients and optional Hessians over a batch of points; for a
-    single point the value is a float.  Operations return new jets."""
+    single point the value is a float.  A jet has no arithmetic of its own:
+    :func:`jet_apply` applies an operation by name and returns a new jet."""
 
     __slots__ = ("value", "grad", "hess")
 
     def __init__(self, value, grad: np.ndarray, hess: Optional[np.ndarray] = None):
         self.value, self.grad, self.hess = value, grad, hess
-
-    def __neg__(self) -> "Jet":
-        return Jet(-self.value, -self.grad, None if self.hess is None else -self.hess)
-
-    def __add__(self, other) -> "Jet":
-        if not isinstance(other, Jet):
-            return Jet(self.value + _float(other), self.grad, self.hess)
-        if (self.hess is None) != (other.hess is None):
-            raise TypeError("cannot mix jets of different orders")
-        hess = None if self.hess is None else self.hess + other.hess
-        return Jet(self.value + other.value, self.grad + other.grad, hess)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Jet":
-        return self + (-other)  # x - y is x + (-y) in IEEE arithmetic, bit for bit
-
-    def __rsub__(self, other) -> "Jet":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Jet":
-        if not isinstance(other, Jet):
-            c = _float(other)
-            return Jet(self.value * c, c * self.grad, None if self.hess is None else c * self.hess)
-        if (self.hess is None) != (other.hess is None):
-            raise TypeError("cannot mix jets of different orders")
-        u, w = _along(self.value, 1), _along(other.value, 1)
-        hess = None
-        if self.hess is not None:
-            # outer(p, q) + outer(q, p) keeps the Hessian exactly symmetric
-            hess = (
-                _along(self.value, 2) * other.hess
-                + _along(other.value, 2) * self.hess
-                + _outer(self.grad, other.grad)
-                + _outer(other.grad, self.grad)
-            )
-        return Jet(self.value * other.value, u * other.grad + w * self.grad, hess)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Jet":
-        return self * _chain(other, _reciprocal)
-
-    def __rtruediv__(self, other) -> "Jet":
-        return _chain(self, _reciprocal) * _float(other)
-
-    def __pow__(self, other) -> "Jet":
-        return power(self, other)
 
 
 Operand = Union[Jet, float]
@@ -111,6 +58,52 @@ def _along(x, axes: int):
 
 def _outer(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return p[..., :, None] * q[..., None, :]
+
+
+def _neg(u: Operand) -> Operand:
+    if not isinstance(u, Jet):
+        return -_float(u)
+    return Jet(-u.value, -u.grad, None if u.hess is None else -u.hess)
+
+
+def _same_order(a: Jet, b: Jet) -> None:
+    if (a.hess is None) != (b.hess is None):
+        raise TypeError("cannot mix jets of different orders")
+
+
+# _add and _mul move a float operand second: IEEE + and * commute bit for bit.
+def _add(a: Operand, b: Operand) -> Operand:
+    if not isinstance(a, Jet):
+        if not isinstance(b, Jet):
+            return a + b
+        a, b = b, a
+    if not isinstance(b, Jet):
+        return Jet(a.value + _float(b), a.grad, a.hess)
+    _same_order(a, b)
+    hess = None if a.hess is None else a.hess + b.hess
+    return Jet(a.value + b.value, a.grad + b.grad, hess)
+
+
+def _mul(a: Operand, b: Operand) -> Operand:
+    if not isinstance(a, Jet):
+        if not isinstance(b, Jet):
+            return a * b
+        a, b = b, a
+    if not isinstance(b, Jet):
+        c = _float(b)
+        return Jet(a.value * c, c * a.grad, None if a.hess is None else c * a.hess)
+    _same_order(a, b)
+    u, w = _along(a.value, 1), _along(b.value, 1)
+    hess = None
+    if a.hess is not None:
+        # outer(p, q) + outer(q, p) keeps the Hessian exactly symmetric
+        hess = (
+            _along(a.value, 2) * b.hess
+            + _along(b.value, 2) * a.hess
+            + _outer(a.grad, b.grad)
+            + _outer(b.grad, a.grad)
+        )
+    return Jet(a.value * b.value, u * b.grad + w * a.grad, hess)
 
 
 def constant(value, n: int, order: int = 1) -> Jet:
@@ -137,7 +130,7 @@ def _chain(u: Operand, kernel) -> Operand:
     """A smooth unary function of `u`: `kernel(v)` returns its value and
     first two derivatives at one point, in float arithmetic."""
     shape = np.shape(u.value) if isinstance(u, Jet) else ()
-    values = np.ravel(u.value).tolist() if isinstance(u, Jet) else [u]
+    values = np.ravel(u.value).tolist() if isinstance(u, Jet) else [_float(u)]
     try:
         rows = list(map(kernel, values))
     except (OverflowError, ZeroDivisionError):  # float arithmetic's overflow
@@ -206,7 +199,7 @@ def power(base: Operand, exponent: Operand) -> Operand:
         return _chain(base, _power_kernel(_float(exponent)))
     if np.any((base.value if isinstance(base, Jet) else _float(base)) <= 0.0):
         raise JetDomainError("variable exponent requires positive base")
-    return exp(exponent * log(base))
+    return _chain(_mul(exponent, _chain(base, _log)), _exp)
 
 
 def _sin(v):
@@ -243,36 +236,23 @@ def _tanh(v):
     return t, sech2, -2.0 * t * sech2
 
 
-def _unary(kernel):
-    def apply(u: Operand) -> Operand:
-        return _chain(u, kernel)
-
-    apply.__name__ = apply.__qualname__ = kernel.__name__[1:]
-    apply.__doc__ = f"{apply.__name__} of a jet, or of a float."
-    return apply
-
-
-sin, cos, exp, log, sqrt, tanh = map(_unary, (_sin, _cos, _exp, _log, _sqrt, _tanh))
-
-_UNARY = {"neg": lambda u: -u, **{f.__name__: f for f in (sin, cos, exp, log, sqrt, tanh)}}
-
-_BINARY = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a * _chain(b, _reciprocal),
-    "pow": power,
+# name -> (arity, function) of every operation jet_apply knows
+_OPS = {
+    "neg": (1, _neg),
+    "add": (2, _add),
+    "sub": (2, lambda a, b: _add(a, _neg(b))),  # x - y is x + (-y) in IEEE arithmetic, bit for bit
+    "mul": (2, _mul),
+    "div": (2, lambda a, b: _mul(a, _chain(b, _reciprocal))),
+    "pow": (2, power),
+    **{k.__name__[1:]: (1, lambda u, k=k: _chain(u, k)) for k in (_sin, _cos, _exp, _log, _sqrt, _tanh)},
 }
 
 
 def jet_apply(op: str, args: Sequence[Operand]) -> Operand:
     """Apply a named operation to jets or floats, checking arity."""
-    if op in _UNARY:
-        if len(args) != 1:
-            raise ValueError(f"{op} expects 1 argument, got {len(args)}")
-        return _UNARY[op](args[0])
-    if op in _BINARY:
-        if len(args) != 2:
-            raise ValueError(f"{op} expects 2 arguments, got {len(args)}")
-        return _BINARY[op](args[0], args[1])
-    raise ValueError(f"unknown jet operation {op!r}")
+    if op not in _OPS:
+        raise ValueError(f"unknown jet operation {op!r}")
+    arity, fn = _OPS[op]
+    if len(args) != arity:
+        raise ValueError(f"{op} expects {arity} argument{'s' * (arity > 1)}, got {len(args)}")
+    return fn(*args)

@@ -31,10 +31,10 @@ __all__ = [
     "VERDICT_CONSISTENT",
     "VERDICT_LEDGER_ANOMALY",
     "VERDICT_INVALID_ACS",
-    "TermLedger",
     "ObstructionReport",
     "obstruction_scalar",
     "term_ledger",
+    "cancellation_residuals",
     "report_from_jets",
     "identity_report",
 ]
@@ -87,8 +87,10 @@ def obstruction_scalar(jm: JetMatrix):
     return -nijenhuis.product_sum("jik,ijk", grad_jjt, d)
 
 
-class TermLedger(Record):
-    """Named scalars of the expanded product N^r_ik N^s_ri J^k_s (arrays over a batch).
+def term_ledger(jm: JetMatrix) -> dict:
+    """The ledger of the expanded product N^r_ik N^s_ri J^k_s: a dict of
+    scalars (arrays over a batch) in the report's JSON order, the sixteen
+    terms of TERM_NAMES, then ``first_quadratic`` and ``total``.
 
     The expansion writes the contraction as a product of two four-term
     factors and distributes; the sixteen products are grouped into four
@@ -96,21 +98,6 @@ class TermLedger(Record):
     ``first_quadratic`` is the separate remainder term
     -J_t^k J_p^i J_p^j d_i J^l_k d_j J^t_l whose vanishing the reduction to
     the obstruction scalar depends on.
-    """
-
-    terms: dict[str, float]
-    first_quadratic: float
-    total: float
-
-    def cancellation_residuals(self) -> dict[str, float]:
-        t = self.terms
-        values = [abs(t[a] + t[b]) for _, a, b in CANCELLATION_PAIRS]
-        values += [abs(t["III1"] - t["III3"]), abs(self.first_quadratic)]
-        return dict(zip(CANCELLATION_LABELS, values, strict=True))
-
-
-def term_ledger(jm: JetMatrix) -> TermLedger:
-    """Evaluate the sixteen expansion terms of the contraction.
 
     Same coordinate requirements and value types as :func:`obstruction_scalar`.
     Notation in the per-term comments: J_a f = J^m_a d_m f is the derivative
@@ -125,7 +112,7 @@ def term_ledger(jm: JetMatrix) -> TermLedger:
     jd = geometry.contract_first(j, d)
     # x[a, r, q] = (J_a J^r_k) J^k_q and y[i, s, q] = (d_i J^s_k) J^k_q
     x, y = jd @ j[..., None, :, :], d @ j[..., None, :, :]
-    terms = {
+    ledger = {
         # line I: products of two J-directional derivatives
         "I1": -ps("irs,isr", x, jd),   # -J_s^k (J_i J^r_k)(J_i J^s_r)
         "I2": +ps("irs,rsi", x, jd),   # +J_s^k (J_i J^r_k)(J_r J^s_i)
@@ -149,8 +136,17 @@ def term_ledger(jm: JetMatrix) -> TermLedger:
     }
     # -J_t^k J_p^i J_p^j (d_i J^l_k)(d_j J^t_l), as -[(J J^T)^ij y[i, l, t]] d_j J^t_l
     jjt_y = geometry.contract_first(j @ np.swapaxes(j, -1, -2), y)
-    first_quadratic = -ps("jlt,jtl", jjt_y, d)
-    return TermLedger(terms, first_quadratic, sum(terms.values()))
+    ledger["first_quadratic"] = -ps("jlt,jtl", jjt_y, d)
+    ledger["total"] = sum(ledger[name] for name in TERM_NAMES)
+    return ledger
+
+
+def cancellation_residuals(ledger: dict) -> dict:
+    """|a + b| of each claimed cancelling pair, |III1 - III3| and
+    |first_quadratic|, by CANCELLATION_LABELS."""
+    values = [abs(ledger[a] + ledger[b]) for _, a, b in CANCELLATION_PAIRS]
+    values += [abs(ledger["III1"] - ledger["III3"]), abs(ledger["first_quadratic"])]
+    return dict(zip(CANCELLATION_LABELS, values, strict=True))
 
 
 class ObstructionReport(Record):
@@ -165,18 +161,15 @@ class ObstructionReport(Record):
     double_trace: float
     identity_residual_trace: float
     identity_residual_contraction: float
-    ledger: TermLedger
+    ledger: dict[str, float]  # term_ledger's, in JSON order
     cancellation_residuals: dict[str, float]
     verdict: str
 
     def to_json_dict(self) -> dict:
-        ledger = {name: self.ledger.terms[name] for name in TERM_NAMES}
-        ledger["first_quadratic"] = self.ledger.first_quadratic
-        ledger["total"] = self.ledger.total
         return {
             "point": list(self.point),
             **{name: getattr(self, name) for name in SCALARS},
-            "ledger": ledger,
+            "ledger": dict(self.ledger),
             "cancellation_residuals": dict(self.cancellation_residuals),
             "verdict": self.verdict,
         }
@@ -187,25 +180,25 @@ class ObstructionReport(Record):
             "point: (" + ", ".join(g17(v) for v in self.point) + ")",
             f"verdict: {self.verdict}",
             *(f"{name}: {g17(getattr(self, name))}" for name in SCALARS),
-            f"ledger_total: {g17(self.ledger.total)}",
+            f"ledger_total: {g17(self.ledger['total'])}",
         ]
         if ledger_detail:
             lines.append("ledger terms:")
             for name in TERM_NAMES:
-                lines.append(f"  {name:<5} {g17(self.ledger.terms[name])}")
-            lines.append(f"  {'first_quadratic':<16} {g17(self.ledger.first_quadratic)}")
+                lines.append(f"  {name:<5} {g17(self.ledger[name])}")
+            lines.append(f"  {'first_quadratic':<16} {g17(self.ledger['first_quadratic'])}")
         lines.append("cancellation residuals:")
         for name, value in self.cancellation_residuals.items():
             lines.append(f"  {name:<16} {g17(value)}")
         return "\n".join(lines) + "\n"
 
 
-def _verdict(acs_ok, total, contraction, terms: dict, tol_identity: float):
+def _verdict(acs_ok, ledger: dict, contraction, tol_identity: float):
     # tol_identity is relative to the magnitude of the summed terms: that is
     # the conditioning scale of the cancellation (both sides are near zero
     # for a valid structure, so scaling by the result would mean "absolute").
-    scale = 1.0 + abs(contraction) + sum(abs(v) for v in terms.values())
-    anomaly = abs(total - contraction) > tol_identity * scale
+    scale = 1.0 + abs(contraction) + sum(abs(ledger[name]) for name in TERM_NAMES)
+    anomaly = abs(ledger["total"] - contraction) > tol_identity * scale
     verdict = np.where(anomaly, VERDICT_LEDGER_ANOMALY, VERDICT_CONSISTENT)
     return np.where(acs_ok, verdict, VERDICT_INVALID_ACS)
 
@@ -257,9 +250,7 @@ def report_from_jets(
     dtr = nijenhuis.double_trace(n_std, j_jm.values, g_inv) + 0.0
     obs = obstruction_scalar(tj) + 0.0
     contraction = nijenhuis.contraction_scalar(tn, tj.values) + 0.0
-    raw = term_ledger(tj)
-    terms = {name: v + 0.0 for name, v in raw.terms.items()}
-    ledger = TermLedger(terms, raw.first_quadratic + 0.0, raw.total + 0.0)
+    ledger = {name: v + 0.0 for name, v in term_ledger(tj).items()}
     fields = dict(
         j_squared_residual=acs.residual,
         n_max_abs=np.max(np.abs(n_std), axis=(-3, -2, -1)),
@@ -269,7 +260,7 @@ def report_from_jets(
         identity_residual_trace=np.abs(dtr - obs),
         identity_residual_contraction=np.abs(contraction - obs),
     )
-    verdict = _verdict(acs.ok, ledger.total, contraction, ledger.terms, tol_identity)
+    verdict = _verdict(acs.ok, ledger, contraction, tol_identity)
     point = np.asarray(point, dtype=float)
     if point.ndim == 1:
         fields = {name: float(v) for name, v in fields.items()}
@@ -278,7 +269,7 @@ def report_from_jets(
         point=point,
         **fields,
         ledger=ledger,
-        cancellation_residuals=ledger.cancellation_residuals(),
+        cancellation_residuals=cancellation_residuals(ledger),
         verdict=verdict,
     )
     bad = [

@@ -23,7 +23,7 @@ from . import geometry, nijenhuis
 from ._pcg64 import Streams
 from ._record import Record
 from .geometry import ChartSpec, JetMatrix
-from .obstruction import CANCELLATION_LABELS, report_from_jets
+from .obstruction import CANCELLATION_LABELS, TERM_NAMES, report_from_jets
 
 __all__ = ["SelfTestReport", "run_selftest"]
 
@@ -122,7 +122,8 @@ def _spd_metrics(streams: Streams, points) -> JetMatrix:
     """Each sample's random metric jets, redrawn from the sample's own
     stream until positive definite at its point.  Each round draws from
     every sample still without a metric and evaluates those draws as one
-    batch, for at most 64 rounds."""
+    batch, for at most 64 rounds; ValueError names the first sample still
+    without a metric after them."""
     n = points.shape[-1]
     expo, todo = _metric_exponents(n), list(range(len(points)))
     values, partials = np.empty((len(points), n, n)), np.empty((len(points), n, n, n))
@@ -137,7 +138,7 @@ def _spd_metrics(streams: Streams, points) -> JetMatrix:
                 left.append(b)
         if not (todo := left):
             return JetMatrix(values, partials)
-    raise RuntimeError("failed to draw an SPD metric")
+    raise ValueError(f"failed to draw an SPD metric for dim={n} sample={todo[0]} in 64 draws")
 
 
 def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
@@ -167,8 +168,8 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
         # N(Je_i, Je_j) carries two factors of J, so its rounding grows with |J|^2
         j_max = np.maximum(1.0, np.max(np.abs(j_jm.values), axis=(-2, -1)))
         scale_swap = scale_n * (j_max * j_max)
-        terms_scale = 1.0 + sum(abs(v) for v in rep_e.ledger.terms.values())
-        res_ledger = abs(rep_e.ledger.total - rep_e.contraction)
+        terms_scale = 1.0 + sum(abs(rep_e.ledger[name]) for name in TERM_NAMES)
+        res_ledger = abs(rep_e.ledger["total"] - rep_e.contraction)
         # the Euclidean big_n diagonal B_ikik = N^r_ik N^s_ri J^k_s
         diag = np.einsum("...rik,...sri,...ks->...ik", n_std, n_std, j_jm.values)
         diag_scale = 1.0 + np.abs(diag).reshape(samples, -1).sum(-1)

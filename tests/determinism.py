@@ -43,7 +43,9 @@ The set, built from the benchmark's inputs in `bench/run.py`:
   no 64-bit address space can hold;
 - `check` at the origin of MIRRORED, written to OUT_DIR: a 2-D structure
   whose `[metric]` gives `1 2` and `2 1` as the same entry, a sum 790
-  levels deep, so that parsing compares two trees of that height.
+  levels deep, so that parsing compares two trees of that height;
+- `selftest --dims 18 --samples 2 --degree 0 --seed 0`, refused because
+  none of sample 1's 64 metric draws is positive definite at its point.
 
 Every invocation runs in this process through `acscheck.cli.main`, with
 OUT_DIR as the working directory; an exception that escapes `main` is
@@ -168,6 +170,7 @@ def invocations(bench) -> list:
     huge = ["gallery:pullback4", f"--grid=0:1:{10**17},0:0:1,0:0:1,0:0:1", "--out", "refuse-huge-grid.csv"]
     out.append(("refuse-huge-grid", ["scan", *huge]))
     out.append(("check-mirrored-deep-metric", ["check", "mirrored-deep-metric.acs", "--point", "0,0"]))
+    out.append(("refuse-spd-draw", ["selftest", "--dims", "18", "--samples", "2", "--degree", "0", "--seed", "0"]))
     return out
 
 

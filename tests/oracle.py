@@ -29,7 +29,7 @@ from acscheck.geometry import (
     _monomials,
     standard_block,
 )
-from acscheck.obstruction import report_from_jets
+from acscheck.obstruction import TERM_NAMES, report_from_jets
 from acscheck.selftest import (
     _CHECK_NAMES,
     _RESIDUAL_NAMES,
@@ -574,8 +574,8 @@ def run_selftest_per_sample(dims, samples: int, degree: int, seed: int) -> SelfT
             record(3, nijenhuis.j_swap_residual(n_std, j_jm.values), TOL_SWAP, (1.0 + scale_n) * (j_max * j_max))
 
             rep_e = report_from_jets(j_jm, None, point)
-            terms_scale = 1.0 + sum(abs(v) for v in rep_e.ledger.terms.values())
-            res_ledger = abs(rep_e.ledger.total - rep_e.contraction)
+            terms_scale = 1.0 + sum(abs(rep_e.ledger[name]) for name in TERM_NAMES)
+            res_ledger = abs(rep_e.ledger["total"] - rep_e.contraction)
             record(4, res_ledger, TOL_LEDGER, terms_scale)
 
             if rep_e.n_max_abs <= TOL_ZERO_N:

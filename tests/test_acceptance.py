@@ -204,7 +204,7 @@ def test_criterion_6_oracle_agreement_and_anchors():
             "obstruction": obstruction_scalar(jm),
             "contraction": contraction_scalar(comps, jm.values),
             "double_trace": double_trace(comps, jm.values, np.eye(4)),
-            "ledger_total": term_ledger(jm).total,
+            "ledger_total": term_ledger(jm)["total"],
         }
         want = {
             "n_max_abs": float(np.max(np.abs(oracle_comps))),

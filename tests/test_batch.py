@@ -65,9 +65,9 @@ def test_batch_rows_equal_single_points_bit_for_bit(rng, name, sf):
         for field in REPORT_FIELDS:
             assert getattr(batch, field)[k] == getattr(report, field), (name, k, field)
         for term in TERM_NAMES:
-            assert batch.ledger.terms[term][k] == report.ledger.terms[term], (name, k, term)
-        assert batch.ledger.first_quadratic[k] == report.ledger.first_quadratic, (name, k)
-        assert batch.ledger.total[k] == report.ledger.total, (name, k)
+            assert batch.ledger[term][k] == report.ledger[term], (name, k, term)
+        assert batch.ledger["first_quadratic"][k] == report.ledger["first_quadratic"], (name, k)
+        assert batch.ledger["total"][k] == report.ledger["total"], (name, k)
         assert list(batch.cancellation_residuals) == list(report.cancellation_residuals)
         for label, value in report.cancellation_residuals.items():
             assert batch.cancellation_residuals[label][k] == value, (name, k, label)
@@ -259,6 +259,14 @@ def test_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, command, fl
 def test_selftest_needs_samples(tmp_path, capsys):
     err = _one_line_error(tmp_path, capsys, ["selftest", "--dims", "2", "--samples", "0"])
     assert "--samples" in err
+
+
+def test_run_selftest_refuses_no_samples_and_a_metric_it_cannot_draw():
+    with pytest.raises(ValueError, match="^samples must be at least 1$"):
+        selftest.run_selftest((2,), 0, 0, 0)
+    # at dimension 18, none of sample 1's 64 metric draws is positive definite at its point
+    with pytest.raises(ValueError, match="^failed to draw an SPD metric for dim=18 sample=1 in 64 draws$"):
+        selftest.run_selftest((18,), 2, 0, 0)
 
 
 def test_selftest_refuses_a_negative_seed(capsys):

@@ -69,8 +69,9 @@ _J = "[chart]\ndim = 2\n[J]\n1 2 = {}\n"
 
 # Entries nested past the parser's limit (refused at the token that opens the
 # 201st level), a grid axis too long to allocate, whose 10**17 doubles no
-# 64-bit address space can hold, and a grid of 10**20 points, past the 2**63 - 1
-# that numpy can index, end in one line and exit 1, not a traceback.
+# 64-bit address space can hold, a grid of 10**20 points, past the 2**63 - 1
+# that numpy can index, and a selftest dimension where a sample's 64 metric
+# draws are none positive definite end in one line and exit 1, not a traceback.
 @pytest.mark.parametrize(
     "text, argv, err",
     [
@@ -84,8 +85,10 @@ _J = "[chart]\ndim = 2\n[J]\n1 2 = {}\n"
          f"grid {10**17} x 1 x 1 x 1 is too large to allocate"),
         ("", ["scan", "gallery:pullback4", "--grid=" + ",".join(["0:1:100000"] * 4), "--out", "{csv}"],
          "grid 100000 x 100000 x 100000 x 100000 is too large to allocate"),
+        ("", ["selftest", "--dims", "18", "--samples", "2", "--degree", "0", "--seed", "0"],
+         "failed to draw an SPD metric for dim=18 sample=1 in 64 draws"),
     ],
-    ids=["parentheses", "minuses", "minuses-x1", "huge-grid", "unindexable-grid"],
+    ids=["parentheses", "minuses", "minuses-x1", "huge-grid", "unindexable-grid", "spd-draw"],
 )
 def test_refusal_is_one_line_without_traceback(text, argv, err, tmp_path):
     structure, out = tmp_path / "s.acs", tmp_path / "scan.csv"

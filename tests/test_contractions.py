@@ -100,11 +100,11 @@ def test_ledger_matches_verbatim(rng, dim, batch):
     jd = oracle.ledger_jd_einsum(j, d)
     ledger = term_ledger(jm)
     for name, (sign, spec) in FOUR_OPERAND_TERMS.items():
-        _assert_close(ledger.terms[name], [(sign, _verbatim(spec, j, j, jd, d))])
+        _assert_close(ledger[name], [(sign, _verbatim(spec, j, j, jd, d))])
     for name, (sign, spec) in THREE_OPERAND_TERMS.items():
         t = d if name.startswith("IV") else jd
-        _assert_close(ledger.terms[name], [(sign, _verbatim(spec, j, t, t))])
-    _assert_close(ledger.first_quadratic, [(-1, _verbatim("kt,ip,jp,ilk,jtl->", j, j, j, d, d))])
+        _assert_close(ledger[name], [(sign, _verbatim(spec, j, t, t))])
+    _assert_close(ledger["first_quadratic"], [(-1, _verbatim("kt,ip,jp,ilk,jtl->", j, j, j, d, d))])
 
 
 @pytest.mark.parametrize("dim,batch", CASES)

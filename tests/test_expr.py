@@ -187,6 +187,8 @@ def test_bind_and_eval_unbound_variable():
 def test_bind_and_eval_point_dimension_mismatch():
     with pytest.raises(ValueError):
         bind_and_eval(parse_expr("x1"), ("x1", "x2"), (1.0,))
+    with pytest.raises(ValueError, match=r"^point has 0 coordinates, chart has 1$"):
+        bind_and_eval(parse_expr("x1"), ("x1",), 0.5)  # a scalar is not a coordinate vector
 
 
 def test_order_two_truncates_to_order_one_exactly(rng):

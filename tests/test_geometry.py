@@ -182,6 +182,15 @@ def test_metric_eval_symmetric_and_spd_checked():
         bad.eval(chart, (0.0, 0.0))
 
 
+def test_christoffel_and_normal_change_refuse_a_metric_they_cannot_use():
+    singular = JetMatrix(np.zeros((2, 2)), np.zeros((2, 2, 2)))
+    with pytest.raises(MetricError, match="^singular metric$"):
+        christoffel(singular)
+    indefinite = JetMatrix(np.diag([-1.0, 1.0]), np.zeros((2, 2, 2)))
+    with pytest.raises(MetricError, match="^metric is not positive definite at the point$"):
+        NormalChange.from_metric(indefinite)
+
+
 def test_normal_transform_euclidean_is_identity_exactly():
     sf = gallery("expblock4")
     jm = sf.j_field.eval(sf.chart, (0.5, 0.1, -0.2, 0.3))

@@ -69,7 +69,7 @@ def test_kernels_match_einsum_references(rng, dim):
             oracle.obstruction_scalar_einsum(a(j), a(d)),
         )
         _assert_scalar_close(
-            obstruction.term_ledger(jm).first_quadratic,
+            obstruction.term_ledger(jm)["first_quadratic"],
             oracle.first_quadratic_einsum(j, d),
             oracle.first_quadratic_einsum(a(j), a(d)),
         )
@@ -88,8 +88,8 @@ def _kernels(jm: JetMatrix, g: JetMatrix):
         "double_trace": nijenhuis.double_trace(comps, jm.values, np.linalg.inv(g.values)),
         "double_trace_euclidean": nijenhuis.double_trace(comps, jm.values, euclid),
         "obstruction_scalar": obstruction.obstruction_scalar(jm),
-        "ledger_terms": np.stack([ledger.terms[name] for name in obstruction.TERM_NAMES], -1),
-        "first_quadratic": ledger.first_quadratic,
+        "ledger_terms": np.stack([ledger[name] for name in obstruction.TERM_NAMES], -1),
+        "first_quadratic": ledger["first_quadratic"],
         "christoffel": geometry.christoffel(g),
         "quad": change.quad,
         "transform_endomorphism": change.transform_endomorphism(jm).partials,

@@ -34,7 +34,7 @@ def _quantities(jm):
         "obstruction": obstruction_scalar(jm),
         "contraction": contraction_scalar(comps, jm.values),
         "double_trace": double_trace(comps, jm.values, np.eye(4)),
-        "ledger_total": term_ledger(jm).total,
+        "ledger_total": term_ledger(jm)["total"],
     }
 
 

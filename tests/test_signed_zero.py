@@ -30,8 +30,8 @@ def test_bare_kernels_return_negative_zeros():
     jm = sf.j_field.eval(sf.chart, POINTS[0])
     ledger = term_ledger(jm)
     assert obstruction_scalar(jm) == 0 and not _positive(obstruction_scalar(jm))
-    assert not _positive(ledger.first_quadratic)
-    assert any(not _positive(ledger.terms[name]) for name in TERM_NAMES)
+    assert not _positive(ledger["first_quadratic"])
+    assert any(not _positive(ledger[name]) for name in TERM_NAMES)
 
 
 def test_check_json_has_no_negative_zero(capsys):
@@ -48,7 +48,7 @@ def test_batched_report_has_no_negative_zero():
     sf = gallery("standard2n:4")
     rep = identity_report(sf.j_field, sf.metric, sf.chart, POINTS)
     arrays = [getattr(rep, name) for name in SCALARS]
-    arrays += [*rep.ledger.terms.values(), rep.ledger.first_quadratic, rep.ledger.total]
+    arrays += [rep.ledger[name] for name in (*TERM_NAMES, "first_quadratic", "total")]
     arrays += list(rep.cancellation_residuals.values())
     assert not any(np.signbit(a).any() for a in arrays)
 

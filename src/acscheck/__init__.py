@@ -21,13 +21,13 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("expr", "ExprDomainError ExprError ExprNameError ExprSyntaxError bind_and_eval parse_expr to_source"),
-        ("geometry", "AcsValidation ChartSpec ConjugationField ExplicitField GeometryError JetMatrix"
+        ("geometry", "ChartSpec ConjugationField ExplicitField GeometryError JetMatrix"
                      " MetricError MetricField NormalChange PullbackField SingularFrameError christoffel"
                      " random_conjugation_acs standard_block validate_acs"),
         ("jets", "Jet JetDomainError constant jet_apply seed_variable"),
         ("nijenhuis", "big_n contraction_scalar double_trace j_swap_residual nijenhuis_reduced"
                       " nijenhuis_standard"),
-        ("obstruction", "ObstructionReport cancellation_residuals identity_report obstruction_scalar"
+        ("obstruction", "cancellation_residuals identity_report obstruction_scalar render_report"
                         " report_from_jets term_ledger"),
         ("scan", "GridSpec ScanSummary run_scan"),
         ("selftest", "SelfTestReport run_selftest"),

@@ -21,6 +21,7 @@ from .obstruction import (
     VERDICT_LEDGER_ANOMALY,
     _tolerance_fault,
     identity_report,
+    render_report,
 )
 from .structures import (
     StructureFile,
@@ -116,10 +117,10 @@ def _cmd_check(args) -> int:
     if args.json:
         import json  # only --json needs it; a cold start skips its import
 
-        sys.stdout.write(json.dumps(rep.to_json_dict(), indent=2) + "\n")
+        sys.stdout.write(json.dumps(rep, indent=2) + "\n")
     else:
-        sys.stdout.write(rep.render_text(ledger_detail=args.ledger_detail))
-    return _VERDICT_EXIT[rep.verdict]
+        sys.stdout.write(render_report(rep, ledger_detail=args.ledger_detail))
+    return _VERDICT_EXIT[rep["verdict"]]
 
 
 def _cmd_scan(args) -> int:
@@ -226,6 +227,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"acscheck: error: {exc}\n")
+        return EXIT_ERROR
+    except MemoryError as exc:  # numpy's names the allocation; Python's own has no text
+        sys.stderr.write(f"acscheck: error: out of memory: {exc}".removesuffix(": ") + "\n")
         return EXIT_ERROR
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "PullbackField",
     "MatrixField",
     "MetricField",
-    "AcsValidation",
     "standard_block",
     "validate_acs",
     "contract_first",
@@ -251,13 +250,6 @@ class MetricField(Record):
         return JetMatrix(values, partials)
 
 
-class AcsValidation(Record):
-    """Verdict of the pointwise J^2 = -I check (arrays over a batch)."""
-
-    ok: bool
-    residual: float
-
-
 def _j_squared_residuals(values: np.ndarray):
     """max |J^2 + I|, and max of |J^2 + I| / max(1, |J| |J|) entry by entry: each
     entry against the rounding bound of J J (Higham §3.5); a conjugation has J^2 = -I."""
@@ -266,10 +258,11 @@ def _j_squared_residuals(values: np.ndarray):
     return np.max(r, axis=(-2, -1)), np.max(r / np.maximum(1.0, a @ a), axis=(-2, -1))
 
 
-def validate_acs(jm: JetMatrix, tol: float = 1e-9) -> AcsValidation:
-    """Check |J^2 + I| <= tol * max(1, |J| |J|) entry by entry at the point."""
+def validate_acs(jm: JetMatrix, tol: float = 1e-9):
+    """The pair (ok, residual): whether |J^2 + I| <= tol * max(1, |J| |J|)
+    entry by entry at the point, and max |J^2 + I| (arrays over a batch)."""
     res, scaled = _j_squared_residuals(jm.values)
-    return AcsValidation(scaled <= tol, res)
+    return scaled <= tol, res
 
 
 def contract_first(m: np.ndarray, t: np.ndarray) -> np.ndarray:

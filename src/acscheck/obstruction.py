@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry, nijenhuis
-from ._record import Record
 from .geometry import ChartSpec, JetMatrix
 
 __all__ = [
@@ -31,12 +30,12 @@ __all__ = [
     "VERDICT_CONSISTENT",
     "VERDICT_LEDGER_ANOMALY",
     "VERDICT_INVALID_ACS",
-    "ObstructionReport",
     "obstruction_scalar",
     "term_ledger",
     "cancellation_residuals",
     "report_from_jets",
     "identity_report",
+    "render_report",
 ]
 
 TERM_NAMES = (
@@ -58,7 +57,7 @@ CANCELLATION_PAIRS = (
 )
 CANCELLATION_LABELS = tuple(label for label, _, _ in CANCELLATION_PAIRS) + ("III1-III3", "first_quadratic")
 
-# The report's scalar fields, in output order.
+# The report's scalar keys, in output order.
 SCALARS = (
     "j_squared_residual", "n_max_abs", "obstruction", "contraction", "double_trace",
     "identity_residual_trace", "identity_residual_contraction",
@@ -149,48 +148,26 @@ def cancellation_residuals(ledger: dict) -> dict:
     return dict(zip(CANCELLATION_LABELS, values, strict=True))
 
 
-class ObstructionReport(Record):
-    """Every scalar, residual and verdict for one structure at one point
-    (arrays over a batch of points)."""
-
-    point: tuple[float, ...]
-    j_squared_residual: float
-    n_max_abs: float
-    obstruction: float
-    contraction: float
-    double_trace: float
-    identity_residual_trace: float
-    identity_residual_contraction: float
-    ledger: dict[str, float]  # term_ledger's, in JSON order
-    cancellation_residuals: dict[str, float]
-    verdict: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "point": list(self.point),
-            **{name: getattr(self, name) for name in SCALARS},
-            "ledger": dict(self.ledger),
-            "cancellation_residuals": dict(self.cancellation_residuals),
-            "verdict": self.verdict,
-        }
-
-    def render_text(self, ledger_detail: bool = False) -> str:
-        g17 = lambda x: format(x, ".17g")
-        lines = [
-            "point: (" + ", ".join(g17(v) for v in self.point) + ")",
-            f"verdict: {self.verdict}",
-            *(f"{name}: {g17(getattr(self, name))}" for name in SCALARS),
-            f"ledger_total: {g17(self.ledger['total'])}",
-        ]
-        if ledger_detail:
-            lines.append("ledger terms:")
-            for name in TERM_NAMES:
-                lines.append(f"  {name:<5} {g17(self.ledger[name])}")
-            lines.append(f"  {'first_quadratic':<16} {g17(self.ledger['first_quadratic'])}")
-        lines.append("cancellation residuals:")
-        for name, value in self.cancellation_residuals.items():
-            lines.append(f"  {name:<16} {g17(value)}")
-        return "\n".join(lines) + "\n"
+def render_report(report: dict, ledger_detail: bool = False) -> str:
+    """The text form of a one-point report: what `check` prints, and with
+    `ledger_detail` what `verify-derivation` prints."""
+    g17 = lambda x: format(x, ".17g")
+    ledger = report["ledger"]
+    lines = [
+        "point: (" + ", ".join(g17(v) for v in report["point"]) + ")",
+        f"verdict: {report['verdict']}",
+        *(f"{name}: {g17(report[name])}" for name in SCALARS),
+        f"ledger_total: {g17(ledger['total'])}",
+    ]
+    if ledger_detail:
+        lines.append("ledger terms:")
+        for name in TERM_NAMES:
+            lines.append(f"  {name:<5} {g17(ledger[name])}")
+        lines.append(f"  {'first_quadratic':<16} {g17(ledger['first_quadratic'])}")
+    lines.append("cancellation residuals:")
+    for name, value in report["cancellation_residuals"].items():
+        lines.append(f"  {name:<16} {g17(value)}")
+    return "\n".join(lines) + "\n"
 
 
 def _verdict(acs_ok, ledger: dict, contraction, tol_identity: float):
@@ -222,25 +199,27 @@ def report_from_jets(
     point,
     tol_alg: float = 1e-9,
     tol_identity: float = 1e-9,
-) -> ObstructionReport:
+) -> dict:
     """Build a report from already-evaluated jets at one point, or at a batch
-    of points along leading axes.
+    of points along leading axes: the dict `check --json` prints, keyed
+    ``point``, the SCALARS, ``ledger``, ``cancellation_residuals`` and
+    ``verdict`` in that order.
 
-    For a batch every field is an array over the batch whose entries have
-    the bits of each point's own report; for one point the fields are floats
-    and the verdict a str.  `g_jm` is None for the Euclidean metric, in which
-    case the coordinate change is skipped (it would be the identity).  The
-    Nijenhuis components and the double trace use the original coordinates
-    with the metric; the obstruction scalar, the ledger and the contraction
-    use the normal-coordinate jets so that repeated-index summation is
-    legitimate.  This is the one place where a negative zero becomes +0.0
-    (``x + 0.0`` changes no other bit), so the kernels stay exact on
-    Fractions.  Raises GeometryError if any field of the report is not
-    finite (an overflowing structure): NaN never gets a verdict.  Raises
-    ValueError for a NaN, infinite or negative tolerance.
+    For one point ``point`` is a list of floats, each scalar a float and the
+    verdict a str; for a batch every value is an array over the batch whose
+    entries have the bits of each point's own report.  `g_jm` is None for
+    the Euclidean metric, in which case the coordinate change is skipped (it
+    would be the identity).  The Nijenhuis components and the double trace
+    use the original coordinates with the metric; the obstruction scalar,
+    the ledger and the contraction use the normal-coordinate jets so that
+    repeated-index summation is legitimate.  This is the one place where a
+    negative zero becomes +0.0 (``x + 0.0`` changes no other bit), so the
+    kernels stay exact on Fractions.  Raises GeometryError if any number of
+    the report is not finite (an overflowing structure): NaN never gets a
+    verdict.  Raises ValueError for a NaN, infinite or negative tolerance.
     """
     _check_tolerances(tol_alg, tol_identity)
-    acs = geometry.validate_acs(j_jm, tol_alg)
+    acs_ok, j_squared_residual = geometry.validate_acs(j_jm, tol_alg)
     n_std = nijenhuis.nijenhuis_standard(j_jm)
     if g_jm is None:
         tj, tn, g_inv = j_jm, n_std, np.eye(j_jm.n)
@@ -251,8 +230,8 @@ def report_from_jets(
     obs = obstruction_scalar(tj) + 0.0
     contraction = nijenhuis.contraction_scalar(tn, tj.values) + 0.0
     ledger = {name: v + 0.0 for name, v in term_ledger(tj).items()}
-    fields = dict(
-        j_squared_residual=acs.residual,
+    scalars = dict(  # in the order of SCALARS
+        j_squared_residual=j_squared_residual,
         n_max_abs=np.max(np.abs(n_std), axis=(-3, -2, -1)),
         obstruction=obs,
         contraction=contraction,
@@ -260,21 +239,21 @@ def report_from_jets(
         identity_residual_trace=np.abs(dtr - obs),
         identity_residual_contraction=np.abs(contraction - obs),
     )
-    verdict = _verdict(acs.ok, ledger, contraction, tol_identity)
+    verdict = _verdict(acs_ok, ledger, contraction, tol_identity)
     point = np.asarray(point, dtype=float)
     if point.ndim == 1:
-        fields = {name: float(v) for name, v in fields.items()}
-        point, verdict = tuple(point.tolist()), str(verdict)
-    report = ObstructionReport(
-        point=point,
-        **fields,
-        ledger=ledger,
-        cancellation_residuals=cancellation_residuals(ledger),
-        verdict=verdict,
-    )
+        scalars = {name: float(v) for name, v in scalars.items()}
+        point, verdict = point.tolist(), str(verdict)
+    report = {
+        "point": point,
+        **scalars,
+        "ledger": ledger,
+        "cancellation_residuals": cancellation_residuals(ledger),
+        "verdict": verdict,
+    }
     bad = [
         k
-        for k, v in report.to_json_dict().items()
+        for k, v in report.items()
         if k not in ("point", "verdict")
         and not np.isfinite(list(v.values()) if isinstance(v, dict) else v).all()
     ]
@@ -290,7 +269,7 @@ def identity_report(
     point,
     tol_alg: float = 1e-9,
     tol_identity: float = 1e-9,
-) -> ObstructionReport:
+) -> dict:
     """Evaluate the fields at `point`, or at a batch of points along leading
     axes, and build the full report (see :func:`report_from_jets`).
 

@@ -52,15 +52,23 @@ class GridSpec(Record):
 
     def points(self):
         """The points in order as tuples of floats; the axes are built, or refused, first."""
-        counts = tuple(count for _, _, count in self.axes)
+        counts = [count for _, _, count in self.axes]
+        total = math.prod(counts)
         try:
+            if total > 2**63 - 1:  # numpy cannot index more points
+                raise ValueError
             values = [np.linspace(lo, hi, count) for lo, hi, count in self.axes]
-            np.unravel_index(0, counts)  # numpy cannot index more than 2^63 - 1 points
-        except (MemoryError, ValueError, IndexError):  # numpy cannot build or index a grid this large
+        except (MemoryError, ValueError):
             raise ValueError(f"grid {' x '.join(map(str, counts))} is too large to allocate") from None
-        total = math.prod(counts)  # enumerated CHUNK flat indices at a time, with no copy of an axis
-        blocks = (np.unravel_index(np.arange(k, min(k + CHUNK, total)), counts) for k in range(0, total, CHUNK))
-        return (point for index in blocks for point in zip(*(axis[i].tolist() for axis, i in zip(values, index))))
+
+        def chunk(k):  # CHUNK flat indices, split by divmod into axis indices, last axis first
+            flat, index = np.arange(k, min(k + CHUNK, total)), []
+            for count in reversed(counts):
+                flat, i = np.divmod(flat, count)
+                index.insert(0, i)
+            return zip(*(axis[i].tolist() for axis, i in zip(values, index)))
+
+        return (point for k in range(0, total, CHUNK) for point in chunk(k))
 
 
 class ScanSummary(Record):
@@ -96,20 +104,20 @@ def _row_format(n: int) -> str:
 
 def _rows(structure: StructureFile, points: np.ndarray, tol_alg: float, tol_identity: float) -> list:
     """Per point of `points`: the numeric columns and the verdict, or the
-    error that point raises.  The points are evaluated as one batch; if that
-    raises, each point is evaluated again as a batch of one, so an error
-    flags only its own row and carries the message a single-point check
-    gives."""
+    message of the error that point raises.  The points are evaluated as one
+    batch; if that raises a ValueError or runs out of memory, each point is
+    evaluated again as a batch of one, so an error flags only its own row and
+    carries the message a single-point check gives."""
     try:
         rep = identity_report(
             structure.j_field, structure.metric, structure.chart, points, tol_alg, tol_identity
         )
-    except ValueError as exc:
-        if len(points) == 1:
-            return [exc]
+    except (MemoryError, ValueError) as exc:
+        if len(points) == 1:  # numpy's MemoryError names the allocation; Python's own has no text
+            return [str(exc) if isinstance(exc, ValueError) else f"out of memory: {exc}".removesuffix(": ")]
         ones = (points[k:k + 1] for k in range(len(points)))
         return [row for one in ones for row in _rows(structure, one, tol_alg, tol_identity)]
-    return list(zip(*(getattr(rep, name).tolist() for name in NUMERIC_COLUMNS + ("verdict",))))
+    return list(zip(*(rep[name].tolist() for name in NUMERIC_COLUMNS + ("verdict",))))
 
 
 def run_scan(
@@ -142,7 +150,7 @@ def run_scan(
         while chunk := list(itertools.islice(points, CHUNK)):
             for point, row in zip(chunk, _rows(structure, np.array(chunk), tol_alg, tol_identity)):
                 rows += 1
-                if isinstance(row, Exception):
+                if isinstance(row, str):
                     flagged += 1
                     coords = [format(v, ".17g") for v in point]
                     writer.writerow(coords + ["nan"] * len(NUMERIC_COLUMNS) + [f"error: {row}"])

@@ -147,6 +147,8 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
     if samples < 1:
         raise ValueError("samples must be at least 1")
     dims = tuple(ChartSpec.default(int(d)).n for d in dims)
+    if not dims:
+        raise ValueError("dims must name at least one dimension")
     checks = {name: [0, 0] for name in _CHECK_NAMES}
     residuals: dict[str, list[float]] = {name: [] for name in _RESIDUAL_NAMES}
     failures: list[str] = []
@@ -164,16 +166,17 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
         n_std = nijenhuis.nijenhuis_standard(j_jm)
         n_red = nijenhuis.nijenhuis_reduced(j_jm)
         rep_e = report_from_jets(j_jm, None, points)
-        scale_n = 1.0 + rep_e.n_max_abs
+        scale_n = 1.0 + rep_e["n_max_abs"]
         # N(Je_i, Je_j) carries two factors of J, so its rounding grows with |J|^2
         j_max = np.maximum(1.0, np.max(np.abs(j_jm.values), axis=(-2, -1)))
         scale_swap = scale_n * (j_max * j_max)
-        terms_scale = 1.0 + sum(abs(rep_e.ledger[name]) for name in TERM_NAMES)
-        res_ledger = abs(rep_e.ledger["total"] - rep_e.contraction)
+        ledger = rep_e["ledger"]
+        terms_scale = 1.0 + sum(abs(ledger[name]) for name in TERM_NAMES)
+        res_ledger = abs(ledger["total"] - rep_e["contraction"])
         # the Euclidean big_n diagonal B_ikik = N^r_ik N^s_ri J^k_s
         diag = np.einsum("...rik,...sri,...ks->...ik", n_std, n_std, j_jm.values)
         diag_scale = 1.0 + np.abs(diag).reshape(samples, -1).sum(-1)
-        res_collapse = abs(rep_e.double_trace - rep_e.contraction)
+        res_collapse = abs(rep_e["double_trace"] - rep_e["contraction"])
         one, every = np.ones(samples), np.full(samples, True)
         # per check: residual, tolerance, scale and the samples it applies to
         hard = (
@@ -182,8 +185,8 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
             (np.max(np.abs(n_std + np.swapaxes(n_std, -1, -2)), axis=(-3, -2, -1)), TOL_ANTISYM, one, every),
             (nijenhuis.j_swap_residual(n_std, j_jm.values), TOL_SWAP, scale_swap, every),
             (res_ledger, TOL_LEDGER, terms_scale, every),
-            (np.maximum(abs(rep_e.contraction), abs(rep_e.double_trace)), TOL_ZERO_PROP, one,
-             rep_e.n_max_abs <= TOL_ZERO_N),
+            (np.maximum(abs(rep_e["contraction"]), abs(rep_e["double_trace"])), TOL_ZERO_PROP, one,
+             rep_e["n_max_abs"] <= TOL_ZERO_N),
             (res_collapse, TOL_COLLAPSE, diag_scale, every),
         )
         failed = []
@@ -205,11 +208,11 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
         values = (
             res_ledger / terms_scale,
             res_collapse / diag_scale,
-            rep_e.identity_residual_trace,
-            rep_g.identity_residual_trace,
-            rep_e.identity_residual_contraction,
-            *(rep_e.cancellation_residuals[label] for label in CANCELLATION_LABELS),
-            abs(rep_e.double_trace - rep_g.double_trace),
+            rep_e["identity_residual_trace"],
+            rep_g["identity_residual_trace"],
+            rep_e["identity_residual_contraction"],
+            *(rep_e["cancellation_residuals"][label] for label in CANCELLATION_LABELS),
+            abs(rep_e["double_trace"] - rep_g["double_trace"]),
         )
         for name, value in zip(_RESIDUAL_NAMES, values, strict=True):
             residuals[name].extend(value.tolist())

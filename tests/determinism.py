@@ -46,6 +46,8 @@ The set, built from the benchmark's inputs in `bench/run.py`:
   levels deep, so that parsing compares two trees of that height;
 - `selftest --dims 18 --samples 2 --degree 0 --seed 0`, refused because
   none of sample 1's 64 metric draws is positive definite at its point.
+- a scan of `standard2n:66` over a one-point grid of 66 axes, more than
+  the 64 dimensions numpy's `unravel_index` takes.
 
 Every invocation runs in this process through `acscheck.cli.main`, with
 OUT_DIR as the working directory; an exception that escapes `main` is
@@ -171,6 +173,8 @@ def invocations(bench) -> list:
     out.append(("refuse-huge-grid", ["scan", *huge]))
     out.append(("check-mirrored-deep-metric", ["check", "mirrored-deep-metric.acs", "--point", "0,0"]))
     out.append(("refuse-spd-draw", ["selftest", "--dims", "18", "--samples", "2", "--degree", "0", "--seed", "0"]))
+    axes66 = ["gallery:standard2n:66", "--grid=" + ",".join(["0:0:1"] * 66), "--out", "scan-66-axes.csv"]
+    out.append(("scan-66-axes", ["scan", *axes66]))
     return out
 
 

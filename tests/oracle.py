@@ -563,7 +563,7 @@ def run_selftest_per_sample(dims, samples: int, degree: int, seed: int) -> SelfT
             metric = random_spd_metric_ast(rng, chart, point)
 
             j_jm = field.eval(chart, point)
-            record(0, float(geometry.validate_acs(j_jm).residual), TOL_ACS)
+            record(0, float(geometry.validate_acs(j_jm)[1]), TOL_ACS)
 
             n_std = nijenhuis.nijenhuis_standard(j_jm)
             n_red = nijenhuis.nijenhuis_reduced(j_jm)
@@ -574,18 +574,18 @@ def run_selftest_per_sample(dims, samples: int, degree: int, seed: int) -> SelfT
             record(3, nijenhuis.j_swap_residual(n_std, j_jm.values), TOL_SWAP, (1.0 + scale_n) * (j_max * j_max))
 
             rep_e = report_from_jets(j_jm, None, point)
-            terms_scale = 1.0 + sum(abs(rep_e.ledger[name]) for name in TERM_NAMES)
-            res_ledger = abs(rep_e.ledger["total"] - rep_e.contraction)
+            terms_scale = 1.0 + sum(abs(rep_e["ledger"][name]) for name in TERM_NAMES)
+            res_ledger = abs(rep_e["ledger"]["total"] - rep_e["contraction"])
             record(4, res_ledger, TOL_LEDGER, terms_scale)
 
-            if rep_e.n_max_abs <= TOL_ZERO_N:
+            if rep_e["n_max_abs"] <= TOL_ZERO_N:
                 bn = nijenhuis.big_n(n_std, j_jm.values, np.eye(dim))
-                scalars = (abs(rep_e.contraction), abs(rep_e.double_trace), np.max(np.abs(bn)))
+                scalars = (abs(rep_e["contraction"]), abs(rep_e["double_trace"]), np.max(np.abs(bn)))
                 record(5, float(max(scalars)), TOL_ZERO_PROP)
             # the Euclidean big_n diagonal B_ikik = N^r_ik N^s_ri J^k_s
             diag = np.einsum("rik,sri,ks->ik", n_std, n_std, j_jm.values)
             diag_scale = 1.0 + float(np.sum(np.abs(diag)))
-            res_collapse = abs(rep_e.double_trace - rep_e.contraction)
+            res_collapse = abs(rep_e["double_trace"] - rep_e["contraction"])
             record(6, res_collapse, TOL_COLLAPSE, diag_scale)
 
             g_jm = metric.eval(chart, point)
@@ -594,11 +594,11 @@ def run_selftest_per_sample(dims, samples: int, degree: int, seed: int) -> SelfT
             values = (
                 res_ledger / terms_scale,
                 res_collapse / diag_scale,
-                rep_e.identity_residual_trace,
-                rep_g.identity_residual_trace,
-                rep_e.identity_residual_contraction,
-                *rep_e.cancellation_residuals.values(),  # II3+IV3 ... first_quadratic
-                abs(rep_e.double_trace - rep_g.double_trace),
+                rep_e["identity_residual_trace"],
+                rep_g["identity_residual_trace"],
+                rep_e["identity_residual_contraction"],
+                *rep_e["cancellation_residuals"].values(),  # II3+IV3 ... first_quadratic
+                abs(rep_e["double_trace"] - rep_g["double_trace"]),
             )
             for name, value in zip(_RESIDUAL_NAMES, values, strict=True):
                 residuals[name].append(value)

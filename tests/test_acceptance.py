@@ -115,7 +115,7 @@ def test_criterion_2_zero_propagation():
             comps = nijenhuis_standard(jm)
             rep = identity_report(sf.j_field, metric, sf.chart, point)
             maxima["n"] = max(maxima["n"], float(np.max(np.abs(comps))))
-            maxima["obstruction"] = max(maxima["obstruction"], abs(rep.obstruction))
+            maxima["obstruction"] = max(maxima["obstruction"], abs(rep["obstruction"]))
             maxima["contraction"] = max(
                 maxima["contraction"], abs(contraction_scalar(comps, jm.values))
             )

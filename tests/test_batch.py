@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from acscheck import nijenhuis, scan, selftest
+from acscheck import cli, nijenhuis, scan, selftest
 from acscheck.cli import main
 from acscheck.geometry import ChartSpec, random_conjugation_acs
 from acscheck.obstruction import TERM_NAMES, identity_report, report_from_jets
@@ -61,16 +61,16 @@ def test_batch_rows_equal_single_points_bit_for_bit(rng, name, sf):
             assert np.array_equal(g_batch.values[k], g_one.values)
             assert np.array_equal(g_batch.partials[k], g_one.partials)
         report = identity_report(sf.j_field, sf.metric, sf.chart, point)
-        assert batch.point[k].tolist() == list(report.point)
+        assert batch["point"][k].tolist() == list(report["point"])
         for field in REPORT_FIELDS:
-            assert getattr(batch, field)[k] == getattr(report, field), (name, k, field)
+            assert batch[field][k] == report[field], (name, k, field)
         for term in TERM_NAMES:
-            assert batch.ledger[term][k] == report.ledger[term], (name, k, term)
-        assert batch.ledger["first_quadratic"][k] == report.ledger["first_quadratic"], (name, k)
-        assert batch.ledger["total"][k] == report.ledger["total"], (name, k)
-        assert list(batch.cancellation_residuals) == list(report.cancellation_residuals)
-        for label, value in report.cancellation_residuals.items():
-            assert batch.cancellation_residuals[label][k] == value, (name, k, label)
+            assert batch["ledger"][term][k] == report["ledger"][term], (name, k, term)
+        assert batch["ledger"]["first_quadratic"][k] == report["ledger"]["first_quadratic"], (name, k)
+        assert batch["ledger"]["total"][k] == report["ledger"]["total"], (name, k)
+        assert list(batch["cancellation_residuals"]) == list(report["cancellation_residuals"])
+        for label, value in report["cancellation_residuals"].items():
+            assert batch["cancellation_residuals"][label][k] == value, (name, k, label)
 
 
 def _scan(tmp_path, sf, grid):
@@ -115,8 +115,8 @@ def test_failing_point_flags_only_its_row(tmp_path, monkeypatch, text, grid, bad
             assert row[2:] == ["nan"] * 4 + [f"error: {err.value}"]
             continue
         report = identity_report(sf.j_field, sf.metric, sf.chart, point)
-        assert row[-1] == report.verdict
-        assert [float(v) for v in row[2:-1]] == [getattr(report, f) for f in SCAN_FIELDS[:-1]]
+        assert row[-1] == report["verdict"]
+        assert [float(v) for v in row[2:-1]] == [report[f] for f in SCAN_FIELDS[:-1]]
     assert summary.flagged == sum(1 for row in rows if row[-1].startswith("error: "))
 
 
@@ -136,7 +136,28 @@ def test_scan_chunks_cover_the_grid(tmp_path):
     for row, point in zip(rows, GridSpec.parse(grid).points()):
         assert [float(v) for v in row[:4]] == list(point)
         report = identity_report(sf.j_field, sf.metric, sf.chart, point)
-        assert float(row[5]) == report.obstruction
+        assert float(row[5]) == report["obstruction"]
+
+
+def test_out_of_memory_retries_the_chunk_and_flags_its_point(tmp_path, monkeypatch, capsys):
+    # numpy's MemoryError names the allocation, Python's own has no text
+    def spy(j_field, metric, chart, point, *args, **kwargs):
+        x1 = np.reshape(point, (-1, 2))[:, 0]  # a scan chunk, or the point of a check
+        if len(x1) > 1 or x1[0] == 0.0:
+            raise MemoryError("Unable to allocate 1.00 PiB")
+        if x1[0] == 1.0:
+            raise MemoryError
+        return identity_report(j_field, metric, chart, point, *args, **kwargs)
+
+    monkeypatch.setattr(scan, "identity_report", spy)
+    summary, rows = _scan(tmp_path, gallery("standard2n:2"), "-1:1:3,0:0:1")
+    assert (summary.rows, summary.flagged) == (3, 2)
+    statuses = ["consistent", "error: out of memory: Unable to allocate 1.00 PiB", "error: out of memory"]
+    assert [row[-1] for row in rows] == statuses
+    monkeypatch.setattr(cli, "identity_report", spy)
+    for x1, err in (("0", ": Unable to allocate 1.00 PiB"), ("1", "")):
+        assert main(["check", "gallery:standard2n:2", f"--point={x1},0"]) == 1
+        assert capsys.readouterr() == ("", f"acscheck: error: out of memory{err}\n")
 
 
 def _one_line_error(tmp_path, capsys, args, text=OVERFLOW2):
@@ -264,6 +285,8 @@ def test_selftest_needs_samples(tmp_path, capsys):
 def test_run_selftest_refuses_no_samples_and_a_metric_it_cannot_draw():
     with pytest.raises(ValueError, match="^samples must be at least 1$"):
         selftest.run_selftest((2,), 0, 0, 0)
+    with pytest.raises(ValueError, match="^dims must name at least one dimension$"):
+        selftest.run_selftest((), 1, 0, 0)
     # at dimension 18, none of sample 1's 64 metric draws is positive definite at its point
     with pytest.raises(ValueError, match="^failed to draw an SPD metric for dim=18 sample=1 in 64 draws$"):
         selftest.run_selftest((18,), 2, 0, 0)

@@ -8,6 +8,7 @@ the exit code and the stdout that `main` gives in-process.
 
 import gc
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -111,3 +112,32 @@ def test_a_mirrored_metric_entry_790_levels_deep_is_checked(tmp_path):
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("point: (0, 0)\nverdict: consistent\n")
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+# A 1000-dimensional structure needs 7.45 GiB for its partials at one point:
+# in a process capped at 2 GiB of address space, `check` ends in one line and
+# a one-point scan flags its row, without a traceback or allocating it.
+def test_out_of_memory_is_one_line_or_a_flagged_row(tmp_path):
+    out = tmp_path / "scan.csv"
+    # one BLAS thread, so that the threads' stacks and buffers do not take the address space
+    env = dict(os.environ, PYTHONPATH=SRC, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "acscheck.cli", *argv], env=env, capture_output=True, text=True,
+            preexec_fn=_cap_address_space,
+        )
+
+    check = run("check", "gallery:standard2n:1000", "--point=" + ",".join(["0"] * 1000))
+    scan = run("scan", "gallery:standard2n:1000", "--grid=" + ",".join(["0:0:1"] * 1000), "--out", str(out))
+    allocation = "Unable to allocate 7.45 GiB for an array with shape {} and data type float64"
+    assert (check.returncode, check.stdout) == (1, "")
+    assert check.stderr == f"acscheck: error: out of memory: {allocation.format((1000, 1000, 1000))}\n"
+    assert (scan.returncode, scan.stderr) == (0, "")
+    assert scan.stdout == f"scan: 1 points, 1 flagged\nmax |obstruction|: n/a (no successful rows)\ncsv: {out}\n"
+    status = f'"error: out of memory: {allocation.format((1, 1000, 1000, 1000))}"'
+    assert out.read_text().splitlines()[1:] == [",".join(["0"] * 1000 + ["nan"] * 4 + [status])]

@@ -71,10 +71,10 @@ def test_conjugation_frame_exact_and_float_report_within_rounding(seed):
     assert ex["obstruction"] != 0
     rep = report_from_jets(sf.j_field.eval(chart, point), None, point)
     got = {
-        "obstruction": rep.obstruction,
-        "contraction": rep.contraction,
-        "double_trace": rep.double_trace,
-        "total": rep.ledger["total"],
+        "obstruction": rep["obstruction"],
+        "contraction": rep["contraction"],
+        "double_trace": rep["double_trace"],
+        "total": rep["ledger"]["total"],
     }
     bound = C_REPORT * U * (1 + float(sum(abs(v) for v in ex["terms"].values())))
     errors = {name: float(abs(Fraction(value) - ex[name])) for name, value in got.items()}

@@ -48,7 +48,7 @@ def test_library_chart_variable_named_pi_is_not_shadowed():
 
     with pytest.raises(ValueError, match="bad variable name 'pi'"):
         report("pi")
-    assert report("u").obstruction == pytest.approx(0.2526123168081683, rel=1e-12)
+    assert report("u")["obstruction"] == pytest.approx(0.2526123168081683, rel=1e-12)
 
 
 def test_standard_block_squares_to_minus_identity():
@@ -100,7 +100,7 @@ def test_shear4_matches_hand_formula():
     want[0, 3] = -x1
     want[1, 2] = -x1
     assert np.allclose(jm.values, want, atol=1e-14)
-    assert validate_acs(jm).ok
+    assert validate_acs(jm)[0]
 
 
 def test_singular_frame_raises():
@@ -122,15 +122,15 @@ def test_pullback_jets_match_fd_oracle():
     fd = oracle.fd_field_partials(sf.j_field, sf.chart, point)
     assert np.max(np.abs(vals - jm.values)) < 1e-9
     assert np.max(np.abs(fd - jm.partials)) < 1e-6
-    assert validate_acs(jm).ok
+    assert validate_acs(jm)[0]
 
 
 def test_validate_acs_examples():
-    ok = validate_acs(JetMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros((2, 2, 2))))
-    assert ok.ok and ok.residual == 0.0
-    bad = validate_acs(JetMatrix(np.eye(2), np.zeros((2, 2, 2))))
-    assert not bad.ok
-    assert bad.residual == 2.0
+    ok, residual = validate_acs(JetMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros((2, 2, 2))))
+    assert ok and residual == 0.0
+    ok, residual = validate_acs(JetMatrix(np.eye(2), np.zeros((2, 2, 2))))
+    assert not ok
+    assert residual == 2.0
 
 
 def test_christoffel_euclidean_zero():
@@ -259,7 +259,7 @@ def test_random_conjugation_valid_acs_at_100_points(rng):
         field = random_conjugation_acs(dim, 2, 77)
         for _ in range(100):
             point = rng.uniform(0.0, 1.0, dim)
-            assert validate_acs(field.eval(chart, point), tol=1e-9).ok
+            assert validate_acs(field.eval(chart, point), tol=1e-9)[0]
 
 
 def test_random_conjugation_bad_arguments():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,14 +24,14 @@ from acscheck.obstruction import (
     VERDICT_CONSISTENT,
     VERDICT_INVALID_ACS,
     VERDICT_LEDGER_ANOMALY,
-    ObstructionReport,
     cancellation_residuals,
     identity_report,
     obstruction_scalar,
+    render_report,
     report_from_jets,
     term_ledger,
 )
-from acscheck.structures import gallery, parse_structure
+from acscheck.structures import gallery, load_structure, parse_structure
 
 
 def test_constant_structure_all_zero():
@@ -126,14 +127,14 @@ def test_zero_propagation_for_integrable_inputs(rng):
 def test_report_constant_structure():
     sf = gallery("standard2n:2")
     rep = identity_report(sf.j_field, sf.metric, sf.chart, (0.0, 0.0))
-    assert rep.verdict == VERDICT_CONSISTENT
-    assert rep.j_squared_residual == 0.0
-    assert rep.n_max_abs == 0.0
-    assert rep.obstruction == 0.0
-    assert rep.contraction == 0.0
-    assert rep.double_trace == 0.0
-    assert rep.identity_residual_trace == 0.0
-    assert rep.identity_residual_contraction == 0.0
+    assert rep["verdict"] == VERDICT_CONSISTENT
+    assert rep["j_squared_residual"] == 0.0
+    assert rep["n_max_abs"] == 0.0
+    assert rep["obstruction"] == 0.0
+    assert rep["contraction"] == 0.0
+    assert rep["double_trace"] == 0.0
+    assert rep["identity_residual_trace"] == 0.0
+    assert rep["identity_residual_contraction"] == 0.0
 
 
 # one 4-D structure per J kind, and one with a metric section
@@ -170,8 +171,8 @@ def test_report_invalid_acs():
         ((parse_expr("1"), parse_expr("0")), (parse_expr("0"), parse_expr("1")))
     )
     rep = identity_report(field, None, chart, (0.0, 0.0))
-    assert rep.verdict == VERDICT_INVALID_ACS
-    assert rep.j_squared_residual == 2.0
+    assert rep["verdict"] == VERDICT_INVALID_ACS
+    assert rep["j_squared_residual"] == 2.0
 
 
 def test_report_ledger_anomaly_under_absurd_tolerance():
@@ -179,7 +180,7 @@ def test_report_ledger_anomaly_under_absurd_tolerance():
     rep = identity_report(
         sf.j_field, sf.metric, sf.chart, NEAR_ACS4_POINT, tol_alg=1, tol_identity=1e-30
     )
-    assert rep.verdict == VERDICT_LEDGER_ANOMALY
+    assert rep["verdict"] == VERDICT_LEDGER_ANOMALY
 
 
 def test_report_uses_normal_coordinates_for_metric(rng):
@@ -196,8 +197,8 @@ def test_report_uses_normal_coordinates_for_metric(rng):
 
     rep_none = identity_report(field, None, chart, point)
     rep_euclid = identity_report(field, MetricField(euclid), chart, point)
-    assert rep_euclid.obstruction == pytest.approx(rep_none.obstruction, rel=1e-12, abs=1e-12)
-    assert rep_euclid.double_trace == pytest.approx(rep_none.double_trace, rel=1e-12, abs=1e-12)
+    assert rep_euclid["obstruction"] == pytest.approx(rep_none["obstruction"], rel=1e-12, abs=1e-12)
+    assert rep_euclid["double_trace"] == pytest.approx(rep_none["double_trace"], rel=1e-12, abs=1e-12)
 
 
 def test_report_with_random_metric_consistent(rng):
@@ -206,17 +207,16 @@ def test_report_with_random_metric_consistent(rng):
     point = rng.uniform(0.0, 1.0, 4)
     metric = oracle.random_spd_metric_ast(rng, chart, point)
     rep = identity_report(field, metric, chart, point)
-    assert rep.verdict == VERDICT_CONSISTENT
-    assert np.isfinite(rep.obstruction)
-    assert np.isfinite(rep.double_trace)
-    for value in rep.cancellation_residuals.values():
+    assert rep["verdict"] == VERDICT_CONSISTENT
+    assert np.isfinite(rep["obstruction"])
+    assert np.isfinite(rep["double_trace"])
+    for value in rep["cancellation_residuals"].values():
         assert np.isfinite(value)
 
 
 def test_json_dict_schema():
     sf = gallery("expblock4")
-    rep = identity_report(sf.j_field, sf.metric, sf.chart, (0.0, 0.0, 0.0, 0.0))
-    payload = rep.to_json_dict()
+    payload = identity_report(sf.j_field, sf.metric, sf.chart, (0.0, 0.0, 0.0, 0.0))
     assert list(payload) == [
         "point",
         "j_squared_residual",
@@ -236,6 +236,28 @@ def test_json_dict_schema():
     assert list(payload["cancellation_residuals"]) == labels
 
 
+# the five structures of the benchmark's cold checks
+COLD_CHECKS = ("standard2n:4", "expblock4", "shear4", "pullback4", "pullback4_compatible.acs")
+
+
+@pytest.mark.parametrize("name", COLD_CHECKS)
+def test_check_prints_the_report_identity_report_returns(name, capsys):
+    if name.endswith(".acs"):
+        spec = str(Path(__file__).resolve().parent.parent / "bench" / "structures" / name)
+        sf = load_structure(spec)
+    else:
+        spec, sf = f"gallery:{name}", gallery(name)
+    point = (0.3, -0.7, 0.1, 0.9)
+    rep = identity_report(sf.j_field, sf.metric, sf.chart, point)
+    argv = ["check", spec, "--point=" + ",".join(map(str, point))]
+    assert main([*argv, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == rep
+    assert main(argv) == 0
+    assert capsys.readouterr().out == render_report(rep)
+    assert main(["verify-derivation", *argv[1:]]) == 0
+    assert capsys.readouterr().out == render_report(rep, ledger_detail=True)
+
+
 def test_cancellation_residuals_match_their_labels(rng):
     # arbitrary jets, not a structure: no cancellation holds, so the eight
     # residuals differ and a value under the wrong label would show
@@ -250,12 +272,11 @@ def test_cancellation_residuals_match_their_labels(rng):
 
 
 def test_scalars_are_the_report_fields_in_output_order():
-    fields = list(ObstructionReport._fields)
-    assert fields[1 : 1 + len(SCALARS)] == list(SCALARS)
     sf = gallery("shear4")
     rep = identity_report(sf.j_field, sf.metric, sf.chart, (0.3, 0.7, 0.1, 0.9))
-    lines = rep.render_text().splitlines()
-    assert lines[2 : 2 + len(SCALARS)] == [f"{name}: {getattr(rep, name):.17g}" for name in SCALARS]
+    assert list(rep)[1 : 1 + len(SCALARS)] == list(SCALARS)
+    lines = render_report(rep).splitlines()
+    assert lines[2 : 2 + len(SCALARS)] == [f"{name}: {rep[name]:.17g}" for name in SCALARS]
 
 
 def test_cli_check_json_cancellation_residuals_in_label_order(capsys):
@@ -275,8 +296,8 @@ def test_report_from_jets_reuses_evaluated_jets(rng):
     jm = field.eval(chart, point)
     rep1 = report_from_jets(jm, None, point)
     rep2 = identity_report(field, None, chart, point)
-    assert rep1.obstruction == rep2.obstruction
-    assert rep1.ledger["total"] == rep2.ledger["total"]
+    assert rep1["obstruction"] == rep2["obstruction"]
+    assert rep1["ledger"]["total"] == rep2["ledger"]["total"]
 
 
 @pytest.mark.parametrize(
@@ -308,8 +329,8 @@ def test_obstruction_vanishes_under_compatible_metric(rng, text, euclidean):
         g = sf.metric.eval(sf.chart, point).values
         assert np.max(np.abs(jm.values.T @ g @ jm.values - g)) < 1e-12
         rep = identity_report(sf.j_field, sf.metric, sf.chart, point)
-        assert rep.n_max_abs >= 1.0
-        assert abs(rep.obstruction) < 1e-12
+        assert rep["n_max_abs"] >= 1.0
+        assert abs(rep["obstruction"]) < 1e-12
         assert obstruction_scalar(jm) == pytest.approx(
             euclidean(point), rel=1e-9, abs=1e-12
         )

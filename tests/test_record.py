@@ -10,8 +10,8 @@ import pytest
 
 from acscheck._record import Record
 from acscheck.geometry import ChartSpec, ConjugationField, ExplicitField, JetMatrix
-from acscheck.obstruction import ObstructionReport
 from acscheck.scan import GridSpec
+from acscheck.selftest import SelfTestReport
 from acscheck.structures import StructureFile, gallery, parse_structure
 
 TABLE = ((("const", 0.0), ("const", -1.0)), (("const", 1.0), ("const", 0.0)))
@@ -41,7 +41,7 @@ class Binary(Record):
 def test_fields_are_the_annotations_in_order():
     assert Pair._fields == ("left", "right")
     assert Binary._fields == ("op", "left", "right")
-    assert ObstructionReport._fields[0] == "point" and ObstructionReport._fields[-1] == "verdict"
+    assert SelfTestReport._fields[0] == "dims" and SelfTestReport._fields[-1] == "failures"
 
 
 def test_positional_and_keyword_construction_agree():
@@ -96,7 +96,7 @@ def test_hash_matches_equality():
     assert len({Const(1.0), Const(1.0), Const(2.0), Var("x")}) == 3
     assert hash(gallery("pullback4")) == hash(gallery("pullback4"))
     with pytest.raises(TypeError):  # a record holding a dict is not hashable
-        hash(ObstructionReport(*[{}] * len(ObstructionReport._fields)))
+        hash(SelfTestReport(*[{}] * len(SelfTestReport._fields)))
 
 
 def test_repr_is_the_dataclass_text():

@@ -78,7 +78,7 @@ def test_cancellation_rows_follow_the_labels():
         point = rng.uniform(0.0, 1.0, dim)
         rep = report_from_jets(field.eval(ChartSpec.default(dim), point), None, point)
         for label, row in zip(CANCELLATION_LABELS, rows):
-            assert report.residuals[row][b] == rep.cancellation_residuals[label], (b, label)
+            assert report.residuals[row][b] == rep["cancellation_residuals"][label], (b, label)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6])

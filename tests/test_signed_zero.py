@@ -47,9 +47,9 @@ def test_check_json_has_no_negative_zero(capsys):
 def test_batched_report_has_no_negative_zero():
     sf = gallery("standard2n:4")
     rep = identity_report(sf.j_field, sf.metric, sf.chart, POINTS)
-    arrays = [getattr(rep, name) for name in SCALARS]
-    arrays += [rep.ledger[name] for name in (*TERM_NAMES, "first_quadratic", "total")]
-    arrays += list(rep.cancellation_residuals.values())
+    arrays = [rep[name] for name in SCALARS]
+    arrays += [rep["ledger"][name] for name in (*TERM_NAMES, "first_quadratic", "total")]
+    arrays += list(rep["cancellation_residuals"].values())
     assert not any(np.signbit(a).any() for a in arrays)
 
 

@@ -1,5 +1,6 @@
 """Charts, almost-complex-structure and metric fields, Christoffel symbols,
-and the pointwise change to normal coordinates.
+and J's jets in coordinates normal at a point: nabla J read in the frame of
+the metric's Cholesky factor.
 
 Index conventions used across the package: an endomorphism J is stored as a
 matrix with ``J[i, j]`` the coefficient of e_i in J(e_j) (row = output
@@ -296,19 +297,16 @@ def christoffel(g: JetMatrix) -> np.ndarray:
 
 
 class NormalChange(Record):
-    """Pointwise coordinate change making the metric normal at the point.
-
-    New coordinates y satisfy x = p + A y + 1/2 quad[:, b, c] y^b y^c with
-    A^T g A = I (A from the Cholesky factor of g) and
-    quad[k, b, c] = -Gamma^k_ij A^i_b A^j_c, which kills the transformed
-    Christoffel symbols at the point.  Only the point values and first
-    partials of a transformed endomorphism are produced; no chart is actually
-    re-parameterised.  Every array may carry leading batch axes.
+    """The frame A with A^T g A = I, taken from the Cholesky factor of g, and
+    the Christoffel symbols of g at a point.  J's first jets in coordinates
+    normal at the point are its covariant derivative nabla J read in the frame
+    A (Kobayashi & Nomizu II); no chart is re-parameterised.  Every array may
+    carry leading batch axes.
     """
 
     a: np.ndarray
     a_inv: np.ndarray
-    quad: np.ndarray
+    gamma: np.ndarray
 
     @classmethod
     def from_metric(cls, g: JetMatrix) -> "NormalChange":
@@ -316,32 +314,24 @@ class NormalChange(Record):
             lo = np.linalg.cholesky(g.values)
         except np.linalg.LinAlgError as exc:
             raise MetricError("metric is not positive definite at the point") from exc
-        a = np.swapaxes(np.linalg.inv(lo), -1, -2)
-        a_inv = np.swapaxes(lo, -1, -2)
-        a_k = a[..., None, :, :]
-        quad = -(np.swapaxes(a_k, -1, -2) @ christoffel(g) @ a_k)  # quad[k] = -A^T Gamma^k A
-        return cls(a, a_inv, quad)
+        return cls(np.swapaxes(np.linalg.inv(lo), -1, -2), np.swapaxes(lo, -1, -2), christoffel(g))
 
     def transform_endomorphism(self, jm: JetMatrix) -> JetMatrix:
-        """Values A^-1 J A plus partials with the quadratic-term corrections."""
+        """Values A^-1 J A; partials A^-1 (sum_k A^k_c nabla_k J) A, where
+        nabla_k J = d_k J + Gamma_k J - J Gamma_k and (Gamma_k)^i_m = Gamma^i_km."""
         vals = self.a_inv @ jm.values @ self.a
-        # d~_c J~^a_b = [A^-1]^a_i (d_k J^i_j) A^k_c A^j_b
-        #             + [A^-1]^a_i Gamma^i_mn A^m_e A^n_c J~^e_b
-        #             - J~^a_e [A^-1]^e_i Gamma^i_mn A^m_b A^n_c
-        # As Gamma^i_mn A^m_e A^n_c = -quad[i, e, c], the last two lines are
-        # r_c @ J~ - J~ @ r_c with r[c, a, e] = -[A^-1]^a_i quad[i, e, c].
-        r = -np.moveaxis(contract_first(np.swapaxes(self.a_inv, -1, -2), self.quad), -1, -3)
-        vt = vals[..., None, :, :]
-        # the first line, with the derivative index turned: d~_c = A^k_c d_k
-        t1 = self.a_inv[..., None, :, :] @ contract_first(self.a, jm.partials) @ self.a[..., None, :, :]
-        return JetMatrix(vals, t1 + r @ vt - vt @ r, frame_cond=jm.frame_cond)
+        gk, j = np.swapaxes(self.gamma, -3, -2), jm.values[..., None, :, :]
+        nabla = jm.partials + gk @ j - j @ gk
+        partials = self.a_inv[..., None, :, :] @ contract_first(self.a, nabla) @ self.a[..., None, :, :]
+        return JetMatrix(vals, partials, frame_cond=jm.frame_cond)
 
 
 @functools.cache
 def _monomials(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples with total degree <= degree, in a fixed order."""
     return tuple(sorted(
-        e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) <= degree
+        tuple(map(c.count, range(n)))  # how often each variable occurs in the multiset c
+        for d in range(degree + 1) for c in itertools.combinations_with_replacement(range(n), d)
     ))
 
 

@@ -72,7 +72,8 @@ def obstruction_scalar(jm: JetMatrix):
     """-d_j(J^i_l J^k_l) d_i J^j_k, all repeated indices summed: a float
     (possibly -0.0), an array over a batch, or a Fraction for Fraction jets.
 
-    Meaningful in coordinates normal for the working metric at the point;
+    Meaningful on J's jets in coordinates normal for the working metric at
+    the point, nabla J read in the Cholesky frame (geometry.NormalChange);
     with the Euclidean metric any chart qualifies.  Vanishes identically
     wherever J is pointwise antisymmetric (then J^i_l J^k_l = delta^ik).
     More generally it vanishes whenever the working metric is J-compatible,
@@ -208,13 +209,14 @@ def report_from_jets(
     For one point ``point`` is a list of floats, each scalar a float and the
     verdict a str; for a batch every value is an array over the batch whose
     entries have the bits of each point's own report.  `g_jm` is None for
-    the Euclidean metric, in which case the coordinate change is skipped (it
+    the Euclidean metric, in which case the Cholesky frame is skipped (it
     would be the identity).  The Nijenhuis components and the double trace
     use the original coordinates with the metric; the obstruction scalar,
-    the ledger and the contraction use the normal-coordinate jets so that
-    repeated-index summation is legitimate.  This is the one place where a
-    negative zero becomes +0.0 (``x + 0.0`` changes no other bit), so the
-    kernels stay exact on Fractions.  Raises GeometryError if any number of
+    the ledger and the contraction use J's jets in coordinates normal at
+    the point, nabla J read in the Cholesky frame, so that repeated-index
+    summation is legitimate.  This is the one place where a negative zero
+    becomes +0.0 (``x + 0.0`` changes no other bit), so the kernels stay
+    exact on Fractions.  Raises GeometryError if any number of
     the report is not finite (an overflowing structure): NaN never gets a
     verdict.  Raises ValueError for a NaN, infinite or negative tolerance.
     """

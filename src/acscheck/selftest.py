@@ -122,8 +122,10 @@ def _spd_metrics(streams: Streams, points) -> JetMatrix:
     """Each sample's random metric jets, redrawn from the sample's own
     stream until positive definite at its point.  Each round draws from
     every sample still without a metric and evaluates those draws as one
-    batch, for at most 64 rounds; ValueError names the first sample still
-    without a metric after them."""
+    batch, for at most 64 rounds.  A sample whose 64th draw is not positive
+    definite keeps it with its constant term shifted by (1 - lambda_min) I,
+    lambda_min its smallest eigenvalue at the point: positive definite by
+    construction, with the partials unchanged."""
     n = points.shape[-1]
     expo, todo = _metric_exponents(n), list(range(len(points)))
     values, partials = np.empty((len(points), n, n)), np.empty((len(points), n, n, n))
@@ -131,14 +133,17 @@ def _spd_metrics(streams: Streams, points) -> JetMatrix:
         coeffs = _metric_coeffs(streams, todo, n)
         values[todo], partials[todo] = geometry._polynomial_jets(expo, coeffs, points[todo])
         left = []
-        for b in todo:
+        for k, b in enumerate(todo):
             try:
                 np.linalg.cholesky(values[b])
             except np.linalg.LinAlgError:
-                left.append(b)
-        if not (todo := left):
+                left.append(k)
+        if not left:
             return JetMatrix(values, partials)
-    raise ValueError(f"failed to draw an SPD metric for dim={n} sample={todo[0]} in 64 draws")
+        coeffs, todo = coeffs[left], [todo[k] for k in left]
+    coeffs[:, range(n), range(n), 0] += 1.0 - np.linalg.eigvalsh(values[todo])[:, :1]
+    values[todo], partials[todo] = geometry._polynomial_jets(expo, coeffs, points[todo])
+    return JetMatrix(values, partials)
 
 
 def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:

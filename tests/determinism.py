@@ -44,10 +44,19 @@ The set, built from the benchmark's inputs in `bench/run.py`:
 - `check` at the origin of MIRRORED, written to OUT_DIR: a 2-D structure
   whose `[metric]` gives `1 2` and `2 1` as the same entry, a sum 790
   levels deep, so that parsing compares two trees of that height;
-- `selftest --dims 18 --samples 2 --degree 0 --seed 0`, refused because
-  none of sample 1's 64 metric draws is positive definite at its point.
+- `selftest --dims 18 --samples 2 --degree 0 --seed 0`, where none of
+  sample 1's 64 metric draws is positive definite at its point, so its 64th
+  is shifted to one that is;
 - a scan of `standard2n:66` over a one-point grid of 66 axes, more than
-  the 64 dimensions numpy's `unravel_index` takes.
+  the 64 dimensions numpy's `unravel_index` takes;
+- SHEAR4_METRIC, written to OUT_DIR: `shear4`'s `J` under a polynomial SPD
+  metric it is not compatible with, so that its obstruction does not vanish
+  and shows how far numbers on the metric path move.  `check --json` and
+  `verify-derivation` at the two SHEAR4_METRIC_POINTS, and a scan over
+  `-1:1:3` on each axis.
+
+Every other metric case above has a vanishing obstruction (the compatible
+`pullback4`) or a constant `J` (MIRRORED).
 
 Every invocation runs in this process through `acscheck.cli.main`, with
 OUT_DIR as the working directory; an exception that escapes `main` is
@@ -87,6 +96,12 @@ STRUCTURES = {  # file name -> structure text
 }
 DEEP_SUM = "+".join(["x1"] * 791)  # a tree of 790 levels
 MIRRORED = f"[chart]\ndim = 2\n[J]\n1 2 = -1\n2 1 = 1\n[metric]\n1 2 = {DEEP_SUM}\n2 1 = {DEEP_SUM}\n"
+# diagonally dominant, so positive definite on [-1, 1]^4
+SHEAR4_METRIC = (
+    "[chart]\ndim = 4\n[J]\nkind = conjugation\n1 3 = x1\n[metric]\n1 1 = 2 + x1^2\n1 2 = 0.3*x2\n"
+    "1 3 = 0.2*x1*x4\n2 2 = 1.5 + x3^2\n2 4 = 0.1*x1\n3 3 = 1 + x2^2\n4 4 = 2 + x3*x4\n"
+)
+SHEAR4_METRIC_POINTS = ("0.3,-0.2,0.5,0.7", "-0.6,0.4,0.1,-0.8")
 NESTED = {  # name -> an entry nested too deeply for the parser or the AST walkers
     "parentheses": "-" + "(" * 400 + "1" + ")" * 400,
     "minuses": "-" * 1200 + "1",
@@ -172,9 +187,14 @@ def invocations(bench) -> list:
     huge = ["gallery:pullback4", f"--grid=0:1:{10**17},0:0:1,0:0:1,0:0:1", "--out", "refuse-huge-grid.csv"]
     out.append(("refuse-huge-grid", ["scan", *huge]))
     out.append(("check-mirrored-deep-metric", ["check", "mirrored-deep-metric.acs", "--point", "0,0"]))
-    out.append(("refuse-spd-draw", ["selftest", "--dims", "18", "--samples", "2", "--degree", "0", "--seed", "0"]))
+    out.append(("selftest-dim18", ["selftest", "--dims", "18", "--samples", "2", "--degree", "0", "--seed", "0"]))
     axes66 = ["gallery:standard2n:66", "--grid=" + ",".join(["0:0:1"] * 66), "--out", "scan-66-axes.csv"]
     out.append(("scan-66-axes", ["scan", *axes66]))
+    for k, point in enumerate(SHEAR4_METRIC_POINTS):
+        out.append((f"check-json-shear4-metric-p{k}", ["check", "shear4-metric.acs", f"--point={point}", "--json"]))
+        out.append((f"verify-derivation-shear4-metric-p{k}", ["verify-derivation", "shear4-metric.acs", f"--point={point}"]))
+    grid = ["--grid=-1:1:3,-1:1:3,-1:1:3,-1:1:3", "--out", "scan-shear4-metric.csv"]
+    out.append(("scan-shear4-metric", ["scan", "shear4-metric.acs", *grid]))
     return out
 
 
@@ -196,6 +216,7 @@ def main(argv=None) -> int:
     for name, entry in NESTED.items():
         Path(f"nested-{name}.acs").write_text(f"[chart]\ndim = 2\n[J]\n1 2 = {entry}\n", encoding="utf-8")
     Path("mirrored-deep-metric.acs").write_text(MIRRORED, encoding="utf-8")
+    Path("shear4-metric.acs").write_text(SHEAR4_METRIC, encoding="utf-8")
     ill = StructureFile(ChartSpec.default(8), random_conjugation_acs(8, 3, ILL_FIELD_SEED), None)
     Path("ill-conditioned.acs").write_text(serialize_structure(ill), encoding="utf-8")
     lines = []

@@ -235,6 +235,49 @@ def christoffel_loops(gv: np.ndarray, gp: np.ndarray) -> np.ndarray:
     return out
 
 
+def covariant_obstruction_loops(j: np.ndarray, d: np.ndarray, gv: np.ndarray, gp: np.ndarray) -> float:
+    """obs = -nabla_j(J g^-1 J^T)^{ik} nabla_i J^j_k in the original chart,
+    with nabla_i J^j_k = d_i J^j_k + Gamma^j_im J^m_k - Gamma^m_ik J^j_m and
+    d_j g^{ab} = -g^{ac} d_j g_cd g^{db}."""
+    n = j.shape[0]
+    ginv = np.linalg.inv(gv)
+    gamma = christoffel_loops(gv, gp)
+    dginv = np.zeros((n, n, n))
+    for q in range(n):
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    for e in range(n):
+                        dginv[q, a, b] -= ginv[a, c] * gp[q, c, e] * ginv[e, b]
+    h = np.zeros((n, n))  # h^{ik} = J^i_a g^{ab} J^k_b
+    dh = np.zeros((n, n, n))  # dh[q, i, k] = d_q h^{ik}
+    for i in range(n):
+        for k in range(n):
+            for a in range(n):
+                for b in range(n):
+                    h[i, k] += j[i, a] * ginv[a, b] * j[k, b]
+                    for q in range(n):
+                        dh[q, i, k] += (
+                            d[q, i, a] * ginv[a, b] * j[k, b]
+                            + j[i, a] * dginv[q, a, b] * j[k, b]
+                            + j[i, a] * ginv[a, b] * d[q, k, b]
+                        )
+    nabla_h = dh.copy()
+    nabla_j = d.copy()
+    for q in range(n):
+        for i in range(n):
+            for k in range(n):
+                for m in range(n):
+                    nabla_h[q, i, k] += gamma[i, q, m] * h[m, k] + gamma[k, q, m] * h[i, m]
+                    nabla_j[q, i, k] += gamma[i, q, m] * j[m, k] - gamma[m, q, k] * j[i, m]
+    total = 0.0
+    for i in range(n):
+        for jj in range(n):
+            for k in range(n):
+                total -= nabla_h[jj, i, k] * nabla_j[i, jj, k]
+    return total
+
+
 def normal_transform_fd(j_field, g_field, chart, point, h: float = FD_H):
     """Re-derive the normal-coordinate change as an actual reparameterisation.
 
@@ -344,16 +387,21 @@ def christoffel_einsum(g_values: np.ndarray, g_partials: np.ndarray) -> np.ndarr
 
 
 def normal_quad_einsum(gamma: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """quad[k, b, c] = -Gamma^k_ij A^i_b A^j_c: the change x = p + A y +
+    1/2 quad[:, b, c] y^b y^c has A^T g A = I and kills the Christoffel
+    symbols at the point, so the tests can transform the metric itself."""
     return -np.einsum("...kij,...ib,...jc->...kbc", gamma, a, a)
 
 
-def transform_endomorphism_partials_einsum(a, a_inv, quad, j_values, j_partials) -> np.ndarray:
-    vals = a_inv @ j_values @ a
-    r = -np.einsum("...ai,...iec->...cae", a_inv, quad)
-    rotated = np.einsum("...kc,...kij->...cij", a, j_partials)
-    vt = vals[..., None, :, :]
-    t1 = a_inv[..., None, :, :] @ rotated @ a[..., None, :, :]
-    return t1 + r @ vt - vt @ r
+def transform_endomorphism_partials_einsum(a, a_inv, gamma, j_values, j_partials) -> np.ndarray:
+    """A^-1 (sum_k A^k_c nabla_k J) A, nabla_k J^i_j = d_k J^i_j + Gamma^i_km J^m_j - J^i_m Gamma^m_kj."""
+    nabla = (
+        j_partials
+        + np.einsum("...ikm,...mj->...kij", gamma, j_values)
+        - np.einsum("...im,...mkj->...kij", j_values, gamma)
+    )
+    rotated = np.einsum("...kc,...kij->...cij", a, nabla)
+    return a_inv[..., None, :, :] @ rotated @ a[..., None, :, :]
 
 
 def transform_metric(change: geometry.NormalChange, g: geometry.JetMatrix) -> geometry.JetMatrix:
@@ -361,12 +409,12 @@ def transform_metric(change: geometry.NormalChange, g: geometry.JetMatrix) -> ge
     metric in the normal coordinates of `change`, which vanish at the point.
     Only the tests need the transformed metric; this is the form it had as a
     method of geometry.NormalChange."""
-    a = change.a
+    a, quad = change.a, normal_quad_einsum(change.gamma, change.a)
     a_t = np.swapaxes(a, -1, -2)
     vals = a_t @ g.values @ a
-    t1 = np.einsum("...iac,...ij,...jb->...cab", change.quad, g.values, a)
+    t1 = np.einsum("...iac,...ij,...jb->...cab", quad, g.values, a)
     t2 = a_t[..., None, :, :] @ geometry.contract_first(a, g.partials) @ a[..., None, :, :]
-    t3 = np.einsum("...ia,...ij,...jbc->...cab", a, g.values, change.quad)
+    t3 = np.einsum("...ia,...ij,...jbc->...cab", a, g.values, quad)
     return geometry.JetMatrix(vals, t1 + t2 + t3)
 
 
@@ -492,19 +540,19 @@ def random_conjugation_acs_ast(dim: int, degree: int, seed: int) -> ConjugationF
 
 
 def random_spd_metric_ast(rng: np.random.Generator, chart: ChartSpec, point) -> MetricField:
-    """I + 0.2 (B + B^T) + small linear perturbation, redrawn until SPD at point."""
+    """I + 0.2 (B + B^T) + small linear perturbation, redrawn until SPD at
+    point; a 64th draw that is not has its constant term shifted by
+    (1 - lambda_min) I, lambda_min its smallest eigenvalue at the point."""
     n = chart.n
     names = chart.var_names
-    for _ in range(64):
-        b = rng.uniform(-1.0, 1.0, (n, n))
-        sym = 0.2 * (b + b.T)
-        lin = rng.uniform(-0.05, 0.05, (n, n, n))  # lin[k, i, j]: x_k coefficient
+
+    def field(shift: float) -> MetricField:
         rows = []
         for i in range(n):
             row = []
             for j in range(n):
                 const = (1.0 if i == j else 0.0) + sym[i, j]
-                node: expr.ExprNode = ("const", const)
+                node: expr.ExprNode = ("const", const + shift if i == j else const)
                 for k in range(n):
                     c = float(lin[k, min(i, j), max(i, j)])
                     term = ("mul", ("const", abs(c)), ("var", names[k]))
@@ -513,13 +561,20 @@ def random_spd_metric_ast(rng: np.random.Generator, chart: ChartSpec, point) -> 
                     node = ("add", node, term)
                 row.append(node)
             rows.append(tuple(row))
-        field = MetricField(tuple(rows))
+        return MetricField(tuple(rows))
+
+    for _ in range(64):
+        b = rng.uniform(-1.0, 1.0, (n, n))
+        sym = 0.2 * (b + b.T)
+        lin = rng.uniform(-0.05, 0.05, (n, n, n))  # lin[k, i, j]: x_k coefficient
+        metric = field(0.0)
         try:
-            field.eval(chart, point)
+            metric.eval(chart, point)
         except geometry.MetricError:
             continue
-        return field
-    raise RuntimeError("failed to draw an SPD metric")
+        return metric
+    values = ExplicitField(metric.entries).eval(chart, point).values  # not refused as indefinite
+    return field(float(1.0 - np.linalg.eigvalsh(values)[0]))
 
 
 def pcg64_state(streams, row: int) -> dict:

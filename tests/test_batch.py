@@ -11,7 +11,9 @@ import json
 import numpy as np
 import pytest
 
+import oracle
 from acscheck import cli, nijenhuis, scan, selftest
+from acscheck._pcg64 import Streams
 from acscheck.cli import main
 from acscheck.geometry import ChartSpec, random_conjugation_acs
 from acscheck.obstruction import TERM_NAMES, identity_report, report_from_jets
@@ -287,9 +289,22 @@ def test_run_selftest_refuses_no_samples_and_a_metric_it_cannot_draw():
         selftest.run_selftest((2,), 0, 0, 0)
     with pytest.raises(ValueError, match="^dims must name at least one dimension$"):
         selftest.run_selftest((), 1, 0, 0)
-    # at dimension 18, none of sample 1's 64 metric draws is positive definite at its point
-    with pytest.raises(ValueError, match="^failed to draw an SPD metric for dim=18 sample=1 in 64 draws$"):
-        selftest.run_selftest((18,), 2, 0, 0)
+    # at dimension 18, none of sample 1's 64 metric draws is positive definite at
+    # its point: the 64th is kept with its constant term shifted by (1 - lambda_min) I,
+    # which the per-sample reference draws with the same bits
+    report = selftest.run_selftest((18,), 2, 0, 0)
+    assert report.all_passed() and report.failures == []
+    streams = Streams([[0, 18, 0], [0, 18, 1]])
+    streams.integers63()
+    points = streams.uniform(0.0, 1.0, (18,))
+    g = selftest._spd_metrics(streams, points)
+    rng, chart = np.random.default_rng([0, 18, 1]), ChartSpec.default(18)
+    rng.integers(0, 2**63 - 1)
+    point = rng.uniform(0.0, 1.0, 18)
+    ref = oracle.random_spd_metric_ast(rng, chart, point).eval(chart, point)
+    assert point.tobytes() == points[1].tobytes()
+    assert g.values[1].tobytes() == ref.values.tobytes() and g.partials[1].tobytes() == ref.partials.tobytes()
+    assert abs(np.linalg.eigvalsh(g.values[1])[0] - 1.0) < 1e-14
 
 
 def test_selftest_refuses_a_negative_seed(capsys):

@@ -48,6 +48,9 @@ def test_run_freezes_then_exits_with_the_code(monkeypatch, capsys):
         (["selftest", "--dims", "2,4", "--samples", "3", "--seed", "5"], 0),
         (["check", "gallery:pullback4", "--point=1e300,0,0,0"], 1),
         (["check", "{near}", "--point=0.3,0.7,0.1,0.9", "--tol-alg", "1", "--json"], 3),
+        # none of sample 1's 64 metric draws is positive definite at its point: the
+        # 64th is shifted to one that is, and the run passes
+        (["selftest", "--dims", "18", "--samples", "2", "--degree", "0", "--seed", "0"], 0),
     ],
 )
 def test_process_gives_the_code_and_stdout_of_main(argv, code, tmp_path, capsys):
@@ -70,9 +73,8 @@ _J = "[chart]\ndim = 2\n[J]\n1 2 = {}\n"
 
 # Entries nested past the parser's limit (refused at the token that opens the
 # 201st level), a grid axis too long to allocate, whose 10**17 doubles no
-# 64-bit address space can hold, a grid of 10**20 points, past the 2**63 - 1
-# that numpy can index, and a selftest dimension where a sample's 64 metric
-# draws are none positive definite end in one line and exit 1, not a traceback.
+# 64-bit address space can hold, and a grid of 10**20 points, past the
+# 2**63 - 1 that numpy can index, end in one line and exit 1, not a traceback.
 @pytest.mark.parametrize(
     "text, argv, err",
     [
@@ -86,10 +88,8 @@ _J = "[chart]\ndim = 2\n[J]\n1 2 = {}\n"
          f"grid {10**17} x 1 x 1 x 1 is too large to allocate"),
         ("", ["scan", "gallery:pullback4", "--grid=" + ",".join(["0:1:100000"] * 4), "--out", "{csv}"],
          "grid 100000 x 100000 x 100000 x 100000 is too large to allocate"),
-        ("", ["selftest", "--dims", "18", "--samples", "2", "--degree", "0", "--seed", "0"],
-         "failed to draw an SPD metric for dim=18 sample=1 in 64 draws"),
     ],
-    ids=["parentheses", "minuses", "minuses-x1", "huge-grid", "unindexable-grid", "spd-draw"],
+    ids=["parentheses", "minuses", "minuses-x1", "huge-grid", "unindexable-grid"],
 )
 def test_refusal_is_one_line_without_traceback(text, argv, err, tmp_path):
     structure, out = tmp_path / "s.acs", tmp_path / "scan.csv"

@@ -64,7 +64,7 @@ def test_transform_metric_matches_verbatim(rng, dim, batch):
     # the tests' transformed metric (criterion 5 and test_geometry rely on it)
     _, g = oracle.random_jets(rng, dim, batch)
     change = NormalChange.from_metric(g)
-    a, quad = change.a, change.quad
+    a, quad = change.a, oracle.normal_quad_einsum(change.gamma, change.a)
     got = oracle.transform_metric(change, g)
     _assert_close(got.partials, [
         (+1, _verbatim("iac,ij,jb->cab", quad, g.values, a)),

@@ -7,6 +7,7 @@ jets of the random frames and metrics must have the bits of their
 expression trees' evaluation.
 """
 
+import itertools
 import re
 
 import numpy as np
@@ -165,3 +166,11 @@ def test_batched_metric_draws_equal_per_sample_draws():
 def test_monomials_are_computed_once():
     assert geometry._monomials(6, 2) is geometry._monomials(6, 2)
     assert len(geometry._monomials(6, 2)) == 28
+
+
+def test_monomials_are_the_exponents_of_total_degree_at_most_d_in_order():
+    for n in range(1, 7):
+        for d in range(4):
+            brute = sorted(e for e in itertools.product(range(d + 1), repeat=n) if sum(e) <= d)
+            assert geometry._monomials(n, d) == tuple(brute), (n, d)
+    assert len(geometry._monomials(16, 2)) == 153  # C(18, 2), not 3^16 tuples walked

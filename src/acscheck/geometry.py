@@ -354,34 +354,23 @@ def _polynomial_ast(expo, coeffs, names) -> expr.ExprNode:
 def _polynomial_jets(expo: np.ndarray, coeffs: np.ndarray, point):
     """Values ``(..., r, c)`` and partials ``(..., n, r, c)`` of the table
     ``sum_t coeffs[..., r, c, t] x^expo[t]`` at a point or a batch of points
-    ``(..., n)``, each with its own coefficients: the bits of
-    :func:`_polynomial_ast`'s AST under :func:`expr.bind_and_eval`, whose
-    order of operations this follows (a constant adds nothing to partials).
-    """
-    pts = np.asarray(point, dtype=float)
-    n, factors, value, grad = pts.shape[-1], {}, None, None
+    ``(..., n)``, each with its own coefficients: the :func:`jets.jet_apply`
+    operations of :func:`_polynomial_ast`'s AST, in its order, on per-point
+    constants.  A term starts from its signed coefficient: ``(-|c|) x`` and
+    ``-(|c| x)`` round alike (-0.0, which no draw gives, would not)."""
+    pts = np.asarray(point, dtype=float)[..., None, None]  # against the table's axes
+    n, factors, total = pts.shape[-3], {}, None
     for t, e in enumerate(expo):
-        c = np.abs(coeffs[..., t])
-        tv, tg = c, None
+        term = coeffs[..., t]
         for v in np.flatnonzero(e):
-            if (v, e[v]) not in factors:  # the jet of x_v^k, against the table's axes
-                f = jets.seed_variable(v, pts[..., v], n)
-                f = f if e[v] == 1 else jets.power(f, float(e[v]))
-                factors[v, e[v]] = np.asarray(f.value)[..., None, None], f.grad[..., None, None, :]
-            fv, fg = factors[v, e[v]]
-            if tg is None:
-                tv, tg = fv * c, c[..., None] * fg
-            else:
-                tv, tg = tv * fv, tv[..., None] * fg + fv[..., None] * tg
-        neg = coeffs[..., t] < 0
-        tv = np.where(neg, -tv, tv)
-        value = tv if value is None else value + tv
-        if tg is not None:
-            tg = np.where(neg[..., None], -tg, tg)
-            grad = tg if grad is None else grad + tg
-    if grad is None:
-        grad = np.zeros(value.shape + (n,))
-    return value, np.ascontiguousarray(np.moveaxis(grad, -1, -3))
+            if (v, e[v]) not in factors:  # the jet of x_v^k
+                f = jets.seed_variable(v, pts[..., v, :, :], n)
+                factors[v, e[v]] = f if e[v] == 1 else jets.jet_apply("pow", [f, float(e[v])])
+            term = jets.jet_apply("mul", [term, factors[v, e[v]]])
+        total = term if total is None else jets.jet_apply("add", [total, term])
+    if not isinstance(total, jets.Jet):  # a constant table: copied, with zero partials
+        total = jets.constant(total, n)
+    return total.value, np.ascontiguousarray(np.moveaxis(total.grad, -1, -3))
 
 
 def _random_frames(dim: int, degree: int, seeds):
@@ -403,6 +392,9 @@ def random_conjugation_acs(dim: int, degree: int, seed: int) -> ConjugationField
     bit-identical for a given seed.
     """
     names = ChartSpec.default(dim).var_names  # refuses a bad dimension before drawing
+    terms = len(_monomials(dim, degree))  # a diagonal entry's levels are at most
+    if terms + degree + 1 > 4 * expr._MAX_DEPTH:  # terms - 1 sums, degree in a term, a sign and 1 +
+        raise ValueError(f"a random frame with {terms} terms per entry nests too deeply for a structure file")
     expo, (coeffs,) = _random_frames(dim, degree, [seed])
     rows = []
     for i in range(dim):

@@ -3,7 +3,8 @@ Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).
 
 A :class:`Jet` carries a value per point of a batch (a float for a single
 point), gradients ``(..., n)`` and, at order 2, symmetric Hessians
-``(..., n, n)`` (``None`` at order 1); constants are plain floats.  Every
+``(..., n, n)`` (``None`` at order 1).  Constants are floats, or per-point
+float arrays as operands of ``add``, ``sub``, ``mul`` and ``neg``.  Every
 entry has the bits a scalar evaluation at its own point gives: arithmetic is
 elementwise IEEE, and library functions and powers are evaluated point by
 point with :mod:`math` (numpy's vectorised ``exp``, ``log``, ``tanh`` and
@@ -42,13 +43,18 @@ class Jet:
         self.value, self.grad, self.hess = value, grad, hess
 
 
-Operand = Union[Jet, float]
+Operand = Union[Jet, float, np.ndarray]
 
 
 def _float(x) -> float:
     if isinstance(x, (int, float)):
         return float(x)
     raise TypeError(f"cannot use {type(x).__name__} as a jet operand")
+
+
+def _constant(x):
+    """A float, or an array of per-point floats, as is."""
+    return x if isinstance(x, np.ndarray) and x.dtype.kind == "f" else _float(x)
 
 
 def _along(x, axes: int):
@@ -62,7 +68,7 @@ def _outer(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _neg(u: Operand) -> Operand:
     if not isinstance(u, Jet):
-        return -_float(u)
+        return -_constant(u)
     return Jet(-u.value, -u.grad, None if u.hess is None else -u.hess)
 
 
@@ -71,14 +77,14 @@ def _same_order(a: Jet, b: Jet) -> None:
         raise TypeError("cannot mix jets of different orders")
 
 
-# _add and _mul move a float operand second: IEEE + and * commute bit for bit.
+# _add and _mul move a constant operand second: IEEE + and * commute bit for bit.
 def _add(a: Operand, b: Operand) -> Operand:
     if not isinstance(a, Jet):
         if not isinstance(b, Jet):
             return a + b
         a, b = b, a
     if not isinstance(b, Jet):
-        return Jet(a.value + _float(b), a.grad, a.hess)
+        return Jet(a.value + _constant(b), a.grad, a.hess)
     _same_order(a, b)
     hess = None if a.hess is None else a.hess + b.hess
     return Jet(a.value + b.value, a.grad + b.grad, hess)
@@ -90,8 +96,8 @@ def _mul(a: Operand, b: Operand) -> Operand:
             return a * b
         a, b = b, a
     if not isinstance(b, Jet):
-        c = _float(b)
-        return Jet(a.value * c, c * a.grad, None if a.hess is None else c * a.hess)
+        c = _constant(b)
+        return Jet(a.value * c, _along(c, 1) * a.grad, None if a.hess is None else _along(c, 2) * a.hess)
     _same_order(a, b)
     u, w = _along(a.value, 1), _along(b.value, 1)
     hess = None

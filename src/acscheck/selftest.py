@@ -35,6 +35,7 @@ TOL_LEDGER = 1e-9
 TOL_ZERO_N = 1e-8
 TOL_ZERO_PROP = 1e-12
 TOL_COLLAPSE = 1e-10
+BLOCK = 256  # samples evaluated as one batch: bounds the memory a run needs
 
 _CHECK_NAMES = (
     "acs validity (max |J^2+I| <= 1e-09)",
@@ -148,7 +149,7 @@ def _spd_metrics(streams: Streams, points) -> JetMatrix:
 
 def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
     """Run the suite; deterministic in (dims, samples, degree, seed).  The
-    samples of a dimension run as one batch, each with the bits it has alone."""
+    samples of a dimension run in batches of BLOCK, each with the bits it has alone."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     dims = tuple(ChartSpec.default(int(d)).n for d in dims)
@@ -158,8 +159,8 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
     residuals: dict[str, list[float]] = {name: [] for name in _RESIDUAL_NAMES}
     failures: list[str] = []
 
-    for dim in dims:
-        streams = Streams([[seed, dim, index] for index in range(samples)])
+    for dim, start in ((d, s) for d in dims for s in range(0, samples, BLOCK)):
+        streams = Streams([[seed, dim, index] for index in range(start, min(start + BLOCK, samples))])
         field_seeds = streams.integers63()
         expo, frames = geometry._random_frames(dim, degree, field_seeds)
         points = streams.uniform(0.0, 1.0, (dim,))
@@ -180,9 +181,9 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
         res_ledger = abs(ledger["total"] - rep_e["contraction"])
         # the Euclidean big_n diagonal B_ikik = N^r_ik N^s_ri J^k_s
         diag = np.einsum("...rik,...sri,...ks->...ik", n_std, n_std, j_jm.values)
-        diag_scale = 1.0 + np.abs(diag).reshape(samples, -1).sum(-1)
+        diag_scale = 1.0 + np.abs(diag).reshape(len(points), -1).sum(-1)
         res_collapse = abs(rep_e["double_trace"] - rep_e["contraction"])
-        one, every = np.ones(samples), np.full(samples, True)
+        one, every = np.ones(len(points)), np.full(len(points), True)
         # per check: residual, tolerance, scale and the samples it applies to
         hard = (
             (geometry._j_squared_residuals(j_jm.values)[1], TOL_ACS, one, every),  # validate_acs's scale
@@ -204,7 +205,7 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
             residual, tol, scale, _ = hard[k]
             pt = ", ".join(format(v, ".17g") for v in points[b])
             failures.append(
-                f"  failed: {_CHECK_NAMES[k]} at dim={dim} sample={b} field_seed={field_seeds[b]}"
+                f"  failed: {_CHECK_NAMES[k]} at dim={dim} sample={start + b} field_seed={field_seeds[b]}"
                 f" point=({pt}): {residual[b] / scale[b]:.3e} > {tol:.0e}"
                 f" frame_cond={j_jm.frame_cond[b]:.3e}"
             )

@@ -49,6 +49,8 @@ The set, built from the benchmark's inputs in `bench/run.py`:
   is shifted to one that is;
 - a scan of `standard2n:66` over a one-point grid of 66 axes, more than
   the 64 dimensions numpy's `unravel_index` takes;
+- `selftest --dims 2,4 --samples 600 --degree 1 --seed 3`, whose samples
+  run in three blocks of `selftest.BLOCK` or fewer per dimension;
 - SHEAR4_METRIC, written to OUT_DIR: `shear4`'s `J` under a polynomial SPD
   metric it is not compatible with, so that its obstruction does not vanish
   and shows how far numbers on the metric path move.  `check --json` and
@@ -56,7 +58,10 @@ The set, built from the benchmark's inputs in `bench/run.py`:
   `-1:1:3` on each axis.
 
 Every other metric case above has a vanishing obstruction (the compatible
-`pullback4`) or a constant `J` (MIRRORED).
+`pullback4`) or a constant `J` (MIRRORED).  Besides the invocations,
+`random-frame-16-3.out` holds the outcome of `random_conjugation_acs(16, 3,
+0)`, a frame whose 969-term entries nest too deeply for a structure file:
+its one-line refusal, or `built` where it is not refused.
 
 Every invocation runs in this process through `acscheck.cli.main`, with
 OUT_DIR as the working directory; an exception that escapes `main` is
@@ -64,7 +69,8 @@ recorded as a process would end: exit 1 and a traceback's first and last
 lines on stderr.  Per invocation NAME the directory holds
 NAME.out (stdout), NAME.err (stderr, when there is any) and NAME.csv for a
 scan; `invocations.txt` lists each name, its arguments and its exit code.
-Not collected by pytest; about 4 s on a 2-vCPU x86-64 host.
+It writes 191 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
+host.
 """
 
 from __future__ import annotations
@@ -195,6 +201,8 @@ def invocations(bench) -> list:
         out.append((f"verify-derivation-shear4-metric-p{k}", ["verify-derivation", "shear4-metric.acs", f"--point={point}"]))
     grid = ["--grid=-1:1:3,-1:1:3,-1:1:3,-1:1:3", "--out", "scan-shear4-metric.csv"]
     out.append(("scan-shear4-metric", ["scan", "shear4-metric.acs", *grid]))
+    args = ["--dims", "2,4", "--samples", "600", "--degree", "1", "--seed", "3"]
+    out.append(("selftest-blocks", ["selftest", *args]))
     return out
 
 
@@ -219,6 +227,12 @@ def main(argv=None) -> int:
     Path("shear4-metric.acs").write_text(SHEAR4_METRIC, encoding="utf-8")
     ill = StructureFile(ChartSpec.default(8), random_conjugation_acs(8, 3, ILL_FIELD_SEED), None)
     Path("ill-conditioned.acs").write_text(serialize_structure(ill), encoding="utf-8")
+    try:
+        random_conjugation_acs(16, 3, 0)
+        outcome = "built"
+    except ValueError as exc:
+        outcome = f"ValueError: {exc}"
+    Path("random-frame-16-3.out").write_text(outcome + "\n", encoding="utf-8")
     lines = []
     for name, argv_ in invocations(bench):
         stdout, stderr = io.StringIO(), io.StringIO()

@@ -12,6 +12,7 @@ expression-tree code and is compared with it bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional
@@ -416,6 +417,49 @@ def transform_metric(change: geometry.NormalChange, g: geometry.JetMatrix) -> ge
     t2 = a_t[..., None, :, :] @ geometry.contract_first(a, g.partials) @ a[..., None, :, :]
     t3 = np.einsum("...ia,...ij,...jbc->...cab", a, g.values, quad)
     return geometry.JetMatrix(vals, t1 + t2 + t3)
+
+
+# ---------------------------------------------------------------------------
+# A change of chart.  A polynomial map phi = x + quadratic + cubic is a
+# diffeomorphism near the unit box for small coefficients; pulling (J, g)
+# back by it gives the same structure and metric in the chart x.
+
+
+def random_polynomial_maps(rng: np.random.Generator, points, scale: float = 0.1):
+    """phi(x) = x + q(x, x) / 2 + c(x, x, x) / 6 at each of `points` ``(batch, n)``,
+    with q and c symmetric in their lower indices and drawn from
+    [-scale, scale]: returns phi ``(batch, n)``, Dphi ``(batch, n, n)`` with
+    ``Dphi[i, j] = d_j phi^i``, and d Dphi ``(batch, n, n, n)`` with
+    ``[k, i, j] = d_k d_j phi^i``."""
+    x = np.asarray(points, dtype=float)
+    batch, n = x.shape
+    q = rng.uniform(-scale, scale, (batch, n, n, n))
+    q = (q + np.swapaxes(q, -1, -2)) / 2
+    c = rng.uniform(-scale, scale, (batch, n, n, n, n))
+    c = sum(np.moveaxis(c, (-3, -2, -1), p) for p in itertools.permutations((-3, -2, -1))) / 6
+    phi = x + np.einsum("...ijk,...j,...k->...i", q, x, x) / 2
+    phi = phi + np.einsum("...ijkl,...j,...k,...l->...i", c, x, x, x) / 6
+    dphi = np.eye(n) + np.einsum("...ijk,...k->...ij", q, x) + np.einsum("...ijkl,...k,...l->...ij", c, x, x) / 2
+    ddphi = np.einsum("...ijk->...kij", q + np.einsum("...ijkl,...l->...ijk", c, x))
+    return phi, dphi, ddphi
+
+
+def pull_back_jets(j: geometry.JetMatrix, g: Optional[geometry.JetMatrix], dphi, ddphi):
+    """The jets of J' = Dphi^-1 (J o phi) Dphi and g' = Dphi^T (g o phi) Dphi
+    (g' symmetrised) from J's and g's jets at phi(x), by the chain rule:
+    d_k J' = -Dphi^-1 H_k Dphi^-1 J Dphi + Dphi^-1 (sum_m d_m J d_k phi^m) Dphi
+    + Dphi^-1 J H_k, with H_k = d_k Dphi, and d_k g' by the same rule."""
+    t = lambda m: np.swapaxes(m, -1, -2)
+    k = lambda m: m[..., None, :, :]  # against the derivative axis k
+    chain = lambda partials: np.einsum("...mij,...mk->...kij", partials, dphi)  # sum_m d_m X d_k phi^m
+    fi = np.linalg.inv(dphi)
+    jv = fi @ j.values @ dphi
+    jp = -k(fi) @ ddphi @ k(jv) + k(fi) @ chain(j.partials) @ k(dphi) + k(fi @ j.values) @ ddphi
+    if g is None:
+        return geometry.JetMatrix(jv, jp), None
+    gv = t(dphi) @ g.values @ dphi
+    gp = t(ddphi) @ k(g.values @ dphi) + k(t(dphi)) @ chain(g.partials) @ k(dphi) + k(t(dphi) @ g.values) @ ddphi
+    return geometry.JetMatrix(jv, jp), geometry.JetMatrix((gv + t(gv)) / 2, (gp + t(gp)) / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -141,3 +141,19 @@ def test_out_of_memory_is_one_line_or_a_flagged_row(tmp_path):
     assert scan.stdout == f"scan: 1 points, 1 flagged\nmax |obstruction|: n/a (no successful rows)\ncsv: {out}\n"
     status = f'"error: out of memory: {allocation.format((1, 1000, 1000, 1000))}"'
     assert out.read_text().splitlines()[1:] == [",".join(["0"] * 1000 + ["nan"] * 4 + [status])]
+
+
+def _selftest_peak_rss_mb(samples: int) -> float:
+    env = dict(os.environ, PYTHONPATH=SRC, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    argv = ["selftest", "--dims", "6", "--samples", str(samples), "--degree", "1", "--seed", "6"]
+    proc = subprocess.Popen([sys.executable, "-m", "acscheck.cli", *argv], env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4, not by Popen
+    assert proc.returncode == 0
+    return usage.ru_maxrss / 1024  # kilobytes on Linux
+
+
+# The samples run in blocks of selftest.BLOCK: 16 times the samples need no
+# more memory (6,400 samples took 205 MB as one batch, 41 MB in blocks).
+def test_selftest_memory_does_not_grow_with_the_sample_count():
+    assert _selftest_peak_rss_mb(6400) < _selftest_peak_rss_mb(400) + 10.0

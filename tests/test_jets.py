@@ -382,6 +382,71 @@ def test_constants_stay_floats():
         jet_apply("div", [1.0, 0.0])
 
 
+def _jet_and_constant(points, order):
+    """x1 * x2 + sin(x1) at a batch of points, or at one, and a constant of one value per point."""
+    x, y = (seed_variable(i, points[..., i], 2, order=order) for i in range(2))
+    return _op("add", _op("mul", x, y), _op("sin", x)), -1.5 * points[..., 0] + 0.25
+
+
+def _same_bits(batch, b, single):
+    if not isinstance(single, Jet):
+        assert np.asarray(batch)[b].tobytes() == np.float64(single).tobytes()
+        return
+    assert np.asarray(batch.value)[b].tobytes() == np.float64(single.value).tobytes()
+    assert batch.grad[b].tobytes() == single.grad.tobytes()
+    assert (batch.hess is None) == (single.hess is None)
+    if batch.hess is not None:
+        assert batch.hess[b].tobytes() == single.hess.tobytes()
+
+
+def _arguments(op, u, c):
+    """Each order of arguments with an array constant `c`, against a jet `u` or a float."""
+    if jets._OPS[op][0] == 1:
+        return [(c,)]
+    return [(u, c), (c, u), (c, 0.75), (0.75, c), (c, c)]
+
+
+@pytest.mark.parametrize("order", (1, 2))
+@pytest.mark.parametrize("op", ("add", "sub", "mul", "neg"))
+def test_an_array_constant_gives_each_point_the_bits_of_its_own_float(rng, op, order):
+    points = rng.uniform(0.2, 1.5, (6, 2))
+    u, c = _jet_and_constant(points, order)
+    for args in _arguments(op, u, c):
+        batch = jet_apply(op, args)
+        for b, point in enumerate(points):
+            ub, cb = _jet_and_constant(point, order)
+            single = jet_apply(op, [ub if a is u else float(cb) if a is c else a for a in args])
+            _same_bits(batch, b, single)
+
+
+@pytest.mark.parametrize("op", ("neg", "add", "sub", "mul"))
+def test_a_constant_array_that_is_not_of_floats_is_rejected(op):
+    x = seed_variable(0, np.array([1.0, 2.0]), 2)
+    for bad in ("2", np.array([1, 2]), np.array(["1", "2"])):
+        name = type(bad).__name__
+        for args in ((bad,),) if op == "neg" else ((x, bad), (bad, x)):
+            with pytest.raises(TypeError, match=f"^cannot use {name} as a jet operand$"):
+                jet_apply(op, args)
+
+
+@pytest.mark.parametrize("op", ("div", "pow", "sin", "cos", "exp", "log", "sqrt", "tanh"))
+def test_other_operations_take_an_array_constant_point_by_point_or_refuse_it(rng, op):
+    # never numpy's "truth value of an array is ambiguous" ValueError
+    points = rng.uniform(0.2, 1.5, (6, 2))
+    u, c = _jet_and_constant(points, 1)
+    c = np.abs(c) + 0.5  # in every operation's domain
+    for args in _arguments(op, u, c):
+        try:
+            batch = jet_apply(op, args)
+        except TypeError as exc:
+            assert str(exc) == "cannot use ndarray as a jet operand"
+            continue
+        for b, point in enumerate(points):
+            ub, cb = _jet_and_constant(point, 1)
+            single = jet_apply(op, [ub if a is u else abs(float(cb)) + 0.5 if a is c else a for a in args])
+            _same_bits(batch, b, single)
+
+
 def _power_per_point(v: float, k: float):
     """The reference: v ** k with its exponent classified at every point."""
     if math.isfinite(k) and k == round(k):

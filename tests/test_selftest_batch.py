@@ -1,6 +1,7 @@
 """The batched self-test against its earlier per-sample, expression-tree form.
 
-`run_selftest` evaluates each dimension's samples as one batch of arrays.
+`run_selftest` evaluates each dimension's samples as batches of arrays, of
+`selftest.BLOCK` samples each.
 Every count, failure line and residual must have the bits that the
 per-sample reference `oracle.run_selftest_per_sample` gives, and the array
 jets of the random frames and metrics must have the bits of their
@@ -18,6 +19,7 @@ from acscheck import expr, geometry, selftest
 from acscheck._pcg64 import Streams
 from acscheck.geometry import ChartSpec, random_conjugation_acs
 from acscheck.obstruction import CANCELLATION_LABELS, report_from_jets
+from acscheck.structures import StructureFile, parse_structure, serialize_structure
 
 COND = r" frame_cond=\d\.\d{3}e[+-]\d\d"
 
@@ -174,3 +176,38 @@ def test_monomials_are_the_exponents_of_total_degree_at_most_d_in_order():
             brute = sorted(e for e in itertools.product(range(d + 1), repeat=n) if sum(e) <= d)
             assert geometry._monomials(n, d) == tuple(brute), (n, d)
     assert len(geometry._monomials(16, 2)) == 153  # C(18, 2), not 3^16 tuples walked
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13, 14, 15, 42])
+def test_blocks_of_one_give_the_text_of_the_default_blocks(monkeypatch, seed):
+    default = selftest.run_selftest((2, 4, 6), 5, 2, seed).render_text()
+    monkeypatch.setattr(selftest, "BLOCK", 1)
+    assert selftest.run_selftest((2, 4, 6), 5, 2, seed).render_text() == default
+
+
+def test_failure_lines_name_the_sample_across_blocks(monkeypatch):
+    # blocks of 3 split each dimension's 4 samples; a zero tolerance fails most of them
+    for module in (selftest, oracle):
+        monkeypatch.setattr(module, "TOL_LEDGER", 0.0)
+    ref = oracle.run_selftest_per_sample((2, 4), 4, 2, 7)
+    monkeypatch.setattr(selftest, "BLOCK", 3)
+    new = selftest.run_selftest((2, 4), 4, 2, 7)
+    assert any(" sample=3 " in line for line in ref.failures)
+    _assert_same_report(new, ref)
+
+
+def test_random_frames_read_back_from_a_structure_file_up_to_the_parser_limit():
+    field = random_conjugation_acs(8, 4, 0)  # 495 terms an entry
+    sf = StructureFile(ChartSpec.default(8), field, None)
+    assert parse_structure(serialize_structure(sf)) == sf
+    # 680 terms an entry: the diagonal entries, 1 + the sum, are the deepest
+    frame = random_conjugation_acs(14, 3, 0).frame
+    for i in range(14):
+        assert expr.parse_expr(expr.to_source(frame[i][i])) == frame[i][i]
+
+
+@pytest.mark.parametrize("dim, degree, terms", [(16, 3, 969), (10, 4, 1001), (18, 3, 1330)])
+def test_random_frames_too_deep_to_read_back_are_refused(dim, degree, terms):
+    message = f"^a random frame with {terms} terms per entry nests too deeply for a structure file$"
+    with pytest.raises(ValueError, match=message):
+        random_conjugation_acs(dim, degree, 0)

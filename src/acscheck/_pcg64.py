@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_BLOCK = 1 << 14  # draws computed at once, over all rows: bounds the temporaries
+_BLOCK = 1 << 12  # draws computed at once, over all rows: bounds the temporaries
 _MASK = 0xFFFFFFFF
 _A = np.array([[0x2360ED051FC65DA4], [0x4385DF649FCCF645]], np.uint64)  # A_k for k = 1, 2, ...
 _C = np.array([[0], [1]], np.uint64)  # C_k

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Optional, Union
 
 import numpy as np
@@ -335,6 +336,13 @@ def _monomials(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
     ))
 
 
+def _term_count(n: int, degree: int) -> int:
+    """len(_monomials(n, degree)), C(n + degree, degree), without listing them."""
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
+    return math.comb(n + degree, degree)
+
+
 def _polynomial_ast(expo, coeffs, names) -> expr.ExprNode:
     """sum_t coeffs[t] x^expo[t] as an AST, added left to right; a term is
     ((|c| x_a^k) x_b^l)... in variable order, negated where c < 0."""
@@ -375,11 +383,10 @@ def _polynomial_jets(expo: np.ndarray, coeffs: np.ndarray, point):
 
 def _random_frames(dim: int, degree: int, seeds):
     """P of random_conjugation_acs's frame A = I + P per seed: exponents ``(m, dim)`` of the
-    monomials of degree <= degree, coefficients ``(seeds, dim, dim, m)``.  The caller checks `dim`."""
+    monomials of degree <= degree, coefficients ``(seeds, dim, dim, m)``.  The caller checks `dim`
+    and, by `_term_count`, `degree`."""
     from ._pcg64 import Streams  # only selftest and its replays draw
 
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
     expo = np.array(_monomials(dim, degree))
     return expo, Streams(seeds).uniform(-0.3, 0.3, (dim, dim, len(expo)))
 
@@ -392,7 +399,7 @@ def random_conjugation_acs(dim: int, degree: int, seed: int) -> ConjugationField
     bit-identical for a given seed.
     """
     names = ChartSpec.default(dim).var_names  # refuses a bad dimension before drawing
-    terms = len(_monomials(dim, degree))  # a diagonal entry's levels are at most
+    terms = _term_count(dim, degree)  # a diagonal entry's levels are at most
     if terms + degree + 1 > 4 * expr._MAX_DEPTH:  # terms - 1 sums, degree in a term, a sign and 1 +
         raise ValueError(f"a random frame with {terms} terms per entry nests too deeply for a structure file")
     expo, (coeffs,) = _random_frames(dim, degree, [seed])

@@ -35,7 +35,8 @@ TOL_LEDGER = 1e-9
 TOL_ZERO_N = 1e-8
 TOL_ZERO_PROP = 1e-12
 TOL_COLLAPSE = 1e-10
-BLOCK = 256  # samples evaluated as one batch: bounds the memory a run needs
+BLOCK = 256  # the most samples evaluated as one batch
+FLOATS = 1 << 18  # the most floats of one kind a batch holds: bounds the memory a run needs
 
 _CHECK_NAMES = (
     "acs validity (max |J^2+I| <= 1e-09)",
@@ -66,7 +67,7 @@ class SelfTestReport(Record):
     degree: int
     seed: int
     checks: dict[str, list[int]]  # name -> [passed, applicable]
-    residuals: dict[str, list[float]]
+    residuals: dict[str, np.ndarray]  # float64, dimension by dimension in the order of dims
     failures: list[str]  # one line per failed check of a sample, to replay it
 
     def all_passed(self) -> bool:
@@ -147,20 +148,33 @@ def _spd_metrics(streams: Streams, points) -> JetMatrix:
     return JetMatrix(values, partials)
 
 
+def _block(dim: int, degree: int) -> int:
+    """Samples of a batch: at most BLOCK, and at most as many as keep its frame
+    coefficients, dim^2 C(dim + degree, degree) floats a sample, and its report
+    tensors, dim^3 floats a sample, within FLOATS."""
+    per_sample = max(dim * dim * geometry._term_count(dim, degree), dim**3)
+    return max(1, min(BLOCK, FLOATS // per_sample))
+
+
 def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
     """Run the suite; deterministic in (dims, samples, degree, seed).  The
-    samples of a dimension run in batches of BLOCK, each with the bits it has alone."""
+    samples of a dimension run in batches of `_block`, each with the bits it has alone."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     dims = tuple(ChartSpec.default(int(d)).n for d in dims)
     if not dims:
         raise ValueError("dims must name at least one dimension")
+    blocks = [_block(d, degree) for d in dims]
     checks = {name: [0, 0] for name in _CHECK_NAMES}
-    residuals: dict[str, list[float]] = {name: [] for name in _RESIDUAL_NAMES}
+    try:  # each row holds the samples of dims[0], then those of dims[1], ...
+        residuals = {name: np.empty(len(dims) * samples) for name in _RESIDUAL_NAMES}
+    except (MemoryError, ValueError):
+        raise ValueError(f"residuals of {len(dims)} x {samples} samples are too large to allocate") from None
     failures: list[str] = []
 
-    for dim, start in ((d, s) for d in dims for s in range(0, samples, BLOCK)):
-        streams = Streams([[seed, dim, index] for index in range(start, min(start + BLOCK, samples))])
+    for at, start in ((at, s) for at, block in enumerate(blocks) for s in range(0, samples, block)):
+        dim, stop = dims[at], min(start + blocks[at], samples)
+        streams = Streams([[seed, dim, index] for index in range(start, stop)])
         field_seeds = streams.integers63()
         expo, frames = geometry._random_frames(dim, degree, field_seeds)
         points = streams.uniform(0.0, 1.0, (dim,))
@@ -221,6 +235,6 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
             abs(rep_e["double_trace"] - rep_g["double_trace"]),
         )
         for name, value in zip(_RESIDUAL_NAMES, values, strict=True):
-            residuals[name].extend(value.tolist())
+            residuals[name][at * samples + start : at * samples + stop] = value
 
     return SelfTestReport(dims, samples, degree, seed, checks, residuals, failures)

@@ -51,6 +51,10 @@ The set, built from the benchmark's inputs in `bench/run.py`:
   the 64 dimensions numpy's `unravel_index` takes;
 - `selftest --dims 2,4 --samples 600 --degree 1 --seed 3`, whose samples
   run in three blocks of `selftest.BLOCK` or fewer per dimension;
+- `selftest --dims 8,10 --samples 64 --degree 3 --seed 1`, whose samples
+  run in blocks of 24 and of 9, the most that `selftest.FLOATS` admits,
+  and `selftest --dims 4,4 --samples 3 --degree 1 --seed 1`, a dimension
+  given twice;
 - SHEAR4_METRIC, written to OUT_DIR: `shear4`'s `J` under a polynomial SPD
   metric it is not compatible with, so that its obstruction does not vanish
   and shows how far numbers on the metric path move.  `check --json` and
@@ -69,7 +73,7 @@ recorded as a process would end: exit 1 and a traceback's first and last
 lines on stderr.  Per invocation NAME the directory holds
 NAME.out (stdout), NAME.err (stderr, when there is any) and NAME.csv for a
 scan; `invocations.txt` lists each name, its arguments and its exit code.
-It writes 191 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
+It writes 193 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
 host.
 """
 
@@ -203,6 +207,10 @@ def invocations(bench) -> list:
     out.append(("scan-shear4-metric", ["scan", "shear4-metric.acs", *grid]))
     args = ["--dims", "2,4", "--samples", "600", "--degree", "1", "--seed", "3"]
     out.append(("selftest-blocks", ["selftest", *args]))
+    args = ["--dims", "8,10", "--samples", "64", "--degree", "3", "--seed", "1"]
+    out.append(("selftest-float-budget", ["selftest", *args]))
+    args = ["--dims", "4,4", "--samples", "3", "--degree", "1", "--seed", "1"]
+    out.append(("selftest-repeated-dims", ["selftest", *args]))
     return out
 
 

@@ -143,17 +143,59 @@ def test_out_of_memory_is_one_line_or_a_flagged_row(tmp_path):
     assert out.read_text().splitlines()[1:] == [",".join(["0"] * 1000 + ["nan"] * 4 + [status])]
 
 
-def _selftest_peak_rss_mb(samples: int) -> float:
+# A child's peak RSS counts the memory of the process that started it, so a
+# selftest started by the test process read at least that process's peak
+# (51 MB at dimension 2 and at 10 alike): it starts from a bare interpreter.
+_LAUNCH = """import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _selftest_peak_rss_mb(options: str) -> float:
     env = dict(os.environ, PYTHONPATH=SRC, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    argv = ["selftest", "--dims", "6", "--samples", str(samples), "--degree", "1", "--seed", "6"]
-    proc = subprocess.Popen([sys.executable, "-m", "acscheck.cli", *argv], env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4, not by Popen
-    assert proc.returncode == 0
-    return usage.ru_maxrss / 1024  # kilobytes on Linux
+    argv = [sys.executable, "-m", "acscheck.cli", "selftest", *options.split()]
+    launch = subprocess.run([sys.executable, "-c", _LAUNCH, *argv], env=env, capture_output=True, text=True)
+    returncode, maxrss = map(int, launch.stdout.split())  # the selftest's exit code, reaped by wait4
+    assert returncode == 0
+    return maxrss / 1024  # kilobytes on Linux
 
 
 # The samples run in blocks of selftest.BLOCK: 16 times the samples need no
 # more memory (6,400 samples took 205 MB as one batch, 41 MB in blocks).
 def test_selftest_memory_does_not_grow_with_the_sample_count():
-    assert _selftest_peak_rss_mb(6400) < _selftest_peak_rss_mb(400) + 10.0
+    options = "--dims 6 --samples {} --degree 1 --seed 6"
+    assert _selftest_peak_rss_mb(options.format(6400)) < _selftest_peak_rss_mb(options.format(400)) + 10.0
+
+
+# A block holds at most selftest.FLOATS floats of frame coefficients: dimension
+# 10 at degree 3, 28,600 of them a sample, took 51.7 MB in blocks of 256
+# samples against 30.8 MB at dimension 2.
+def test_selftest_memory_does_not_grow_with_the_frame_size():
+    options = "--dims {} --samples 64 --degree 3 --seed 1"
+    assert _selftest_peak_rss_mb(options.format(10)) < _selftest_peak_rss_mb(options.format(2)) + 10.0
+
+
+# Each residual is one float64 of a preallocated row, 128 B a sample for the 16
+# rows: as Python floats in lists, 51,200 samples took 60.7 MB against 31.0 MB.
+def test_selftest_residuals_take_a_float_a_sample():
+    options = "--dims 2 --samples {} --degree 0 --seed 3"
+    assert _selftest_peak_rss_mb(options.format(51200)) < _selftest_peak_rss_mb(options.format(400)) + 15.0
+
+
+# The residual rows are allocated before any draw, so a sample count whose rows
+# cannot be held is refused at once (as lists of floats, they grew by about
+# 0.6 KB a sample for as long as the run lasted): 10**20 doubles exceed what
+# numpy can index, 10**13 the 2 GiB this process may map.
+@pytest.mark.parametrize("samples", [10**20, 10**13])
+def test_selftest_refuses_residuals_too_large_to_allocate(samples):
+    env = dict(os.environ, PYTHONPATH=SRC, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    argv = ["selftest", "--dims", "2", "--samples", str(samples), "--degree", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "acscheck.cli", *argv], env=env, capture_output=True, text=True,
+        preexec_fn=_cap_address_space, timeout=60,
+    )
+    assert "Traceback" not in proc.stderr
+    err = f"acscheck: error: residuals of 1 x {samples} samples are too large to allocate\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", err)

@@ -1,7 +1,7 @@
 """The batched self-test against its earlier per-sample, expression-tree form.
 
 `run_selftest` evaluates each dimension's samples as batches of arrays, of
-`selftest.BLOCK` samples each.
+at most `selftest.BLOCK` samples and `selftest.FLOATS` floats of one kind each.
 Every count, failure line and residual must have the bits that the
 per-sample reference `oracle.run_selftest_per_sample` gives, and the array
 jets of the random frames and metrics must have the bits of their
@@ -10,6 +10,7 @@ expression trees' evaluation.
 
 import itertools
 import re
+import time
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def _assert_same_report(new, ref):
     assert [re.sub(COND + "$", "", line) for line in new.failures] == ref.failures
     assert list(new.residuals) == list(ref.residuals)
     for name, values in ref.residuals.items():
-        assert all(type(v) is float for v in new.residuals[name]), name
+        assert new.residuals[name].dtype == np.float64 and new.residuals[name].ndim == 1, name
         assert np.array(new.residuals[name]).tobytes() == np.array(values).tobytes(), name
     assert re.sub(COND, "", new.render_text()) == ref.render_text()
 
@@ -178,11 +179,33 @@ def test_monomials_are_the_exponents_of_total_degree_at_most_d_in_order():
     assert len(geometry._monomials(16, 2)) == 153  # C(18, 2), not 3^16 tuples walked
 
 
-@pytest.mark.parametrize("seed", [11, 12, 13, 14, 15, 42])
-def test_blocks_of_one_give_the_text_of_the_default_blocks(monkeypatch, seed):
-    default = selftest.run_selftest((2, 4, 6), 5, 2, seed).render_text()
-    monkeypatch.setattr(selftest, "BLOCK", 1)
-    assert selftest.run_selftest((2, 4, 6), 5, 2, seed).render_text() == default
+SEEDS = (11, 12, 13, 14, 15, 42)
+
+
+# one sample a block, set by the sample count or, at degree 3, by the float budget
+@pytest.mark.parametrize(
+    "degree, limit, seed",
+    [(2, "BLOCK", seed) for seed in SEEDS] + [(3, "FLOATS", seed) for seed in SEEDS],
+    ids=[str(seed) for seed in SEEDS] + [f"floats-{seed}" for seed in SEEDS],
+)
+def test_blocks_of_one_give_the_text_of_the_default_blocks(monkeypatch, degree, limit, seed):
+    default = selftest.run_selftest((2, 4, 6), 5, degree, seed).render_text()
+    monkeypatch.setattr(selftest, limit, 1)
+    assert [selftest._block(d, degree) for d in (2, 4, 6)] == [1, 1, 1]
+    assert selftest.run_selftest((2, 4, 6), 5, degree, seed).render_text() == default
+
+
+def test_repeated_dimensions_fill_their_own_residuals(monkeypatch):
+    ref = oracle.run_selftest_per_sample((4, 4), 3, 1, 1)
+    _refuse_trees(monkeypatch)
+    _assert_same_report(selftest.run_selftest((4, 4), 3, 1, 1), ref)
+
+
+def test_the_float_budget_splits_large_frames():
+    # C(9, 3) = 84, C(11, 3) = 165 and C(13, 3) = 286 terms an entry; C(17, 3) = 680 leaves one sample a batch
+    assert selftest.FLOATS == 1 << 18
+    assert [selftest._block(d, 3) for d in (2, 6, 8, 10, 14)] == [256, 86, 24, 9, 1]
+    assert selftest._block(64, 0) == 1  # 64^3 report floats a sample
 
 
 def test_failure_lines_name_the_sample_across_blocks(monkeypatch):
@@ -206,8 +229,13 @@ def test_random_frames_read_back_from_a_structure_file_up_to_the_parser_limit():
         assert expr.parse_expr(expr.to_source(frame[i][i])) == frame[i][i]
 
 
-@pytest.mark.parametrize("dim, degree, terms", [(16, 3, 969), (10, 4, 1001), (18, 3, 1330)])
+# the terms are counted, not listed: listing the 501,501 monomials of (2, 1000) took 7.6 s
+@pytest.mark.parametrize(
+    "dim, degree, terms", [(16, 3, 969), (10, 4, 1001), (18, 3, 1330), (2, 1000, 501501), (2, 100000, 5000150001)]
+)
 def test_random_frames_too_deep_to_read_back_are_refused(dim, degree, terms):
     message = f"^a random frame with {terms} terms per entry nests too deeply for a structure file$"
+    start = time.perf_counter()
     with pytest.raises(ValueError, match=message):
         random_conjugation_acs(dim, degree, 0)
+    assert time.perf_counter() - start < 1.0

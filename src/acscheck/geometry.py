@@ -368,13 +368,13 @@ def _polynomial_jets(expo: np.ndarray, coeffs: np.ndarray, point):
     ``-(|c| x)`` round alike (-0.0, which no draw gives, would not)."""
     pts = np.asarray(point, dtype=float)[..., None, None]  # against the table's axes
     n, factors, total = pts.shape[-3], {}, None
-    for t, e in enumerate(expo):
+    for t, e in enumerate(expo.tolist()):  # Python ints, cheap to walk: small batches run this often
         term = coeffs[..., t]
-        for v in np.flatnonzero(e):
-            if (v, e[v]) not in factors:  # the jet of x_v^k
+        for v, k in ((v, k) for v, k in enumerate(e) if k):
+            if (v, k) not in factors:  # the jet of x_v^k
                 f = jets.seed_variable(v, pts[..., v, :, :], n)
-                factors[v, e[v]] = f if e[v] == 1 else jets.jet_apply("pow", [f, float(e[v])])
-            term = jets.jet_apply("mul", [term, factors[v, e[v]]])
+                factors[v, k] = f if k == 1 else jets.jet_apply("pow", [f, float(k)])
+            term = jets.jet_apply("mul", [term, factors[v, k]])
         total = term if total is None else jets.jet_apply("add", [total, term])
     if not isinstance(total, jets.Jet):  # a constant table: copied, with zero partials
         total = jets.constant(total, n)

@@ -17,6 +17,8 @@ and the two sides of such an identity are near zero by construction.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from . import geometry, nijenhuis
@@ -67,7 +69,7 @@ class SelfTestReport(Record):
     degree: int
     seed: int
     checks: dict[str, list[int]]  # name -> [passed, applicable]
-    residuals: dict[str, np.ndarray]  # float64, dimension by dimension in the order of dims
+    residuals: dict[str, array]  # doubles, dimension by dimension in the order of dims
     failures: list[str]  # one line per failed check of a sample, to replay it
 
     def all_passed(self) -> bool:
@@ -167,8 +169,8 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
     blocks = [_block(d, degree) for d in dims]
     checks = {name: [0, 0] for name in _CHECK_NAMES}
     try:  # each row holds the samples of dims[0], then those of dims[1], ...
-        residuals = {name: np.empty(len(dims) * samples) for name in _RESIDUAL_NAMES}
-    except (MemoryError, ValueError):
+        residuals = {name: array("d", [0.0]) * (len(dims) * samples) for name in _RESIDUAL_NAMES}
+    except (MemoryError, OverflowError):
         raise ValueError(f"residuals of {len(dims)} x {samples} samples are too large to allocate") from None
     failures: list[str] = []
 
@@ -235,6 +237,6 @@ def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
             abs(rep_e["double_trace"] - rep_g["double_trace"]),
         )
         for name, value in zip(_RESIDUAL_NAMES, values, strict=True):
-            residuals[name][at * samples + start : at * samples + stop] = value
+            np.frombuffer(residuals[name])[at * samples + start : at * samples + stop] = value
 
     return SelfTestReport(dims, samples, degree, seed, checks, residuals, failures)

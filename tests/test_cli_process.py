@@ -177,7 +177,16 @@ def test_selftest_memory_does_not_grow_with_the_frame_size():
     assert _selftest_peak_rss_mb(options.format(10)) < _selftest_peak_rss_mb(options.format(2)) + 10.0
 
 
-# Each residual is one float64 of a preallocated row, 128 B a sample for the 16
+# A block holds at most selftest.FLOATS floats of report tensors too, dim^3 a
+# sample (about 15 such tensors are live at the peak): at dimension 16 and
+# degree 0, whose frames take 256 floats a sample, 128 samples in one block
+# took 89.0 MB against 62.3 MB for 64.
+def test_selftest_memory_does_not_grow_with_the_report_size():
+    options = "--dims 16 --samples {} --degree 0 --seed 1"
+    assert _selftest_peak_rss_mb(options.format(128)) < _selftest_peak_rss_mb(options.format(64)) + 10.0
+
+
+# Each residual is one double of a preallocated row, 128 B a sample for the 16
 # rows: as Python floats in lists, 51,200 samples took 60.7 MB against 31.0 MB.
 def test_selftest_residuals_take_a_float_a_sample():
     options = "--dims 2 --samples {} --degree 0 --seed 3"
@@ -187,7 +196,7 @@ def test_selftest_residuals_take_a_float_a_sample():
 # The residual rows are allocated before any draw, so a sample count whose rows
 # cannot be held is refused at once (as lists of floats, they grew by about
 # 0.6 KB a sample for as long as the run lasted): 10**20 doubles exceed what
-# numpy can index, 10**13 the 2 GiB this process may map.
+# an index can count, 10**13 the 2 GiB this process may map.
 @pytest.mark.parametrize("samples", [10**20, 10**13])
 def test_selftest_refuses_residuals_too_large_to_allocate(samples):
     env = dict(os.environ, PYTHONPATH=SRC, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")

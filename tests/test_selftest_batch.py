@@ -38,7 +38,7 @@ def _assert_same_report(new, ref):
     assert [re.sub(COND + "$", "", line) for line in new.failures] == ref.failures
     assert list(new.residuals) == list(ref.residuals)
     for name, values in ref.residuals.items():
-        assert new.residuals[name].dtype == np.float64 and new.residuals[name].ndim == 1, name
+        assert new.residuals[name].typecode == "d", name
         assert np.array(new.residuals[name]).tobytes() == np.array(values).tobytes(), name
     assert re.sub(COND, "", new.render_text()) == ref.render_text()
 
@@ -199,6 +199,13 @@ def test_repeated_dimensions_fill_their_own_residuals(monkeypatch):
     ref = oracle.run_selftest_per_sample((4, 4), 3, 1, 1)
     _refuse_trees(monkeypatch)
     _assert_same_report(selftest.run_selftest((4, 4), 3, 1, 1), ref)
+
+
+# a report is a Record: it compares equal to the report of the same arguments
+def test_equal_runs_give_equal_reports():
+    first = selftest.run_selftest((2, 4), 3, 1, 7)
+    assert first == selftest.run_selftest((2, 4), 3, 1, 7)
+    assert first != selftest.run_selftest((2, 4), 3, 1, 8)
 
 
 def test_the_float_budget_splits_large_frames():

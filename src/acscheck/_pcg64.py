@@ -93,13 +93,12 @@ class Streams:
             x, rot = h ^ lo, h >> 58
             yield slice(j, j + a.shape[1]), x >> rot | x << (64 - rot & 63)
 
-    def uniform(self, low: float, high: float, shape: tuple, rows=None) -> np.ndarray:
+    def uniform(self, low: float, high: float, shape: tuple) -> np.ndarray:
         """``uniform(low, high, shape)`` of each row: shape ``(rows, *shape)``."""
-        rows = np.arange(self.s.shape[1]) if rows is None else rows
-        out = np.empty((len(rows), int(np.prod(shape))))
-        for cols, x in self._raw(rows, out.shape[1]):
+        out = np.empty((self.s.shape[1], int(np.prod(shape))))
+        for cols, x in self._raw(np.arange(len(out)), out.shape[1]):
             out[:, cols] = low + (high - low) * ((x >> 11) * 2.0**-53)
-        return out.reshape(len(rows), *shape)
+        return out.reshape(len(out), *shape)
 
     def integers63(self) -> list:
         """``integers(0, 2**63 - 1)`` of every row by Lemire's method: the high word of

@@ -41,13 +41,13 @@ BLOCK = 256  # the most samples evaluated as one batch
 FLOATS = 1 << 18  # the most floats of one kind a batch holds: bounds the memory a run needs
 
 _CHECK_NAMES = (
-    "acs validity (max |J^2+I| <= 1e-09)",
-    "formula equivalence (standard vs reduced, rel <= 1e-09)",
-    "antisymmetry (max |N^k_ij + N^k_ji| <= 1e-09)",
-    "swap identity N(Je_i,Je_j) = -N(e_i,e_j) (scaled <= 1e-09)",
-    "ledger total vs contraction (scaled <= 1e-09)",
-    "zero propagation (N=0 => scalars <= 1e-12)",
-    "euclidean trace collapse (scaled <= 1e-10)",
+    f"acs validity (max |J^2+I| <= {TOL_ACS:.0e})",
+    f"formula equivalence (standard vs reduced, rel <= {TOL_EQUIV:.0e})",
+    f"antisymmetry (max |N^k_ij + N^k_ji| <= {TOL_ANTISYM:.0e})",
+    f"swap identity N(Je_i,Je_j) = -N(e_i,e_j) (scaled <= {TOL_SWAP:.0e})",
+    f"ledger total vs contraction (scaled <= {TOL_LEDGER:.0e})",
+    f"zero propagation (N=0 => scalars <= {TOL_ZERO_PROP:.0e})",
+    f"euclidean trace collapse (scaled <= {TOL_COLLAPSE:.0e})",
 )
 
 _RESIDUAL_NAMES = (
@@ -107,12 +107,12 @@ class SelfTestReport(Record):
         return "\n".join(lines) + "\n"
 
 
-def _metric_coeffs(streams: Streams, rows, n: int) -> np.ndarray:
+def _metric_coeffs(streams: Streams, n: int) -> np.ndarray:
     """One draw of a random metric I + 0.2 (B + B^T) + small linear
-    perturbation for each of `rows`: coefficients ``(rows, n, n, n + 1)`` of
-    1, x1, ..., xn."""
-    b = streams.uniform(-1.0, 1.0, (n, n), rows)
-    lin = streams.uniform(-0.05, 0.05, (n, n, n), rows)  # lin[:, k, i, j]: x_k coefficient
+    perturbation for each row of `streams`: coefficients ``(rows, n, n, n + 1)``
+    of 1, x1, ..., xn."""
+    b = streams.uniform(-1.0, 1.0, (n, n))
+    lin = streams.uniform(-0.05, 0.05, (n, n, n))  # lin[:, k, i, j]: x_k coefficient
     lo, hi = np.minimum.outer(range(n), range(n)), np.maximum.outer(range(n), range(n))
     const = np.eye(n) + 0.2 * (b + np.swapaxes(b, -1, -2))
     return np.concatenate([const[..., None], np.moveaxis(lin[:, :, lo, hi], 1, -1)], axis=-1)
@@ -123,30 +123,24 @@ def _metric_exponents(n: int) -> np.ndarray:
 
 
 def _spd_metrics(streams: Streams, points) -> JetMatrix:
-    """Each sample's random metric jets, redrawn from the sample's own
-    stream until positive definite at its point.  Each round draws from
-    every sample still without a metric and evaluates those draws as one
-    batch, for at most 64 rounds.  A sample whose 64th draw is not positive
-    definite keeps it with its constant term shifted by (1 - lambda_min) I,
-    lambda_min its smallest eigenvalue at the point: positive definite by
-    construction, with the partials unchanged."""
+    """Each sample's random metric jets, one draw from the sample's own
+    stream.  A draw that is not positive definite at its point has its
+    constant term shifted by (1 - lambda_min) I, lambda_min its smallest
+    eigenvalue at the point: positive definite by construction, with the
+    partials unchanged."""
     n = points.shape[-1]
-    expo, todo = _metric_exponents(n), list(range(len(points)))
-    values, partials = np.empty((len(points), n, n)), np.empty((len(points), n, n, n))
-    for _ in range(64):
-        coeffs = _metric_coeffs(streams, todo, n)
-        values[todo], partials[todo] = geometry._polynomial_jets(expo, coeffs, points[todo])
-        left = []
-        for k, b in enumerate(todo):
-            try:
-                np.linalg.cholesky(values[b])
-            except np.linalg.LinAlgError:
-                left.append(k)
-        if not left:
-            return JetMatrix(values, partials)
-        coeffs, todo = coeffs[left], [todo[k] for k in left]
-    coeffs[:, range(n), range(n), 0] += 1.0 - np.linalg.eigvalsh(values[todo])[:, :1]
-    values[todo], partials[todo] = geometry._polynomial_jets(expo, coeffs, points[todo])
+    expo, coeffs = _metric_exponents(n), _metric_coeffs(streams, n)
+    values, partials = geometry._polynomial_jets(expo, coeffs, points)
+    shift = []
+    for b, v in enumerate(values):
+        try:
+            np.linalg.cholesky(v)
+        except np.linalg.LinAlgError:
+            shift.append(b)
+    if shift:
+        coeffs = coeffs[shift]
+        coeffs[:, range(n), range(n), 0] += 1.0 - np.linalg.eigvalsh(values[shift])[:, :1]
+        values[shift], partials[shift] = geometry._polynomial_jets(expo, coeffs, points[shift])
     return JetMatrix(values, partials)
 
 

@@ -250,7 +250,7 @@ def serialize_structure(sf: StructureFile) -> str:
 def load_structure(path) -> StructureFile:
     """Load and fully validate a structure file."""
     p = Path(path)
-    return parse_structure(p.read_text(encoding="utf-8"), default_name=p.stem)
+    return parse_structure(p.read_text(encoding="utf-8-sig"), default_name=p.stem)
 
 
 # Built-in structures: description, and the structure-file text below the

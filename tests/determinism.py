@@ -44,9 +44,10 @@ The set, built from the benchmark's inputs in `bench/run.py`:
 - `check` at the origin of MIRRORED, written to OUT_DIR: a 2-D structure
   whose `[metric]` gives `1 2` and `2 1` as the same entry, a sum 790
   levels deep, so that parsing compares two trees of that height;
-- `selftest --dims 18 --samples 2 --degree 0 --seed 0`, where none of
-  sample 1's 64 metric draws is positive definite at its point, so its 64th
-  is shifted to one that is;
+- `selftest --dims 18 --samples 2 --degree 0 --seed 0` and
+  `selftest --dims 16 --samples 100 --degree 0 --seed 0`, where both
+  metric draws, and 95 of the 100, are not positive definite at their
+  point, so that their constant term is shifted to one that is;
 - a scan of `standard2n:66` over a one-point grid of 66 axes, more than
   the 64 dimensions numpy's `unravel_index` takes;
 - `selftest --dims 2,4 --samples 600 --degree 1 --seed 3`, whose samples
@@ -73,7 +74,7 @@ recorded as a process would end: exit 1 and a traceback's first and last
 lines on stderr.  Per invocation NAME the directory holds
 NAME.out (stdout), NAME.err (stderr, when there is any) and NAME.csv for a
 scan; `invocations.txt` lists each name, its arguments and its exit code.
-It writes 193 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
+It writes 194 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
 host.
 """
 
@@ -198,6 +199,7 @@ def invocations(bench) -> list:
     out.append(("refuse-huge-grid", ["scan", *huge]))
     out.append(("check-mirrored-deep-metric", ["check", "mirrored-deep-metric.acs", "--point", "0,0"]))
     out.append(("selftest-dim18", ["selftest", "--dims", "18", "--samples", "2", "--degree", "0", "--seed", "0"]))
+    out.append(("selftest-dim16", ["selftest", "--dims", "16", "--samples", "100", "--degree", "0", "--seed", "0"]))
     axes66 = ["gallery:standard2n:66", "--grid=" + ",".join(["0:0:1"] * 66), "--out", "scan-66-axes.csv"]
     out.append(("scan-66-axes", ["scan", *axes66]))
     for k, point in enumerate(SHEAR4_METRIC_POINTS):

@@ -584,9 +584,9 @@ def random_conjugation_acs_ast(dim: int, degree: int, seed: int) -> ConjugationF
 
 
 def random_spd_metric_ast(rng: np.random.Generator, chart: ChartSpec, point) -> MetricField:
-    """I + 0.2 (B + B^T) + small linear perturbation, redrawn until SPD at
-    point; a 64th draw that is not has its constant term shifted by
-    (1 - lambda_min) I, lambda_min its smallest eigenvalue at the point."""
+    """I + 0.2 (B + B^T) + small linear perturbation, one draw; a draw that
+    is not SPD at point has its constant term shifted by (1 - lambda_min) I,
+    lambda_min its smallest eigenvalue at the point."""
     n = chart.n
     names = chart.var_names
 
@@ -607,18 +607,16 @@ def random_spd_metric_ast(rng: np.random.Generator, chart: ChartSpec, point) -> 
             rows.append(tuple(row))
         return MetricField(tuple(rows))
 
-    for _ in range(64):
-        b = rng.uniform(-1.0, 1.0, (n, n))
-        sym = 0.2 * (b + b.T)
-        lin = rng.uniform(-0.05, 0.05, (n, n, n))  # lin[k, i, j]: x_k coefficient
-        metric = field(0.0)
-        try:
-            metric.eval(chart, point)
-        except geometry.MetricError:
-            continue
-        return metric
-    values = ExplicitField(metric.entries).eval(chart, point).values  # not refused as indefinite
-    return field(float(1.0 - np.linalg.eigvalsh(values)[0]))
+    b = rng.uniform(-1.0, 1.0, (n, n))
+    sym = 0.2 * (b + b.T)
+    lin = rng.uniform(-0.05, 0.05, (n, n, n))  # lin[k, i, j]: x_k coefficient
+    metric = field(0.0)
+    try:
+        metric.eval(chart, point)
+    except geometry.MetricError:
+        values = ExplicitField(metric.entries).eval(chart, point).values  # not refused as indefinite
+        return field(float(1.0 - np.linalg.eigvalsh(values)[0]))
+    return metric
 
 
 def pcg64_state(streams, row: int) -> dict:

@@ -289,8 +289,8 @@ def test_run_selftest_refuses_no_samples_and_a_metric_it_cannot_draw():
         selftest.run_selftest((2,), 0, 0, 0)
     with pytest.raises(ValueError, match="^dims must name at least one dimension$"):
         selftest.run_selftest((), 1, 0, 0)
-    # at dimension 18, none of sample 1's 64 metric draws is positive definite at
-    # its point: the 64th is kept with its constant term shifted by (1 - lambda_min) I,
+    # at dimension 18, sample 1's metric draw is not positive definite at its
+    # point: it is kept with its constant term shifted by (1 - lambda_min) I,
     # which the per-sample reference draws with the same bits
     report = selftest.run_selftest((18,), 2, 0, 0)
     assert report.all_passed() and report.failures == []

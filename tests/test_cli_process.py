@@ -48,8 +48,8 @@ def test_run_freezes_then_exits_with_the_code(monkeypatch, capsys):
         (["selftest", "--dims", "2,4", "--samples", "3", "--seed", "5"], 0),
         (["check", "gallery:pullback4", "--point=1e300,0,0,0"], 1),
         (["check", "{near}", "--point=0.3,0.7,0.1,0.9", "--tol-alg", "1", "--json"], 3),
-        # none of sample 1's 64 metric draws is positive definite at its point: the
-        # 64th is shifted to one that is, and the run passes
+        # sample 1's metric draw is not positive definite at its point: it is
+        # shifted to one that is, and the run passes
         (["selftest", "--dims", "18", "--samples", "2", "--degree", "0", "--seed", "0"], 0),
     ],
 )

@@ -33,10 +33,13 @@ def test_draws_equal_numpy(entropies, rounds):
         assert oracle.pcg64_state(streams, r) == rng.bit_generator.state["state"]
     for chosen, shape, (low, high) in rounds:
         rows = [r for r in range(len(entropies)) if chosen[r]]  # the others do not draw
-        draws = streams.uniform(low, high, shape, np.array(rows, dtype=int))
-        assert draws.shape == (len(rows), *shape)
-        for row, r in zip(draws, rows):
-            assert row.tobytes() == oracles[r].uniform(low, high, shape).tobytes()
+        for cols, x in streams._raw(np.array(rows, dtype=int), int(np.prod(shape))):
+            for row, r in zip(x, rows):
+                assert row.tolist() == oracles[r].bit_generator.random_raw(cols.stop - cols.start).tolist()
+        draws = streams.uniform(low, high, shape)
+        assert draws.shape == (len(entropies), *shape)
+        for row, rng in zip(draws, oracles):
+            assert row.tobytes() == rng.uniform(low, high, shape).tobytes()
     seeds = streams.integers63()
     assert seeds == [int(rng.integers(0, 2**63 - 1)) for rng in oracles]
     for r, rng in enumerate(oracles):

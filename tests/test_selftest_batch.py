@@ -64,6 +64,29 @@ def test_batched_failure_lines_equal_per_sample_reference(monkeypatch):
     _assert_same_report(new, ref)
 
 
+# the random metric feeds only the rows built from its report: checks, failure
+# lines and every other residual row keep their bits under any metric rule
+def test_the_metric_feeds_only_its_two_residual_rows(monkeypatch):
+    metric_rows = ("double trace vs obstruction (random SPD metric)", "metric independence of double trace")
+    args = (2, 4, 6), 33, 2, 9  # the ledger row fails at dim 6, sample 14
+    drawn = selftest.run_selftest(*args)
+    assert len(drawn.failures) == 1 and " dim=6 sample=14 " in drawn.failures[0]
+
+    def identity(streams, points):
+        n = points.shape[-1]
+        return geometry.JetMatrix(np.tile(np.eye(n), (len(points), 1, 1)), np.zeros((len(points), n, n, n)))
+
+    monkeypatch.setattr(selftest, "_spd_metrics", identity)
+    euclidean = selftest.run_selftest(*args)
+    assert euclidean.checks == drawn.checks and euclidean.failures == drawn.failures
+    others = [name for name in selftest._RESIDUAL_NAMES if name not in metric_rows]
+    assert len(others) == 12
+    for name in others:
+        assert euclidean.residuals[name].tobytes() == drawn.residuals[name].tobytes(), name
+    assert not any(euclidean.residuals[metric_rows[1]])  # the identity metric is the Euclidean one
+    assert any(drawn.residuals[metric_rows[1]])
+
+
 def test_cancellation_rows_follow_the_labels():
     dim, samples, degree, seed = 4, 3, 2, 9
     report = selftest.run_selftest((dim,), samples, degree, seed)
@@ -144,16 +167,18 @@ def test_batched_metric_draws_equal_per_sample_draws():
     streams, probes = fresh(), fresh()
     points = streams.uniform(0.0, 1.0, (dim,))
     probes.uniform(0.0, 1.0, (dim,))  # the points
-    first = selftest._metric_coeffs(probes, np.arange(len(indices)), dim)
-    values, _ = geometry._polynomial_jets(selftest._metric_exponents(dim), first, points)
-    redrawn = []
+    first = selftest._metric_coeffs(probes, dim)
+    values, partials = geometry._polynomial_jets(selftest._metric_exponents(dim), first, points)
+    shifted = []
     for b, v in enumerate(values):
         try:
             np.linalg.cholesky(v)
         except np.linalg.LinAlgError:
-            redrawn.append(b)
-    assert redrawn == [3, 5]
+            shifted.append(b)
+    assert shifted == [3, 5]
     g = selftest._spd_metrics(streams, points)
+    for b in (0, 1, 2, 4):  # a first draw that passes keeps its bits
+        assert g.values[b].tobytes() == values[b].tobytes() and g.partials[b].tobytes() == partials[b].tobytes()
     for b, index in enumerate(indices):
         alone, tree = Streams([[dim, index]]), np.random.default_rng([dim, index])
         point = alone.uniform(0.0, 1.0, (dim,))[0]

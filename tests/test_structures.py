@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from acscheck.cli import main
 from acscheck.geometry import ConjugationField, MetricField, PullbackField
 from acscheck.structures import (
     StructureError,
@@ -241,6 +242,17 @@ def test_load_structure_default_name(tmp_path):
     path = tmp_path / "mystruct.txt"
     path.write_text(STANDARD2, encoding="utf-8")
     assert load_structure(path).name == "mystruct"
+
+
+def test_load_structure_skips_a_utf8_byte_order_mark(tmp_path, capsys):
+    text = "[chart]\ndim = 2\n[J]\n1 2 = -1\n2 1 = 1\n"
+    plain, marked = tmp_path / "plain" / "s.acs", tmp_path / "marked" / "s.acs"
+    for path, data in ((plain, text.encode()), (marked, b"\xef\xbb\xbf" + text.encode())):
+        path.parent.mkdir()
+        path.write_bytes(data)
+    assert load_structure(marked) == load_structure(plain)
+    assert main(["check", str(marked), "--point", "0,0"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_gallery_names_and_errors():

@@ -164,7 +164,6 @@ class ExplicitField(Record):
 
     entries: tuple[tuple[expr.ExprNode, ...], ...]
 
-    @_quiet
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
         values, partials, _ = _eval_table(self.entries, chart, point)
         _require_finite(values, partials)
@@ -180,7 +179,6 @@ class ConjugationField(Record):
 
     frame: tuple[tuple[expr.ExprNode, ...], ...]
 
-    @_quiet
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
         av, ap, _ = _eval_table(self.frame, chart, point)
         return _conjugate(av, ap)
@@ -241,7 +239,6 @@ class MetricField(Record):
 
     entries: tuple[tuple[expr.ExprNode, ...], ...]
 
-    @_quiet
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
         values, partials = _eval_table(self.entries, chart, point, upper=True)[:2]
         _require_finite(values, partials)

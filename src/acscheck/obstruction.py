@@ -193,6 +193,15 @@ def _check_tolerances(tol_alg: float, tol_identity: float) -> None:
             raise ValueError(f"{name} {fault}")
 
 
+BATCH = 128  # the most points one report evaluates (README, "How points are evaluated")
+FLOATS = 1 << 18  # the most floats of one kind a batch holds: bounds the memory a report needs
+
+
+def batch_size(floats_per_point: int) -> int:
+    """Points of one batch: at most BATCH, and at most FLOATS // floats_per_point."""
+    return max(1, min(BATCH, FLOATS // floats_per_point))
+
+
 @np.errstate(all="ignore")  # a non-finite result is refused below
 def report_from_jets(
     j_jm: JetMatrix,

@@ -11,16 +11,11 @@ from typing import Optional
 import numpy as np
 
 from ._record import Record
-from .obstruction import _check_tolerances, identity_report
+from .obstruction import BATCH, _check_tolerances, batch_size, identity_report
 from .structures import StructureFile
 
-__all__ = ["CHUNK", "GridSpec", "ScanSummary", "run_scan"]
+__all__ = ["GridSpec", "ScanSummary", "run_scan"]
 
-# Points per batch.  A 1,000-point scan of pullback4 (2-core x86-64, numpy
-# 2.4) ran as fast in 128-point chunks as in one 1,000-point chunk; peak RSS
-# rose by 0.3 MB over point-by-point evaluation with the former, 3.1 MB with
-# the latter.
-CHUNK = 128
 NUMERIC_COLUMNS = ("n_max_abs", "obstruction", "contraction", "identity_residual_contraction")
 
 
@@ -61,14 +56,14 @@ class GridSpec(Record):
         except (MemoryError, ValueError):
             raise ValueError(f"grid {' x '.join(map(str, counts))} is too large to allocate") from None
 
-        def chunk(k):  # CHUNK flat indices, split by divmod into axis indices, last axis first
-            flat, index = np.arange(k, min(k + CHUNK, total)), []
+        def chunk(k):  # BATCH flat indices, split by divmod into axis indices, last axis first
+            flat, index = np.arange(k, min(k + BATCH, total)), []
             for count in reversed(counts):
                 flat, i = np.divmod(flat, count)
                 index.insert(0, i)
             return zip(*(axis[i].tolist() for axis, i in zip(values, index)))
 
-        return (point for k in range(0, total, CHUNK) for point in chunk(k))
+        return (point for k in range(0, total, BATCH) for point in chunk(k))
 
 
 class ScanSummary(Record):
@@ -129,15 +124,16 @@ def run_scan(
 ) -> ScanSummary:
     """Scan the grid, writing one CSV row per point in enumeration order.
 
-    Points are evaluated in chunks of CHUNK.  A failing point (singular
-    frame, non-SPD metric, expression domain error, non-finite report) is
-    flagged in the status column and the scan continues.
+    Points are evaluated in chunks of `batch_size(n^3)`, n^3 the floats of a
+    point's report tensors.  A failing point (singular frame, non-SPD metric,
+    expression domain error, non-finite report) is flagged in the status
+    column and the scan continues.
     """
     chart = structure.chart
     _check_tolerances(tol_alg, tol_identity)  # before a chunk could flag every row with it
     if len(grid.axes) != chart.n:
         raise ValueError(f"grid has {len(grid.axes)} axes, chart has {chart.n}")
-    row_format = _row_format(chart.n)
+    row_format, size = _row_format(chart.n), batch_size(chart.n**3)
     rows = 0
     flagged = 0
     best: Optional[float] = None
@@ -147,7 +143,7 @@ def run_scan(
     with out_path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(list(chart.var_names) + list(NUMERIC_COLUMNS) + ["status"])
-        while chunk := list(itertools.islice(points, CHUNK)):
+        while chunk := list(itertools.islice(points, size)):
             for point, row in zip(chunk, _rows(structure, np.array(chunk), tol_alg, tol_identity)):
                 rows += 1
                 if isinstance(row, str):

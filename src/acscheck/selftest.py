@@ -25,7 +25,7 @@ from . import geometry, nijenhuis
 from ._pcg64 import Streams
 from ._record import Record
 from .geometry import ChartSpec, JetMatrix
-from .obstruction import CANCELLATION_LABELS, TERM_NAMES, report_from_jets
+from .obstruction import CANCELLATION_LABELS, TERM_NAMES, batch_size, report_from_jets
 
 __all__ = ["SelfTestReport", "run_selftest"]
 
@@ -37,8 +37,6 @@ TOL_LEDGER = 1e-9
 TOL_ZERO_N = 1e-8
 TOL_ZERO_PROP = 1e-12
 TOL_COLLAPSE = 1e-10
-BLOCK = 256  # the most samples evaluated as one batch
-FLOATS = 1 << 18  # the most floats of one kind a batch holds: bounds the memory a run needs
 
 _CHECK_NAMES = (
     f"acs validity (max |J^2+I| <= {TOL_ACS:.0e})",
@@ -144,23 +142,17 @@ def _spd_metrics(streams: Streams, points) -> JetMatrix:
     return JetMatrix(values, partials)
 
 
-def _block(dim: int, degree: int) -> int:
-    """Samples of a batch: at most BLOCK, and at most as many as keep its frame
-    coefficients, dim^2 C(dim + degree, degree) floats a sample, and its report
-    tensors, dim^3 floats a sample, within FLOATS."""
-    per_sample = max(dim * dim * geometry._term_count(dim, degree), dim**3)
-    return max(1, min(BLOCK, FLOATS // per_sample))
-
-
 def run_selftest(dims, samples: int, degree: int, seed: int) -> SelfTestReport:
     """Run the suite; deterministic in (dims, samples, degree, seed).  The
-    samples of a dimension run in batches of `_block`, each with the bits it has alone."""
+    samples of a dimension run in batches of `batch_size`, counting a sample's frame
+    coefficients, dim^2 C(dim + degree, degree) floats, or its report tensors, dim^3;
+    each sample has the bits it has alone."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     dims = tuple(ChartSpec.default(int(d)).n for d in dims)
     if not dims:
         raise ValueError("dims must name at least one dimension")
-    blocks = [_block(d, degree) for d in dims]
+    blocks = [batch_size(max(d * d * geometry._term_count(d, degree), d**3)) for d in dims]
     checks = {name: [0, 0] for name in _CHECK_NAMES}
     try:  # each row holds the samples of dims[0], then those of dims[1], ...
         residuals = {name: array("d", [0.0]) * (len(dims) * samples) for name in _RESIDUAL_NAMES}

@@ -51,11 +51,14 @@ The set, built from the benchmark's inputs in `bench/run.py`:
 - a scan of `standard2n:66` over a one-point grid of 66 axes, more than
   the 64 dimensions numpy's `unravel_index` takes;
 - `selftest --dims 2,4 --samples 600 --degree 1 --seed 3`, whose samples
-  run in three blocks of `selftest.BLOCK` or fewer per dimension;
+  run in five blocks of `obstruction.BATCH` (128) or fewer per dimension;
 - `selftest --dims 8,10 --samples 64 --degree 3 --seed 1`, whose samples
-  run in blocks of 24 and of 9, the most that `selftest.FLOATS` admits,
+  run in blocks of 24 and of 9, the most that `obstruction.FLOATS` admits,
   and `selftest --dims 4,4 --samples 3 --degree 1 --seed 1`, a dimension
   given twice;
+- a scan of `standard2n:24` over `0:1:40` and 23 axes `0:0:1`, which runs
+  in chunks of 18, 18 and 4 points: 24^3 report floats a point, the most
+  that `obstruction.FLOATS` admits;
 - SHEAR4_METRIC, written to OUT_DIR: `shear4`'s `J` under a polynomial SPD
   metric it is not compatible with, so that its obstruction does not vanish
   and shows how far numbers on the metric path move.  `check --json` and
@@ -74,7 +77,7 @@ recorded as a process would end: exit 1 and a traceback's first and last
 lines on stderr.  Per invocation NAME the directory holds
 NAME.out (stdout), NAME.err (stderr, when there is any) and NAME.csv for a
 scan; `invocations.txt` lists each name, its arguments and its exit code.
-It writes 194 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
+It writes 196 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
 host.
 """
 
@@ -213,6 +216,8 @@ def invocations(bench) -> list:
     out.append(("selftest-float-budget", ["selftest", *args]))
     args = ["--dims", "4,4", "--samples", "3", "--degree", "1", "--seed", "1"]
     out.append(("selftest-repeated-dims", ["selftest", *args]))
+    axes24 = ["gallery:standard2n:24", "--grid=" + ",".join(["0:1:40"] + ["0:0:1"] * 23), "--out", "scan-24-axes.csv"]
+    out.append(("scan-24-axes", ["scan", *axes24]))
     return out
 
 

@@ -16,8 +16,8 @@ from acscheck import cli, nijenhuis, scan, selftest
 from acscheck._pcg64 import Streams
 from acscheck.cli import main
 from acscheck.geometry import ChartSpec, random_conjugation_acs
-from acscheck.obstruction import TERM_NAMES, identity_report, report_from_jets
-from acscheck.scan import CHUNK, GridSpec, run_scan
+from acscheck.obstruction import BATCH, TERM_NAMES, identity_report, report_from_jets
+from acscheck.scan import GridSpec, run_scan
 from acscheck.structures import StructureFile, gallery, parse_structure
 from test_acceptance import PULLBACK4_COMPATIBLE
 
@@ -107,7 +107,7 @@ def test_failing_point_flags_only_its_row(tmp_path, monkeypatch, text, grid, bad
     sf = parse_structure(text)
     summary, rows = _scan(tmp_path, sf, grid)
     k = len(list(GridSpec.parse(grid).points()))
-    assert summary.rows == len(rows) == k < CHUNK
+    assert summary.rows == len(rows) == k < BATCH
     # one report of the chunk and, if that raises, one report of each point
     assert calls == ([k] if bad is None else [k] + [1] * k)
     for row, point in zip(rows, GridSpec.parse(grid).points()):
@@ -134,7 +134,7 @@ def test_scan_chunks_cover_the_grid(tmp_path):
     sf = gallery("shear4")
     grid = "-1:1:3,-1:1:3,-1:1:5,-1:1:4"  # 180 points: two chunks
     summary, rows = _scan(tmp_path, sf, grid)
-    assert summary.rows == len(rows) == 180 > CHUNK
+    assert summary.rows == len(rows) == 180 > BATCH
     for row, point in zip(rows, GridSpec.parse(grid).points()):
         assert [float(v) for v in row[:4]] == list(point)
         report = identity_report(sf.j_field, sf.metric, sf.chart, point)

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import acscheck
-from acscheck import cli
+from acscheck import cli, obstruction
 from test_cli_scan import NEAR_ACS4
 
 SRC = str(Path(acscheck.__file__).resolve().parent.parent)
@@ -145,7 +145,7 @@ def test_out_of_memory_is_one_line_or_a_flagged_row(tmp_path):
 
 # A child's peak RSS counts the memory of the process that started it, so a
 # selftest started by the test process read at least that process's peak
-# (51 MB at dimension 2 and at 10 alike): it starts from a bare interpreter.
+# (51 MB at dimension 2 and at 10 alike): a command starts from a bare interpreter.
 _LAUNCH = """import os, subprocess, sys
 proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
@@ -153,37 +153,54 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def _selftest_peak_rss_mb(options: str) -> float:
+def _peak_rss_mb(*args: str) -> float:
     env = dict(os.environ, PYTHONPATH=SRC, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    argv = [sys.executable, "-m", "acscheck.cli", "selftest", *options.split()]
+    argv = [sys.executable, "-m", "acscheck.cli", *args]
     launch = subprocess.run([sys.executable, "-c", _LAUNCH, *argv], env=env, capture_output=True, text=True)
-    returncode, maxrss = map(int, launch.stdout.split())  # the selftest's exit code, reaped by wait4
+    returncode, maxrss = map(int, launch.stdout.split())  # the command's exit code, reaped by wait4
     assert returncode == 0
     return maxrss / 1024  # kilobytes on Linux
 
 
-# The samples run in blocks of selftest.BLOCK: 16 times the samples need no
-# more memory (6,400 samples took 205 MB as one batch, 41 MB in blocks).
+def _selftest_peak_rss_mb(options: str) -> float:
+    return _peak_rss_mb("selftest", *options.split())
+
+
+# The samples run in blocks of at most obstruction.BATCH: 16 times the samples
+# need no more memory (6,400 samples took 205 MB as one batch, 41 MB in blocks).
 def test_selftest_memory_does_not_grow_with_the_sample_count():
     options = "--dims 6 --samples {} --degree 1 --seed 6"
     assert _selftest_peak_rss_mb(options.format(6400)) < _selftest_peak_rss_mb(options.format(400)) + 10.0
 
 
-# A block holds at most selftest.FLOATS floats of frame coefficients: dimension
-# 10 at degree 3, 28,600 of them a sample, took 51.7 MB in blocks of 256
-# samples against 30.8 MB at dimension 2.
+# A block holds at most obstruction.FLOATS floats of frame coefficients:
+# dimension 10 at degree 3, 28,600 of them a sample, took 51.7 MB in blocks of
+# 256 samples against 30.8 MB at dimension 2.
 def test_selftest_memory_does_not_grow_with_the_frame_size():
     options = "--dims {} --samples 64 --degree 3 --seed 1"
     assert _selftest_peak_rss_mb(options.format(10)) < _selftest_peak_rss_mb(options.format(2)) + 10.0
 
 
-# A block holds at most selftest.FLOATS floats of report tensors too, dim^3 a
-# sample (about 15 such tensors are live at the peak): at dimension 16 and
+# A block holds at most obstruction.FLOATS floats of report tensors too, dim^3
+# a sample (about 15 such tensors are live at the peak): at dimension 16 and
 # degree 0, whose frames take 256 floats a sample, 128 samples in one block
 # took 89.0 MB against 62.3 MB for 64.
 def test_selftest_memory_does_not_grow_with_the_report_size():
     options = "--dims 16 --samples {} --degree 0 --seed 1"
     assert _selftest_peak_rss_mb(options.format(128)) < _selftest_peak_rss_mb(options.format(64)) + 10.0
+
+
+# A scan's chunk holds at most obstruction.FLOATS floats of report tensors, n^3
+# a point: at dimension 32, 128 points in one chunk took 259 MB against 44 MB
+# for 8; in chunks of batch_size(32^3) = 8 they take 44 MB.
+def test_scan_memory_does_not_grow_with_the_report_size(tmp_path):
+    assert [obstruction.batch_size(n**3) for n in (4, 16, 32, 48, 64)] == [128, 64, 8, 2, 1]
+    axes = ",".join(["0:0:1"] * 31)
+    peaks = [
+        _peak_rss_mb("scan", "gallery:standard2n:32", f"--grid=0:1:{count},{axes}", "--out", str(tmp_path / "s.csv"))
+        for count in (128, 8)
+    ]
+    assert peaks[0] < peaks[1] + 15.0
 
 
 # Each residual is one double of a preallocated row, 128 B a sample for the 16

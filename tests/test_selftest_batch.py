@@ -1,7 +1,8 @@
 """The batched self-test against its earlier per-sample, expression-tree form.
 
 `run_selftest` evaluates each dimension's samples as batches of arrays, of
-at most `selftest.BLOCK` samples and `selftest.FLOATS` floats of one kind each.
+at most `obstruction.BATCH` samples and `obstruction.FLOATS` floats of one
+kind each.
 Every count, failure line and residual must have the bits that the
 per-sample reference `oracle.run_selftest_per_sample` gives, and the array
 jets of the random frames and metrics must have the bits of their
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracle
-from acscheck import expr, geometry, selftest
+from acscheck import expr, geometry, obstruction, selftest
 from acscheck._pcg64 import Streams
 from acscheck.geometry import ChartSpec, random_conjugation_acs
 from acscheck.obstruction import CANCELLATION_LABELS, report_from_jets
@@ -41,6 +42,19 @@ def _assert_same_report(new, ref):
         assert new.residuals[name].typecode == "d", name
         assert np.array(new.residuals[name]).tobytes() == np.array(values).tobytes(), name
     assert re.sub(COND, "", new.render_text()) == ref.render_text()
+
+
+def _batch_sizes(monkeypatch, *args):
+    """The text of `run_selftest(*args)` and the samples of each batch it evaluates."""
+    sizes = []
+
+    def spy(j_jm, g_jm, points):
+        if g_jm is None:  # one Euclidean report a batch
+            sizes.append(len(points))
+        return report_from_jets(j_jm, g_jm, points)
+
+    monkeypatch.setattr(selftest, "report_from_jets", spy)
+    return selftest.run_selftest(*args).render_text(), sizes
 
 
 @pytest.mark.parametrize("seed", [5, 13])
@@ -210,14 +224,13 @@ SEEDS = (11, 12, 13, 14, 15, 42)
 # one sample a block, set by the sample count or, at degree 3, by the float budget
 @pytest.mark.parametrize(
     "degree, limit, seed",
-    [(2, "BLOCK", seed) for seed in SEEDS] + [(3, "FLOATS", seed) for seed in SEEDS],
+    [(2, "BATCH", seed) for seed in SEEDS] + [(3, "FLOATS", seed) for seed in SEEDS],
     ids=[str(seed) for seed in SEEDS] + [f"floats-{seed}" for seed in SEEDS],
 )
 def test_blocks_of_one_give_the_text_of_the_default_blocks(monkeypatch, degree, limit, seed):
     default = selftest.run_selftest((2, 4, 6), 5, degree, seed).render_text()
-    monkeypatch.setattr(selftest, limit, 1)
-    assert [selftest._block(d, degree) for d in (2, 4, 6)] == [1, 1, 1]
-    assert selftest.run_selftest((2, 4, 6), 5, degree, seed).render_text() == default
+    monkeypatch.setattr(obstruction, limit, 1)
+    assert _batch_sizes(monkeypatch, (2, 4, 6), 5, degree, seed) == (default, [1] * 15)
 
 
 def test_repeated_dimensions_fill_their_own_residuals(monkeypatch):
@@ -233,11 +246,12 @@ def test_equal_runs_give_equal_reports():
     assert first != selftest.run_selftest((2, 4), 3, 1, 8)
 
 
-def test_the_float_budget_splits_large_frames():
+def test_the_float_budget_splits_large_frames(monkeypatch):
     # C(9, 3) = 84, C(11, 3) = 165 and C(13, 3) = 286 terms an entry; C(17, 3) = 680 leaves one sample a batch
-    assert selftest.FLOATS == 1 << 18
-    assert [selftest._block(d, 3) for d in (2, 6, 8, 10, 14)] == [256, 86, 24, 9, 1]
-    assert selftest._block(64, 0) == 1  # 64^3 report floats a sample
+    assert (obstruction.BATCH, obstruction.FLOATS) == (128, 1 << 18)
+    for dim, block in zip((2, 6, 8, 10, 14), (128, 86, 24, 9, 1)):  # one sample more than a batch
+        assert _batch_sizes(monkeypatch, (dim,), block + 1, 3, 0)[1] == [block, 1], dim
+    assert _batch_sizes(monkeypatch, (16,), 65, 0, 0)[1] == [64, 1]  # 16^3 report floats a sample
 
 
 def test_failure_lines_name_the_sample_across_blocks(monkeypatch):
@@ -245,7 +259,7 @@ def test_failure_lines_name_the_sample_across_blocks(monkeypatch):
     for module in (selftest, oracle):
         monkeypatch.setattr(module, "TOL_LEDGER", 0.0)
     ref = oracle.run_selftest_per_sample((2, 4), 4, 2, 7)
-    monkeypatch.setattr(selftest, "BLOCK", 3)
+    monkeypatch.setattr(obstruction, "BATCH", 3)
     new = selftest.run_selftest((2, 4), 4, 2, 7)
     assert any(" sample=3 " in line for line in ref.failures)
     _assert_same_report(new, ref)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from acscheck import cli, scan
+from acscheck import cli, obstruction
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -63,7 +63,7 @@ def test_traced_scan_records_one_report_per_chunk(tmp_path, capsys):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        grid = f"0:1:{2 * scan.CHUNK + 1},0:1:1,0:1:1,0:1:1"  # two full chunks and one point
+        grid = f"0:1:{2 * obstruction.BATCH + 1},0:1:1,0:1:1,0:1:1"  # two full chunks and one point
         argv = ["scan", "gallery:pullback4", "--grid", grid, "--out", str(tmp_path / "s.csv")]
         assert cli.main(argv) == 0
     finally:

@@ -33,6 +33,7 @@ __all__ = [
     "to_source",
     "free_variables",
     "bind_and_eval",
+    "eval_table",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
@@ -191,23 +192,40 @@ def free_variables(node: ExprNode) -> set[str]:
     return set().union(*map(free_variables, node[1:]))  # map, unlike a comprehension, adds no frame
 
 
-@np.errstate(all="ignore")  # overflow shows as a domain error or a non-finite entry
 def bind_and_eval(node: ExprNode, chart, point, order: int = 1) -> jets.Jet:
-    """Evaluate an AST as a jet at `point`, one coordinate vector, or at a
-    batch of them (shape ``(..., n)``), walking the AST once.
+    """The jet of one AST: :func:`eval_table` of a one-entry table."""
+    v, p, h = eval_table(((node,),), chart, point, order)
+    v, h = v[..., 0, 0], None if h is None else h[..., 0, 0, :, :]
+    return jets.Jet(v if v.ndim else float(v), p[..., 0, 0], h)
 
-    `chart` is either a ChartSpec or a plain sequence of variable names; the
-    coordinate order of `point` follows it.
-    """
+
+@np.errstate(all="ignore")  # overflow shows as a domain error or a non-finite entry
+def eval_table(rows, chart, point, order: int = 1, upper: bool = False):
+    """Values ``(..., r, c)``, partials ``(..., n, r, c)`` and, at order 2,
+    Hessians ``(..., r, c, n, n)`` of a table of ASTs at points ``(..., n)``
+    in the order of `chart` (a ChartSpec or names), each variable seeded
+    once; `upper` copies entries below the diagonal from their mirror images."""
     names = list(getattr(chart, "var_names", chart))
-    pts = np.asarray(point, dtype=float)
-    if pts.shape[-1:] != (len(names),):
-        raise ValueError(f"point has {(pts.shape or (0,))[-1]} coordinates, chart has {len(names)}")
-    index = {name: i for i, name in enumerate(names)}
-    out = _eval(node, index, pts, order, {})
-    if isinstance(out, jets.Jet):
-        return out
-    return jets.constant(np.full(pts.shape[:-1], out), len(names), order)
+    pts, n = np.asarray(point, dtype=float), len(names)
+    if pts.shape[-1:] != (n,):
+        raise ValueError(f"point has {(pts.shape or (0,))[-1]} coordinates, chart has {n}")
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    index, seeds = {name: i for i, name in enumerate(names)}, {}
+    batch, r, c = pts.shape[:-1], len(rows), len(rows[0])
+    values, partials = np.zeros(batch + (r, c)), np.zeros(batch + (n, r, c))
+    hessians = np.zeros(batch + (r, c, n, n)) if order == 2 else None
+    for i in range(r):
+        for j in range(i if upper else 0, c):
+            jet = _eval(rows[i][j], index, pts, order, seeds)
+            if not isinstance(jet, jets.Jet):  # a float: zero derivatives
+                jet = jets.Jet(jet, 0.0, 0.0)
+            for ij in {(i, j), (j, i)} if upper else ((i, j),):
+                values[(..., *ij)] = jet.value
+                partials[(..., slice(None), *ij)] = jet.grad
+            if hessians is not None:
+                hessians[..., i, j, :, :] = jet.hess
+    return values, partials, hessians
 
 
 def _eval(node: ExprNode, index: dict, pts: np.ndarray, order: int, seeds: dict):

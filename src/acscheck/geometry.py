@@ -120,29 +120,6 @@ def _require_finite(values: np.ndarray, partials: np.ndarray) -> None:
         raise GeometryError("field evaluation produced non-finite entries")
 
 
-def _eval_table(rows, chart: ChartSpec, point, order: int = 1, upper: bool = False):
-    """Evaluate a table of expressions at a point or a batch of points.
-
-    Returns values ``(..., r, c)``, partials ``(..., n, r, c)`` and, at
-    order 2, Hessians ``(..., r, c, n, n)``.  With `upper`, entries below
-    the diagonal are not evaluated but copied from their mirror images.
-    """
-    pts = np.asarray(point, dtype=float)
-    batch, n, r, c = pts.shape[:-1], chart.n, len(rows), len(rows[0])
-    values = np.zeros(batch + (r, c))
-    partials = np.zeros(batch + (n, r, c))
-    hessians = np.zeros(batch + (r, c, n, n)) if order == 2 else None
-    for i in range(r):
-        for j in range(i if upper else 0, c):
-            jet = expr.bind_and_eval(rows[i][j], chart, pts, order=order)
-            for ij in {(i, j), (j, i)} if upper else ((i, j),):
-                values[(..., *ij)] = jet.value
-                partials[(..., slice(None), *ij)] = jet.grad
-            if hessians is not None:
-                hessians[..., i, j, :, :] = jet.hess
-    return values, partials, hessians
-
-
 def _frame_inverse(frame: np.ndarray, what: str):
     """A frame's inverse and its 1-norm condition number
     kappa_1 = ||F||_1 ||F^-1||_1 (the quantity LAPACK's gecon estimates),
@@ -165,7 +142,7 @@ class ExplicitField(Record):
     entries: tuple[tuple[expr.ExprNode, ...], ...]
 
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
-        values, partials, _ = _eval_table(self.entries, chart, point)
+        values, partials, _ = expr.eval_table(self.entries, chart, point)
         _require_finite(values, partials)
         return JetMatrix(values, partials)
 
@@ -180,7 +157,7 @@ class ConjugationField(Record):
     frame: tuple[tuple[expr.ExprNode, ...], ...]
 
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
-        av, ap, _ = _eval_table(self.frame, chart, point)
+        av, ap, _ = expr.eval_table(self.frame, chart, point)
         return _conjugate(av, ap)
 
 
@@ -212,7 +189,7 @@ class PullbackField(Record):
 
     @_quiet
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
-        _, p, h = _eval_table([[c] for c in self.components], chart, point, order=2)
+        _, p, h = expr.eval_table([[c] for c in self.components], chart, point, order=2)
         f = np.ascontiguousarray(np.swapaxes(p[..., 0], -1, -2))  # f[i, j] = d_j phi^i
         h = h[..., 0, :, :]  # h[i, j, k] = d_j d_k phi^i
         if not np.isfinite(f).all():
@@ -240,7 +217,7 @@ class MetricField(Record):
     entries: tuple[tuple[expr.ExprNode, ...], ...]
 
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
-        values, partials = _eval_table(self.entries, chart, point, upper=True)[:2]
+        values, partials = expr.eval_table(self.entries, chart, point, upper=True)[:2]
         _require_finite(values, partials)
         try:
             np.linalg.cholesky(values)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from acscheck import expr
+from acscheck import expr, jets
 from acscheck.expr import (
     ExprDomainError,
     ExprNameError,
     ExprSyntaxError,
     bind_and_eval,
+    eval_table,
     free_variables,
     parse_expr,
     to_source,
@@ -231,6 +232,77 @@ def test_bind_and_eval_overflow_names_subexpression():
         bind_and_eval(parse_expr("1 + exp(x1)"), ("x1",), (800.0,))
     with pytest.raises(ExprDomainError, match="power overflow"):
         bind_and_eval(parse_expr("x1^200"), ("x1",), (100.0,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda order: bind_and_eval(("const", 1.0), ["x1"], [0.5], order=order),
+        lambda order: bind_and_eval(parse_expr("x1"), ["x1"], [0.5], order=order),
+        lambda order: eval_table(((("const", 1.0), ("const", 2.0)),), ["x1"], [[0.5], [0.7]], order=order),
+    ],
+    ids=["one-constant", "one-variable", "constant-table"],
+)
+@pytest.mark.parametrize("order", [0, 3])
+def test_an_order_other_than_one_or_two_is_refused(call, order):
+    with pytest.raises(ValueError, match=r"^order must be 1 or 2$"):
+        call(order)
+
+
+@pytest.mark.parametrize("text", ["x1*x2 + sin(x3)", "exp(-x1)/sqrt(x2 + 2)", "2^3 - 1", "-0"])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 2, 3)], ids=["point", "batch", "grid"])
+def test_bind_and_eval_is_the_one_entry_table(rng, text, order, shape):
+    node, names = parse_expr(text), ("x1", "x2", "x3")
+    points = rng.uniform(0.1, 1.0, shape)
+    jet = bind_and_eval(node, names, points, order=order)
+    values, partials, hessians = eval_table(((node,),), names, points, order=order)
+    if len(shape) == 1:
+        assert type(jet.value) is float
+    assert np.asarray(jet.value).tobytes() == values[..., 0, 0].tobytes()
+    assert jet.grad.shape == shape and jet.grad.tobytes() == partials[..., 0, 0].tobytes()
+    if order == 1:
+        assert jet.hess is None and hessians is None
+    else:
+        assert jet.hess.shape == shape + (3,) and jet.hess.tobytes() == hessians[..., 0, 0, :, :].tobytes()
+
+
+def test_eval_table_upper_copies_the_evaluated_entries(rng):
+    # below the diagonal stand trees that cannot be evaluated: they are never walked
+    rows = [["x1*x2", "sin(x2)", "2"], ["y", "exp(x1)", "x1 - x2"], ["log(-1)", "y", "x2^2"]]
+    table = tuple(tuple(map(parse_expr, row)) for row in rows)
+    points = rng.uniform(0.1, 1.0, (5, 2))
+    values, partials, _ = eval_table(table, ("x1", "x2"), points, upper=True)
+    for i in range(3):
+        for j in range(i, 3):
+            one = bind_and_eval(table[i][j], ("x1", "x2"), points)
+            for a, b in ((i, j), (j, i)):
+                assert values[:, a, b].tobytes() == np.asarray(one.value, dtype=float).tobytes()
+                assert partials[:, :, a, b].tobytes() == one.grad.tobytes()
+    with pytest.raises(ExprNameError):
+        eval_table(table, ("x1", "x2"), points)
+
+
+def test_eval_table_seeds_each_variable_once(monkeypatch, rng):
+    seeded = []
+
+    def spy(index, *args):
+        seeded.append(index)
+        return seed(index, *args)
+
+    seed = jets.seed_variable
+    monkeypatch.setattr(jets, "seed_variable", spy)
+    table = tuple(tuple(map(parse_expr, row)) for row in [["x1*x3", "x3^2", "1"], ["x1 + x3", "sin(x1)", "x3"]])
+    for order in (1, 2):
+        seeded.clear()
+        eval_table(table, ("x1", "x2", "x3"), rng.uniform(0.1, 1.0, (4, 3)), order=order)
+        assert sorted(seeded) == [0, 2]
+
+
+def test_eval_table_names_the_first_failing_entry_in_row_major_order():
+    table = ((parse_expr("x1"), parse_expr("log(x1 - 2)")), (parse_expr("y"), parse_expr("sqrt(-x1)")))
+    with pytest.raises(ExprDomainError, match=r"in 'log\(x1 - 2.0\)'$"):
+        eval_table(table, ("x1",), (0.5,))
 
 
 # Nesting is refused before the parser or an AST walker could reach Python's

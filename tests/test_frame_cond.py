@@ -9,7 +9,7 @@ singular one reads `cond=inf`.
 import numpy as np
 import pytest
 
-from acscheck import geometry
+from acscheck import expr, geometry
 from acscheck.cli import main
 from acscheck.geometry import ChartSpec, SingularFrameError, random_conjugation_acs
 from acscheck.structures import gallery, parse_structure
@@ -26,8 +26,8 @@ NEAR_SINGULAR = "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 2 = 1\n2 1 = 1\n2 
 def _frames(field, chart, points):
     """The matrix each field inverts: the conjugation frame or the map's Jacobian."""
     if isinstance(field, geometry.ConjugationField):
-        return geometry._eval_table(field.frame, chart, points)[0]
-    _, p, _ = geometry._eval_table([[c] for c in field.components], chart, points)
+        return expr.eval_table(field.frame, chart, points)[0]
+    _, p, _ = expr.eval_table([[c] for c in field.components], chart, points)
     return np.swapaxes(p[..., 0], -1, -2)
 
 

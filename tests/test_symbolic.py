@@ -50,11 +50,19 @@ def test_symbolic_obstruction_matches_jets(rng):
 
 
 def test_shear4_is_nowhere_integrable():
-    # a constant non-zero Nijenhuis component: non-integrable at every point
+    # eight constant components +-1 and N^2_34 = -x1 = -N^2_43 (1-indexed,
+    # N^r_ab the e_r component of N(e_a, e_b)): sum N^2 = 8 + 2 x1^2 > 0
     sf = gallery("shear4")
     xs = symbolic.coordinates(sf.chart)
     comps = symbolic.nijenhuis(symbolic.field_matrix(sf.j_field, xs), xs)
-    assert 1 in comps and -1 in comps
+    keys = [(r + 1, a + 1, b + 1) for a in range(4) for b in range(4) for r in range(4)]
+    nonzero = {key: c for key, c in zip(keys, comps) if c != 0}
+    assert nonzero == {
+        (1, 1, 3): -1, (1, 3, 1): 1, (1, 2, 4): 1, (1, 4, 2): -1,
+        (2, 1, 4): 1, (2, 4, 1): -1, (2, 2, 3): 1, (2, 3, 2): -1,
+        (2, 3, 4): -xs[0], (2, 4, 3): xs[0],
+    }
+    assert sympy.expand(sum(c * c for c in comps)) == 8 + 2 * xs[0] ** 2
 
 
 def _generic_data(n):

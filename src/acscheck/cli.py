@@ -9,9 +9,16 @@ for hard-invariant failures).
 
 from __future__ import annotations
 
-import argparse
 import gc
+
+if __name__ == "__main__":  # a process: no collections while it imports
+    gc.disable()
+
+import argparse
+import atexit
+import contextlib
 import math
+import os
 import sys
 
 from . import __version__
@@ -233,14 +240,30 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
 
+# How `run` ends the process; a test replaces it, so that pytest goes on.
+_exit = os._exit
+
+
 def run() -> None:
-    code = main()
-    # The interpreter's last collection walks every object numpy and acscheck
-    # made, about 23 ms of a `check` process's 31 ms exit (2-vCPU x86-64,
-    # CPython 3.11); it skips frozen objects.  `main` leaves the collector
-    # alone for library callers.
+    # Freezing first moves the import-time objects out of the collector's
+    # generations, so that no collection walks them; the command then runs
+    # with the normal collector (`python -m` switched it off for the imports).
     gc.freeze()
-    sys.exit(code)
+    gc.enable()
+    code = main()
+    # No module teardown: the exit does what an output depends on, flushing
+    # stdio and running the atexit handlers, and leaves (README, "Start-up
+    # cost").  `main` leaves the collector alone for library callers.
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:  # a closed pipe ends as an OSError in `main` does
+        code = EXIT_ERROR
+        with contextlib.suppress(OSError):
+            sys.stderr.write(f"acscheck: error: {exc}\n")
+            sys.stderr.flush()
+    atexit._run_exitfuncs()
+    _exit(code)
 
 
 if __name__ == "__main__":

@@ -252,18 +252,25 @@ def contract_first(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (np.swapaxes(m, -1, -2) @ flat).reshape(lead + (m.shape[-1],) + p[1:])
 
 
-def christoffel(g: JetMatrix) -> np.ndarray:
-    """Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
+def _metric_inverse(g: JetMatrix) -> np.ndarray:
+    """g^{kl} at the point; MetricError for a singular metric."""
+    try:
+        return np.linalg.inv(g.values)
+    except np.linalg.LinAlgError as exc:
+        raise MetricError("singular metric") from exc
+
+
+def christoffel(g: JetMatrix, ginv: np.ndarray | None = None) -> np.ndarray:
+    """Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij); `ginv`, g^{kl}
+    at the point, is inverted from g when it is not given.
 
     Exactly symmetric in (i, j): the second term is the first with (i, j)
     swapped and the two are added commutatively, and the metric partials are
     stored symmetrically, so the last term's columns (i, j) and (j, i) are
     products of the same numbers.
     """
-    try:
-        ginv = np.linalg.inv(g.values)
-    except np.linalg.LinAlgError as exc:
-        raise MetricError("singular metric") from exc
+    if ginv is None:
+        ginv = _metric_inverse(g)
     p = g.partials
     t1 = np.moveaxis(p @ np.swapaxes(ginv, -1, -2)[..., None, :, :], -1, -3)  # g^{kl} d_i g_jl
     t2 = np.swapaxes(t1, -1, -2)  # g^{kl} d_j g_il
@@ -272,16 +279,17 @@ def christoffel(g: JetMatrix) -> np.ndarray:
 
 
 class NormalChange(Record):
-    """The frame A with A^T g A = I, taken from the Cholesky factor of g, and
-    the Christoffel symbols of g at a point.  J's first jets in coordinates
-    normal at the point are its covariant derivative nabla J read in the frame
-    A (Kobayashi & Nomizu II); no chart is re-parameterised.  Every array may
-    carry leading batch axes.
+    """The frame A with A^T g A = I, taken from the Cholesky factor of g, the
+    Christoffel symbols of g and its inverse g^{kl} at a point.  J's first
+    jets in coordinates normal at the point are its covariant derivative
+    nabla J read in the frame A (Kobayashi & Nomizu II); no chart is
+    re-parameterised.  Every array may carry leading batch axes.
     """
 
     a: np.ndarray
     a_inv: np.ndarray
     gamma: np.ndarray
+    g_inv: np.ndarray
 
     @classmethod
     def from_metric(cls, g: JetMatrix) -> "NormalChange":
@@ -289,7 +297,8 @@ class NormalChange(Record):
             lo = np.linalg.cholesky(g.values)
         except np.linalg.LinAlgError as exc:
             raise MetricError("metric is not positive definite at the point") from exc
-        return cls(np.swapaxes(np.linalg.inv(lo), -1, -2), np.swapaxes(lo, -1, -2), christoffel(g))
+        ginv = _metric_inverse(g)
+        return cls(np.swapaxes(np.linalg.inv(lo), -1, -2), np.swapaxes(lo, -1, -2), christoffel(g, ginv), ginv)
 
     def transform_endomorphism(self, jm: JetMatrix) -> JetMatrix:
         """Values A^-1 J A; partials A^-1 (sum_k A^k_c nabla_k J) A, where

@@ -235,8 +235,9 @@ def report_from_jets(
     if g_jm is None:
         tj, tn, g_inv = j_jm, n_std, np.eye(j_jm.n)
     else:
-        tj = geometry.NormalChange.from_metric(g_jm).transform_endomorphism(j_jm)
-        tn, g_inv = nijenhuis.nijenhuis_standard(tj), np.linalg.inv(g_jm.values)
+        change = geometry.NormalChange.from_metric(g_jm)
+        tj, g_inv = change.transform_endomorphism(j_jm), change.g_inv
+        tn = nijenhuis.nijenhuis_standard(tj)
     dtr = nijenhuis.double_trace(n_std, j_jm.values, g_inv) + 0.0
     obs = obstruction_scalar(tj) + 0.0
     contraction = nijenhuis.contraction_scalar(tn, tj.values) + 0.0

@@ -130,11 +130,14 @@ def _spd_metrics(streams: Streams, points) -> JetMatrix:
     expo, coeffs = _metric_exponents(n), _metric_coeffs(streams, n)
     values, partials = geometry._polynomial_jets(expo, coeffs, points)
     shift = []
-    for b, v in enumerate(values):
-        try:
-            np.linalg.cholesky(v)
-        except np.linalg.LinAlgError:
-            shift.append(b)
+    try:  # one factorisation of the stack; it raises if any sample's fails
+        np.linalg.cholesky(values)
+    except np.linalg.LinAlgError:
+        for b, v in enumerate(values):
+            try:
+                np.linalg.cholesky(v)
+            except np.linalg.LinAlgError:
+                shift.append(b)
     if shift:
         coeffs = coeffs[shift]
         coeffs[:, range(n), range(n), 0] += 1.0 - np.linalg.eigvalsh(values[shift])[:, :1]

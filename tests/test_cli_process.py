@@ -1,11 +1,15 @@
 """The process entry point `python -m acscheck.cli`.
 
-`cli.run` freezes the garbage collector's objects before the interpreter
-exits, so that its last collection has nothing to walk; `cli.main`, which
-library code and tests call, leaves the collector alone.  A process gives
-the exit code and the stdout that `main` gives in-process.
+Run as a module, `cli` switches the garbage collector off before its
+imports; `cli.run` freezes the objects they made, switches the collector
+back on for the command, and after it flushes stdio, runs the atexit
+handlers and leaves with `os._exit`, skipping module teardown.  `cli.main`,
+which library code and tests call, leaves the collector alone.  A process
+gives the exit code, stdout, stderr and CSV bytes that `main` gives
+in-process.
 """
 
+import atexit
 import gc
 import os
 import resource
@@ -28,16 +32,20 @@ def test_main_leaves_the_collector_alone(capsys):
     assert gc.get_freeze_count() == 0
 
 
+# `run` must not reach `os._exit` here, which would end pytest with status 0
+# and skip every later test: its exit and the atexit handlers are replaced.
 def test_run_freezes_then_exits_with_the_code(monkeypatch, capsys):
+    calls = []
     monkeypatch.setattr(sys, "argv", ["acscheck", "check", "gallery:shear4", "--point=0,0,0,0"])
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: calls.append("atexit"))
+    monkeypatch.setattr(cli, "_exit", lambda code: calls.append(("exit", code, gc.get_freeze_count() > 0)))
     try:
-        with pytest.raises(SystemExit) as exc:
-            cli.run()
-        assert gc.get_freeze_count() > 0
+        cli.run()
     finally:
         gc.unfreeze()
-    capsys.readouterr()
-    assert exc.value.code == 0
+    assert gc.isenabled()
+    assert capsys.readouterr().out.startswith("point: (0, 0, 0, 0)\nverdict: consistent\n")
+    assert calls == ["atexit", ("exit", 0, True)]
 
 
 @pytest.mark.parametrize(
@@ -51,14 +59,22 @@ def test_run_freezes_then_exits_with_the_code(monkeypatch, capsys):
         # sample 1's metric draw is not positive definite at its point: it is
         # shifted to one that is, and the run passes
         (["selftest", "--dims", "18", "--samples", "2", "--degree", "0", "--seed", "0"], 0),
+        (["--version"], 0),
+        (["--help"], 0),
+        (["check", "gallery:pullback4"], 1),  # usage on stderr: --point is missing
+        (["gallery", "show", "pullback4"], 0),
+        (["scan", "gallery:pullback4", "--grid=0:1:2,0:1:2,-1:0:2,0:0.5:2", "--out", "{csv}"], 0),
     ],
 )
-def test_process_gives_the_code_and_stdout_of_main(argv, code, tmp_path, capsys):
-    near = tmp_path / "near.acs"
+def test_process_gives_the_code_and_stdout_of_main(argv, code, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width in both
+    near, csv = tmp_path / "near.acs", tmp_path / "scan.csv"
     near.write_text(NEAR_ACS4, encoding="utf-8")
-    argv = [a.format(near=near) for a in argv]
+    argv = [a.format(near=near, csv=csv) for a in argv]
     assert cli.main(argv) == code
     expected = capsys.readouterr()
+    expected_csv = csv.read_bytes() if csv.exists() else None
+    csv.unlink(missing_ok=True)
     # buffered stdout, so that the exit's flush is part of what is compared
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = SRC
@@ -66,6 +82,68 @@ def test_process_gives_the_code_and_stdout_of_main(argv, code, tmp_path, capsys)
         [sys.executable, "-m", "acscheck.cli", *argv], env=env, capture_output=True, text=True
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected.out, expected.err)
+    assert (csv.read_bytes() if csv.exists() else None) == expected_csv
+
+
+# A sitecustomize on the child's path counts the collections that start while
+# `acscheck.cli` runs as __main__ and nothing is frozen yet, and registers an
+# atexit handler that writes that count to a file.
+_SITECUSTOMIZE = """import atexit, gc, sys
+
+starts = 0
+
+
+def count(phase, info):
+    global starts
+    main = getattr(sys.modules["__main__"].__spec__, "name", None)
+    if phase == "start" and main == "acscheck.cli" and gc.get_freeze_count() == 0:
+        starts += 1
+
+
+def report():
+    with open({marker!r}, "w") as f:
+        f.write(str(starts))
+
+
+gc.callbacks.append(count)
+atexit.register(report)
+"""
+
+
+# The handler runs, though the process leaves by `os._exit`; and no collection
+# starts while numpy and acscheck import (with the collector on, about 30 did).
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check", "gallery:shear4", "--point=0,0,0,0"], 0),
+        (["check", "gallery:pullback4", "--point=1e300,0,0,0"], 1),
+        (["--version"], 0),
+    ],
+)
+def test_process_runs_atexit_handlers_and_imports_without_collections(argv, code, tmp_path):
+    marker = tmp_path / "starts"
+    (tmp_path / "sitecustomize.py").write_text(_SITECUSTOMIZE.format(marker=str(marker)), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), SRC]))
+    proc = subprocess.run([sys.executable, "-m", "acscheck.cli", *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == code
+    assert marker.read_text() == "0"
+
+
+# A reader that has gone: the exit's failed flush ends as an OSError in
+# `main` does, not in the interpreter's "Exception ignored" and status 120.
+def test_a_closed_pipe_is_one_line_and_exit_1():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "acscheck.cli", "check", "gallery:shear4", "--point=0,0,0,0"],
+            env=env, stdout=write, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "acscheck: error: [Errno 32] Broken pipe\n")
 
 
 _J = "[chart]\ndim = 2\n[J]\n1 2 = {}\n"

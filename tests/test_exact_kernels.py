@@ -91,7 +91,7 @@ def _fractions(m: sympy.Matrix) -> np.ndarray:
 
 def _exact_metric(rng, n: int):
     """A rational frame A near I, the metric jets of g = A^-T A^-1 with random
-    symmetric rational partials, and NormalChange(A, A^-1, Gamma) on Fractions."""
+    symmetric rational partials, and NormalChange(A, A^-1, Gamma, g^-1) on Fractions."""
     a = sympy.Matrix(n, n, lambda i, j: sympy.Rational(8 * int(i == j) + int(rng.integers(-2, 3)), 8))
     a_inv = a.inv()
     g, g_inv = _fractions(a_inv.T * a_inv), _fractions(a * a.T)
@@ -100,7 +100,7 @@ def _exact_metric(rng, n: int):
     gamma = np.empty((n, n, n), dtype=object)  # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     for k, i, j in np.ndindex(n, n, n):
         gamma[k, i, j] = Fraction(1, 2) * sum(g_inv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j]) for l in range(n))
-    return JetMatrix(g, dg), NormalChange(_fractions(a), _fractions(a_inv), gamma)
+    return JetMatrix(g, dg), NormalChange(_fractions(a), _fractions(a_inv), gamma, g_inv)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -283,6 +283,24 @@ def test_check_prints_the_report_identity_report_returns(name, capsys):
     assert capsys.readouterr().out == render_report(rep, ledger_detail=True)
 
 
+# A metric-path report of a pullback structure inverts its Jacobian, the
+# Cholesky factor and g once each: the Christoffel symbols and the double
+# trace share one g^{kl} (they inverted g twice, 4 calls).
+def test_metric_report_inverts_g_once(monkeypatch):
+    sf = load_structure(str(Path(__file__).resolve().parent.parent / "bench" / "structures" / COLD_CHECKS[-1]))
+    point = (0.3, -0.7, 0.1, 0.9)
+    expected = identity_report(sf.j_field, sf.metric, sf.chart, point)
+    inverted, inv = [], np.linalg.inv
+
+    def spy(a):
+        inverted.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    assert identity_report(sf.j_field, sf.metric, sf.chart, point) == expected
+    assert inverted == [(4, 4)] * 3
+
+
 def test_cancellation_residuals_match_their_labels(rng):
     # arbitrary jets, not a structure: no cancellation holds, so the eight
     # residuals differ and a value under the wrong label would show

@@ -10,7 +10,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import obstruction
 from ._record import Record
+from .geometry import JetMatrix
 from .obstruction import BATCH, _check_tolerances, batch_size, identity_report
 from .structures import StructureFile
 
@@ -97,22 +99,64 @@ def _row_format(n: int) -> str:
     return ",".join(["%.17g"] * (n + len(NUMERIC_COLUMNS))) + ",%s\n"
 
 
-def _rows(structure: StructureFile, points: np.ndarray, tol_alg: float, tol_identity: float) -> list:
-    """Per point of `points`: the numeric columns and the verdict, or the
-    message of the error that point raises.  The points are evaluated as one
-    batch; if that raises a ValueError or runs out of memory, each point is
-    evaluated again as a batch of one, so an error flags only its own row and
-    carries the message a single-point check gives."""
+def _jet_keys(jms, count: int) -> list:
+    """Per point, the bytes of its jets' values and partials, `jms` in order:
+    points with equal keys have reports of equal bits.  Bytes, unlike
+    floats, keep -0.0 apart from 0.0."""
+    flat = np.concatenate([a.reshape(count, -1) for jm in jms for a in (jm.values, jm.partials)], axis=1)
+    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel().tolist()
+
+
+def _take(jm: Optional[JetMatrix], index: list) -> Optional[JetMatrix]:
+    return None if jm is None else JetMatrix(jm.values[index], jm.partials[index])
+
+
+def _table(rep: dict) -> list:
+    """The rows of a batch report: per point its numeric columns and verdict."""
+    return list(zip(*(rep[name].tolist() for name in NUMERIC_COLUMNS + ("verdict",))))
+
+
+def _point_row(structure: StructureFile, point: np.ndarray, tol_alg: float, tol_identity: float):
     try:
         rep = identity_report(
-            structure.j_field, structure.metric, structure.chart, points, tol_alg, tol_identity
+            structure.j_field, structure.metric, structure.chart, point, tol_alg, tol_identity
         )
+    except (MemoryError, ValueError) as exc:  # the message a check of the point gives
+        return _message(exc)
+    return _table(rep)[0]
+
+
+def _message(exc: Exception) -> str:
+    # numpy's MemoryError names the allocation; Python's own has no text
+    return str(exc) if isinstance(exc, ValueError) else f"out of memory: {exc}".removesuffix(": ")
+
+
+def _rows(structure: StructureFile, points: np.ndarray, memo: dict, tol_alg: float, tol_identity: float):
+    """Per point of `points`: the key of its jets (see `_jet_keys`), and the
+    numeric columns and the verdict, or the message of the error that point
+    raises.  A point whose key is in `memo` (key -> row) takes that row, and
+    points with one key share one row; one point of each other key is
+    reported, all in one batch.  If the fields or that report raise a
+    ValueError or run out of memory, each point is evaluated again as a
+    batch of one, so an error flags only its own row and carries the message
+    a single-point check gives; the keys are then empty."""
+    chart, metric = structure.chart, structure.metric
+    try:
+        j_jm = structure.j_field.eval(chart, points)
+        g_jm = metric.eval(chart, points) if metric is not None else None
+        keys = _jet_keys([jm for jm in (j_jm, g_jm) if jm is not None], len(points))
+        # one point of each key that memo lacks
+        index = [k for key, k in dict(zip(keys, range(len(keys)))).items() if key not in memo]
+        known = memo.copy()
+        if index:
+            j_jm, g_jm = _take(j_jm, index), _take(g_jm, index)
+            rep = obstruction.report_from_jets(j_jm, g_jm, points[index], tol_alg, tol_identity)
+            known.update(zip([keys[k] for k in index], _table(rep)))
+        return keys, [known[key] for key in keys]
     except (MemoryError, ValueError) as exc:
-        if len(points) == 1:  # numpy's MemoryError names the allocation; Python's own has no text
-            return [str(exc) if isinstance(exc, ValueError) else f"out of memory: {exc}".removesuffix(": ")]
-        ones = (points[k:k + 1] for k in range(len(points)))
-        return [row for one in ones for row in _rows(structure, one, tol_alg, tol_identity)]
-    return list(zip(*(rep[name].tolist() for name in NUMERIC_COLUMNS + ("verdict",))))
+        if len(points) == 1:
+            return [], [_message(exc)]
+        return [], [_point_row(structure, points[k:k + 1], tol_alg, tol_identity) for k in range(len(points))]
 
 
 def run_scan(
@@ -125,9 +169,11 @@ def run_scan(
     """Scan the grid, writing one CSV row per point in enumeration order.
 
     Points are evaluated in chunks of `batch_size(n^3)`, n^3 the floats of a
-    point's report tensors.  A failing point (singular frame, non-SPD metric,
-    expression domain error, non-finite report) is flagged in the status
-    column and the scan continues.
+    point's report tensors.  A point's row is a function of its jets' bits
+    alone, so each chunk reports only the points whose jets it has not met
+    in itself or in the chunk before.  A failing point (singular frame,
+    non-SPD metric, expression domain error, non-finite report) is flagged
+    in the status column and the scan continues.
     """
     chart = structure.chart
     _check_tolerances(tol_alg, tol_identity)  # before a chunk could flag every row with it
@@ -138,13 +184,16 @@ def run_scan(
     flagged = 0
     best: Optional[float] = None
     best_point: Optional[tuple[float, ...]] = None
+    memo: dict = {}  # the last chunk's rows by their jets' keys
     out_path = Path(out_path)
     points = grid.points()
     with out_path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(list(chart.var_names) + list(NUMERIC_COLUMNS) + ["status"])
         while chunk := list(itertools.islice(points, size)):
-            for point, row in zip(chunk, _rows(structure, np.array(chunk), tol_alg, tol_identity)):
+            keys, chunk_rows = _rows(structure, np.array(chunk), memo, tol_alg, tol_identity)
+            memo = dict(zip(keys, chunk_rows))
+            for point, row in zip(chunk, chunk_rows):
                 rows += 1
                 if isinstance(row, str):
                     flagged += 1

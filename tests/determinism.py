@@ -63,7 +63,11 @@ The set, built from the benchmark's inputs in `bench/run.py`:
   metric it is not compatible with, so that its obstruction does not vanish
   and shows how far numbers on the metric path move.  `check --json` and
   `verify-derivation` at the two SHEAR4_METRIC_POINTS, and a scan over
-  `-1:1:3` on each axis.
+  `-1:1:3` on each axis;
+- scans whose points repeat their jets: `gallery:expblock4`, which reads
+  `x1` alone, over `-1:1:5` on each axis (5 distinct jets across 5
+  chunks), and the singular conjugation frame over `-1:1:3,0:1:100`, whose
+  100 failing points at `x1 = 0` span two chunks.
 
 Every other metric case above has a vanishing obstruction (the compatible
 `pullback4`) or a constant `J` (MIRRORED).  Besides the invocations,
@@ -77,7 +81,7 @@ recorded as a process would end: exit 1 and a traceback's first and last
 lines on stderr.  Per invocation NAME the directory holds
 NAME.out (stdout), NAME.err (stderr, when there is any) and NAME.csv for a
 scan; `invocations.txt` lists each name, its arguments and its exit code.
-It writes 196 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
+It writes 200 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
 host.
 """
 
@@ -218,6 +222,10 @@ def invocations(bench) -> list:
     out.append(("selftest-repeated-dims", ["selftest", *args]))
     axes24 = ["gallery:standard2n:24", "--grid=" + ",".join(["0:1:40"] + ["0:0:1"] * 23), "--out", "scan-24-axes.csv"]
     out.append(("scan-24-axes", ["scan", *axes24]))
+    grid = ["--grid=-1:1:5,-1:1:5,-1:1:5,-1:1:5", "--out", "scan-expblock4-repeats.csv"]
+    out.append(("scan-expblock4-repeats", ["scan", "gallery:expblock4", *grid]))
+    grid = ["--grid=-1:1:3,0:1:100", "--out", "scan-singular-conjugation-repeats.csv"]
+    out.append(("scan-singular-conjugation-repeats", ["scan", "singular-conjugation.acs", *grid]))
     return out
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracle
-from acscheck import cli, nijenhuis, scan, selftest
+from acscheck import cli, nijenhuis, obstruction, selftest
 from acscheck._pcg64 import Streams
 from acscheck.cli import main
 from acscheck.geometry import ChartSpec, random_conjugation_acs
@@ -83,33 +83,42 @@ def _scan(tmp_path, sf, grid):
 
 
 @pytest.mark.parametrize(
-    "text,grid,bad",
+    "text,grid,bad,reported",
     [
         # x1 = 0 makes the conjugation frame singular
-        ("[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = x1\n", "-1:1:5,0:1:3", 0.0),
-        ("[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = x1\n", "-1:1:5,0:0:1", 0.0),
-        (OVERFLOW2, "0:800:2,0:1:3", 800.0),  # exp(800) overflows
-        (POWER2, "-1:2:4,0:0:1", None),  # no failing point
+        ("[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = x1\n", "-1:1:5,0:1:3", 0.0, [1] * 12),
+        ("[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = x1\n", "-1:1:5,0:0:1", 0.0, [1] * 4),
+        (OVERFLOW2, "0:800:2,0:1:3", 800.0, [1] * 3),  # exp(800) overflows
+        (POWER2, "-1:2:4,0:0:1", None, [4]),  # no failing point
         # the exponent x2*x2 reads a variable: exp(x2*x2 * log(x1)) at every
-        # point, also at x2 = 0 where its gradient vanishes
-        (VARIABLE_POWER2, "0.5:2:3,-1:1:3", None),
+        # point, also at x2 = 0 where its gradient vanishes; there x1^0 has
+        # the same jets at every x1, so the chunk reports 7 of its 9 points
+        (VARIABLE_POWER2, "0.5:2:3,-1:1:3", None, [7]),
     ],
     ids=["singular-frame", "one-failing-point", "exp-overflow", "no-failure", "mixed-exponent"],
 )
-def test_failing_point_flags_only_its_row(tmp_path, monkeypatch, text, grid, bad):
-    calls = []
-
-    def spy(j_field, metric, chart, points, *tols):
-        calls.append(len(points))
-        return identity_report(j_field, metric, chart, points, *tols)
-
-    monkeypatch.setattr(scan, "identity_report", spy)
+def test_failing_point_flags_only_its_row(tmp_path, monkeypatch, text, grid, bad, reported):
     sf = parse_structure(text)
+    evals, reports = [], []
+    field_eval = type(sf.j_field).eval
+
+    def eval_spy(field, chart, points, *args, **kwargs):
+        evals.append(len(points))
+        return field_eval(field, chart, points, *args, **kwargs)
+
+    def report_spy(j_jm, g_jm, points, *args, **kwargs):
+        reports.append(len(points))
+        return report_from_jets(j_jm, g_jm, points, *args, **kwargs)
+
+    monkeypatch.setattr(type(sf.j_field), "eval", eval_spy)
+    monkeypatch.setattr(obstruction, "report_from_jets", report_spy)
     summary, rows = _scan(tmp_path, sf, grid)
     k = len(list(GridSpec.parse(grid).points()))
     assert summary.rows == len(rows) == k < BATCH
-    # one report of the chunk and, if that raises, one report of each point
-    assert calls == ([k] if bad is None else [k] + [1] * k)
+    # one evaluation of the chunk and one report of its distinct jets or, if
+    # the evaluation raises, one of each point, and a report of each that passes
+    assert evals == ([k] if bad is None else [k] + [1] * k)
+    assert reports == reported
     for row, point in zip(rows, GridSpec.parse(grid).points()):
         if point[0] == bad:
             with pytest.raises(ValueError) as err:
@@ -142,21 +151,29 @@ def test_scan_chunks_cover_the_grid(tmp_path):
 
 
 def test_out_of_memory_retries_the_chunk_and_flags_its_point(tmp_path, monkeypatch, capsys):
-    # numpy's MemoryError names the allocation, Python's own has no text
-    def spy(j_field, metric, chart, point, *args, **kwargs):
-        x1 = np.reshape(point, (-1, 2))[:, 0]  # a scan chunk, or the point of a check
-        if len(x1) > 1 or x1[0] == 0.0:
-            raise MemoryError("Unable to allocate 1.00 PiB")
-        if x1[0] == 1.0:
-            raise MemoryError
-        return identity_report(j_field, metric, chart, point, *args, **kwargs)
+    sf = gallery("standard2n:2")
+    field_eval = type(sf.j_field).eval
 
-    monkeypatch.setattr(scan, "identity_report", spy)
-    summary, rows = _scan(tmp_path, gallery("standard2n:2"), "-1:1:3,0:0:1")
+    def eval_spy(field, chart, point, *args, **kwargs):
+        if len(np.reshape(point, (-1, 2))) > 1:  # a scan chunk
+            raise MemoryError("Unable to allocate 1.00 PiB")
+        return field_eval(field, chart, point, *args, **kwargs)
+
+    # numpy's MemoryError names the allocation, Python's own has no text
+    def report_spy(j_jm, g_jm, point, *args, **kwargs):
+        x1 = np.reshape(point, (-1, 2))[0, 0]  # a point of the retried chunk, or of a check
+        if x1 == 0.0:
+            raise MemoryError("Unable to allocate 1.00 PiB")
+        if x1 == 1.0:
+            raise MemoryError
+        return report_from_jets(j_jm, g_jm, point, *args, **kwargs)
+
+    monkeypatch.setattr(type(sf.j_field), "eval", eval_spy)
+    monkeypatch.setattr(obstruction, "report_from_jets", report_spy)
+    summary, rows = _scan(tmp_path, sf, "-1:1:3,0:0:1")
     assert (summary.rows, summary.flagged) == (3, 2)
     statuses = ["consistent", "error: out of memory: Unable to allocate 1.00 PiB", "error: out of memory"]
     assert [row[-1] for row in rows] == statuses
-    monkeypatch.setattr(cli, "identity_report", spy)
     for x1, err in (("0", ": Unable to allocate 1.00 PiB"), ("1", "")):
         assert main(["check", "gallery:standard2n:2", f"--point={x1},0"]) == 1
         assert capsys.readouterr() == ("", f"acscheck: error: out of memory{err}\n")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from acscheck import cli, nijenhuis, scan, selftest
+from acscheck import cli, nijenhuis, obstruction, scan, selftest
 from acscheck.cli import build_parser, main
 from acscheck.geometry import ChartSpec, JetMatrix, random_conjugation_acs, validate_acs
 from acscheck.obstruction import (
@@ -246,11 +246,11 @@ def test_cli_check_real_ledger_anomaly(tmp_path, capsys):
 def test_scan_real_ledger_anomaly_through_the_batch(tmp_path, monkeypatch):
     calls = []
 
-    def spy(j_field, metric, chart, points, *tols):
+    def spy(j_jm, g_jm, points, *tols):
         calls.append(np.array(points))
-        return identity_report(j_field, metric, chart, points, *tols)
+        return report_from_jets(j_jm, g_jm, points, *tols)
 
-    monkeypatch.setattr(scan, "identity_report", spy)
+    monkeypatch.setattr(obstruction, "report_from_jets", spy)
     sf = parse_structure(NEAR_ACS4)
     out = tmp_path / "near.csv"
     grid = GridSpec.parse("0.3:0.3:1,0.7:0.7:1,0:0.1:2,0.8:0.9:2")

@@ -1,0 +1,114 @@
+"""A scan reports each distinct point once: rows are reused by their jets' bits.
+
+A point's row is a function of the bits of its jets (and of the metric's),
+so `run_scan` reports only the points whose jets neither an earlier point of
+their chunk nor the chunk before had.  Every row must still carry the bits
+of that point's own report, and a failing point must still flag only its
+own row.
+"""
+
+import csv
+
+import numpy as np
+import pytest
+
+from acscheck import obstruction
+from acscheck.obstruction import BATCH, identity_report, report_from_jets
+from acscheck.scan import NUMERIC_COLUMNS, GridSpec, run_scan
+from acscheck.structures import gallery, parse_structure
+from test_acceptance import PULLBACK4_COMPATIBLE
+
+SINGULAR_AT_X1_0 = "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = x1\n"
+READS_X2 = "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 2 = x2\n"  # J reads x2 alone
+
+
+@pytest.fixture
+def reported(monkeypatch):
+    """The number of points of each report a scan builds."""
+    sizes = []
+
+    def spy(j_jm, g_jm, points, *args, **kwargs):
+        sizes.append(len(points))
+        return report_from_jets(j_jm, g_jm, points, *args, **kwargs)
+
+    monkeypatch.setattr(obstruction, "report_from_jets", spy)
+    return sizes
+
+
+def _scan(tmp_path, sf, grid):
+    out = tmp_path / "scan.csv"
+    summary = run_scan(sf, GridSpec.parse(grid), out)
+    with out.open() as handle:
+        return summary, list(csv.reader(handle))[1:]
+
+
+def test_a_slab_reports_its_distinct_jets_once(tmp_path, reported):
+    # pullback4 reads x1 and x3: a slab at one x1 has 10 distinct jets in
+    # 1,000 points, all of them in the first of its 8 chunks
+    summary, rows = _scan(tmp_path, gallery("pullback4"), "0.3:0.3:1,-1:1:10,-1:1:10,-1:1:10")
+    assert summary.rows == len(rows) == 1000 and summary.flagged == 0
+    assert reported == [10]
+
+
+def test_the_memo_holds_the_last_chunk_alone(tmp_path, reported):
+    # 3 x 192 points of 192 distinct jets, chunks of 128: the jets of x2
+    # indices 64..127 come back in the third chunk after missing the second,
+    # and are reported again
+    summary, rows = _scan(tmp_path, parse_structure(READS_X2), "0:1:3,0:1:192")
+    assert summary.rows == len(rows) == 576 and BATCH == 128
+    assert reported == [128, 64, 64, 64, 64]
+
+
+def _grids():
+    yield "expblock4", gallery("expblock4"), "-1:1:3,-1:1:4,-1:1:4,-1:1:12"  # reads x1
+    yield "shear4", gallery("shear4"), "-1:1:5,-1:1:2,0:1:3,-1:1:10"  # reads x1
+    yield "pullback4", gallery("pullback4"), "-1:1:4,-1:1:3,-1:1:6,-1:1:5"  # reads x1 and x3
+    yield "pullback4-compatible", parse_structure(PULLBACK4_COMPATIBLE), "-1:1:3,0:1:2,-1:1:5,0:1:4"
+    # 150 distinct jets, more than a chunk holds, each at two points
+    yield "pullback4-many", gallery("pullback4"), "-1:1:3,-1:1:2,-1:1:50,0:0:1"
+
+
+@pytest.mark.parametrize("name,sf,grid", list(_grids()), ids=[name for name, _, _ in _grids()])
+def test_every_field_has_its_points_own_bits(tmp_path, name, sf, grid):
+    summary, rows = _scan(tmp_path, sf, grid)
+    points = list(GridSpec.parse(grid).points())
+    assert len(rows) == len(points) and summary.flagged == 0
+    obstructions = []
+    for row, point in zip(rows, points):
+        report = identity_report(sf.j_field, sf.metric, sf.chart, point)
+        expected = [format(v, ".17g") for v in point + tuple(report[c] for c in NUMERIC_COLUMNS)]
+        assert row == expected + [report["verdict"]], (name, point)
+        obstructions.append(abs(report["obstruction"]))
+    # the largest |obstruction| is met more than once: the first point wins
+    best = max(obstructions)
+    assert obstructions.count(best) > 1
+    assert summary.max_abs_obstruction == best
+    assert summary.argmax_point == points[obstructions.index(best)]
+
+
+def test_a_failing_point_repeated_across_chunks_flags_its_own_rows(tmp_path):
+    sf = parse_structure(SINGULAR_AT_X1_0)
+    grid = "-1:1:3,0:1:100"  # the 100 points at x1 = 0 span the first two chunks
+    summary, rows = _scan(tmp_path, sf, grid)
+    assert summary.rows == len(rows) == 300 and summary.flagged == 100
+    for row, point in zip(rows, GridSpec.parse(grid).points()):
+        if point[0] == 0.0:
+            with pytest.raises(ValueError) as err:
+                identity_report(sf.j_field, sf.metric, sf.chart, point)
+            assert row[2:] == ["nan"] * 4 + [f"error: {err.value}"]
+        else:
+            report = identity_report(sf.j_field, sf.metric, sf.chart, point)
+            assert row[2:] == [format(report[c], ".17g") for c in NUMERIC_COLUMNS] + [report["verdict"]]
+
+
+def test_jets_that_differ_only_in_the_sign_of_a_zero_are_reported_apart(tmp_path, reported):
+    # with c = (x1 x2)^2, J = [[c, -1 - c^2], [1, -c]] has at (0, -1) and
+    # (0, 1) partials that compare equal as floats, but one is -0.0 at the
+    # first point and +0.0 at the second
+    text = "[chart]\ndim = 2\n[J]\n1 1 = (x1*x2)^2\n1 2 = -1 - (x1*x2)^4\n2 1 = 1\n2 2 = -(x1*x2)^2\n"
+    sf = parse_structure(text)
+    j_jm = sf.j_field.eval(sf.chart, np.array([[0.0, -1.0], [0.0, 1.0]]))
+    assert np.array_equal(j_jm.values[0], j_jm.values[1]) and np.array_equal(j_jm.partials[0], j_jm.partials[1])
+    assert j_jm.partials[0].tobytes() != j_jm.partials[1].tobytes()
+    summary, rows = _scan(tmp_path, sf, "0:0:1,-1:1:2")
+    assert reported == [2] and summary.rows == 2 and summary.flagged == 0

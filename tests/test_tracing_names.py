@@ -70,4 +70,6 @@ def test_traced_scan_records_one_report_per_chunk(tmp_path, capsys):
         tracer.uninstall()
     capsys.readouterr()
     calls = {name: calls for name, (calls, _) in tracer.self_times().items()}
-    assert calls["obstruction.identity_report"] == calls["obstruction.report"] == 3
+    # every point's jets differ, so each chunk evaluates and reports all its points
+    assert calls["geometry.field_eval.pullback"] == calls["obstruction.report"] == 3
+    assert "obstruction.identity_report" not in calls

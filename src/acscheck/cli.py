@@ -26,6 +26,7 @@ from .obstruction import (
     VERDICT_CONSISTENT,
     VERDICT_INVALID_ACS,
     VERDICT_LEDGER_ANOMALY,
+    _refusal,
     _tolerance_fault,
     identity_report,
     render_report,
@@ -232,11 +233,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
-    except (OSError, ValueError) as exc:
-        sys.stderr.write(f"acscheck: error: {exc}\n")
-        return EXIT_ERROR
-    except MemoryError as exc:  # numpy's names the allocation; Python's own has no text
-        sys.stderr.write(f"acscheck: error: out of memory: {exc}".removesuffix(": ") + "\n")
+    except (OSError, ValueError, MemoryError) as exc:
+        sys.stderr.write(f"acscheck: error: {_refusal(exc)}\n")
         return EXIT_ERROR
 
 
@@ -260,7 +258,7 @@ def run() -> None:
     except OSError as exc:  # a closed pipe ends as an OSError in `main` does
         code = EXIT_ERROR
         with contextlib.suppress(OSError):
-            sys.stderr.write(f"acscheck: error: {exc}\n")
+            sys.stderr.write(f"acscheck: error: {_refusal(exc)}\n")
             sys.stderr.flush()
     atexit._run_exitfuncs()
     _exit(code)

@@ -187,6 +187,12 @@ def _tolerance_fault(tol: float) -> str | None:
     return None if 0 <= tol < np.inf else f"must be finite and non-negative, got {tol}"
 
 
+def _refusal(exc: Exception) -> str:
+    """The text of an error a command refuses with, after `error: `."""
+    # numpy's MemoryError names the allocation; Python's own has no text
+    return f"out of memory: {exc}".removesuffix(": ") if isinstance(exc, MemoryError) else str(exc)
+
+
 def _check_tolerances(tol_alg: float, tol_identity: float) -> None:
     for name, tol in (("tol_alg", tol_alg), ("tol_identity", tol_identity)):
         if fault := _tolerance_fault(tol):

@@ -67,7 +67,11 @@ The set, built from the benchmark's inputs in `bench/run.py`:
 - scans whose points repeat their jets: `gallery:expblock4`, which reads
   `x1` alone, over `-1:1:5` on each axis (5 distinct jets across 5
   chunks), and the singular conjugation frame over `-1:1:3,0:1:100`, whose
-  100 failing points at `x1 = 0` span two chunks.
+  100 failing points at `x1 = 0` span two chunks;
+- a scan of the conjugation `1 2 = x1` over `-0.0:0:2,0:0:1`, whose first
+  row is at `x1 = -0.0`, and a scan of the benchmark's overflow probe over
+  `600:800:64,0:1:4`, where every report is non-finite, so that both chunks
+  are run again point by point.
 
 Every other metric case above has a vanishing obstruction (the compatible
 `pullback4`) or a constant `J` (MIRRORED).  Besides the invocations,
@@ -81,7 +85,7 @@ recorded as a process would end: exit 1 and a traceback's first and last
 lines on stderr.  Per invocation NAME the directory holds
 NAME.out (stdout), NAME.err (stderr, when there is any) and NAME.csv for a
 scan; `invocations.txt` lists each name, its arguments and its exit code.
-It writes 200 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
+It writes 205 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
 host.
 """
 
@@ -111,6 +115,7 @@ STRUCTURES = {  # file name -> structure text
     "non-finite-explicit.acs": "[chart]\ndim = 2\n[J]\n1 2 = -1e300*x1*1e300\n",
     "non-finite-conjugation.acs": "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = 1e300*x1*1e300\n",
     "non-finite-pullback.acs": "[chart]\ndim = 2\n[J]\nkind = pullback\n1 = 1e300*x1*x1*1e300\n",
+    "conjugation-x1.acs": "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 2 = x1\n",
 }
 DEEP_SUM = "+".join(["x1"] * 791)  # a tree of 790 levels
 MIRRORED = f"[chart]\ndim = 2\n[J]\n1 2 = -1\n2 1 = 1\n[metric]\n1 2 = {DEEP_SUM}\n2 1 = {DEEP_SUM}\n"
@@ -226,6 +231,10 @@ def invocations(bench) -> list:
     out.append(("scan-expblock4-repeats", ["scan", "gallery:expblock4", *grid]))
     grid = ["--grid=-1:1:3,0:1:100", "--out", "scan-singular-conjugation-repeats.csv"]
     out.append(("scan-singular-conjugation-repeats", ["scan", "singular-conjugation.acs", *grid]))
+    grid = ["--grid=-0.0:0:2,0:0:1", "--out", "scan-negative-zero-bound.csv"]
+    out.append(("scan-negative-zero-bound", ["scan", "conjugation-x1.acs", *grid]))
+    grid = ["--grid=600:800:64,0:1:4", "--out", "scan-overflow-every-point.csv"]
+    out.append(("scan-overflow-every-point", ["scan", _structure(bench.PROBE_FILE), *grid]))
     return out
 
 

@@ -8,17 +8,22 @@ own row.
 """
 
 import csv
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from acscheck import obstruction
+from acscheck.cli import main
 from acscheck.obstruction import BATCH, identity_report, report_from_jets
 from acscheck.scan import NUMERIC_COLUMNS, GridSpec, run_scan
 from acscheck.structures import gallery, parse_structure
 from test_acceptance import PULLBACK4_COMPATIBLE
 
 SINGULAR_AT_X1_0 = "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = x1\n"
+OVERFLOW2 = Path(__file__).resolve().parent.parent / "bench" / "structures" / "overflow2.acs"
 READS_X2 = "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 2 = x2\n"  # J reads x2 alone
 
 
@@ -112,3 +117,60 @@ def test_jets_that_differ_only_in_the_sign_of_a_zero_are_reported_apart(tmp_path
     assert j_jm.partials[0].tobytes() != j_jm.partials[1].tobytes()
     summary, rows = _scan(tmp_path, sf, "0:0:1,-1:1:2")
     assert reported == [2] and summary.rows == 2 and summary.flagged == 0
+
+
+def test_a_failing_chunks_points_take_the_rows_of_the_chunk_before(tmp_path, monkeypatch):
+    # J reads x1 alone and is singular at x1 = 0; chunks of 128 points.  The
+    # chunk of points 896..1023 holds 104 points at x1 = -1 and 24 at 0; the
+    # chunk of points 1920..2047 holds 80 at 0 and 48 at 1
+    reports = []
+
+    def spy(j_jm, g_jm, points, *args, **kwargs):
+        reports.append((len(points), points[0][0]))
+        return report_from_jets(j_jm, g_jm, points, *args, **kwargs)
+
+    monkeypatch.setattr(obstruction, "report_from_jets", spy)
+    summary, rows = _scan(tmp_path, parse_structure(SINGULAR_AT_X1_0), "-1:1:3,0:1:1000")
+    assert summary.rows == len(rows) == 3000 and summary.flagged == 1000
+    # x1 = -1 is reported once, in the first chunk: its 104 retried points
+    # take the row of the chunk before.  Each of the 48 retried points at
+    # x1 = 1 is reported alone, and the next chunk, after a failing one,
+    # reports x1 = 1 once more: 50 report rows, where a retry that reported
+    # every point it ran again built 154
+    assert reports == [(1, -1.0)] + [(1, 1.0)] * 49
+
+
+def test_every_failing_row_carries_the_text_check_prints(tmp_path, capsys):
+    # every report of exp(x1) past x1 = 709 is non-finite, and no two points
+    # share their jets: two chunks, each retried point by point
+    sf = parse_structure(OVERFLOW2.read_text(encoding="utf-8"))
+    grid = "600:800:64,0:1:4"
+    summary, rows = _scan(tmp_path, sf, grid)
+    assert summary.rows == len(rows) == summary.flagged == 256 > BATCH
+    assert summary.max_abs_obstruction is None
+    for row, point in zip(rows, GridSpec.parse(grid).points()):
+        assert main(["check", str(OVERFLOW2), "--point=" + ",".join(map(repr, point))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("acscheck: error: ") and err.endswith("\n")
+        assert row[2:] == ["nan"] * 4 + ["error: " + err.removeprefix("acscheck: error: ")[:-1]]
+
+
+def test_a_negative_zero_lower_bound_is_kept(tmp_path, capsys):
+    # linspace computes an axis's first value as lo + 0 * step, which is
+    # +0.0 for lo = -0.0
+    grid = "-0.0:0:2,0:0:1"
+    points = list(GridSpec.parse(grid).points())
+    assert points == [(0.0, 0.0), (0.0, 0.0)] and math.copysign(1.0, points[0][0]) == -1.0
+    path = tmp_path / "s.acs"
+    path.write_text("[chart]\ndim = 2\n[J]\nkind = conjugation\n1 2 = x1\n", encoding="utf-8")
+    out = tmp_path / "scan.csv"
+    assert main(["scan", str(path), f"--grid={grid}", "--out", str(out)]) == 0
+    with out.open() as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert ",".join(rows[0]).startswith("-0,0,") and ",".join(rows[1]).startswith("0,0,")
+    capsys.readouterr()
+    for row, point in zip(rows, points):
+        assert main(["check", str(path), "--point=" + ",".join(map(repr, point)), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        expected = [format(v, ".17g") for v in report["point"] + [report[c] for c in NUMERIC_COLUMNS]]
+        assert row == expected + [report["verdict"]]

@@ -73,3 +73,22 @@ def test_traced_scan_records_one_report_per_chunk(tmp_path, capsys):
     # every point's jets differ, so each chunk evaluates and reports all its points
     assert calls["geometry.field_eval.pullback"] == calls["obstruction.report"] == 3
     assert "obstruction.identity_report" not in calls
+
+
+def test_traced_failing_scan_retries_through_the_chunk_path(tmp_path, capsys):
+    # J is singular at x1 = 0, so the chunk of three points raises and each
+    # point is run again as a chunk of one
+    path = tmp_path / "singular.acs"
+    path.write_text("[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = x1\n", encoding="utf-8")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        argv = ["scan", str(path), "--grid=-1:1:3,0:0:1", "--out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    calls = {name: calls for name, (calls, _) in tracer.self_times().items()}
+    # the chunk and its three points are evaluated; the two that pass are reported
+    assert calls["geometry.field_eval.conjugation"] == 4 and calls["obstruction.report"] == 2
+    assert "obstruction.identity_report" not in calls

@@ -32,6 +32,7 @@ __all__ = [
     "parse_expr",
     "to_source",
     "free_variables",
+    "partial_variables",
     "bind_and_eval",
     "eval_table",
 ]
@@ -190,6 +191,24 @@ def free_variables(node: ExprNode) -> set[str]:
     if node[0] == "const":
         return set()
     return set().union(*map(free_variables, node[1:]))  # map, unlike a comprehension, adds no frame
+
+
+def partial_variables(node: ExprNode) -> set[str]:
+    """The variables whose values the partials and Hessians of `node`'s jet
+    read: none for a constant or a variable, its operands' for ``neg``,
+    ``add``, ``sub`` and a product or quotient by a subtree without
+    variables (:mod:`jets` puts no value into a derivative there), and every
+    free variable of any other subtree."""
+    op = node[0]
+    if op in ("const", "var"):
+        return set()
+    if op in ("neg", "add", "sub"):
+        return set().union(*map(partial_variables, node[1:]))
+    if op in ("mul", "div") and not free_variables(node[2]):
+        return partial_variables(node[1])
+    if op == "mul" and not free_variables(node[1]):
+        return partial_variables(node[2])
+    return free_variables(node)
 
 
 def bind_and_eval(node: ExprNode, chart, point, order: int = 1) -> jets.Jet:

@@ -136,10 +136,18 @@ def _frame_inverse(frame: np.ndarray, what: str):
     return inv, cond
 
 
+def _free_variables(table) -> set[str]:
+    return set().union(*(expr.free_variables(node) for row in table for node in row))
+
+
 class ExplicitField(Record):
     """n x n matrix of expressions defining each entry directly."""
 
     entries: tuple[tuple[expr.ExprNode, ...], ...]
+
+    def reads(self) -> set[str]:
+        """The chart variables whose values its jets read."""
+        return _free_variables(self.entries)
 
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
         values, partials, _ = expr.eval_table(self.entries, chart, point)
@@ -155,6 +163,9 @@ class ConjugationField(Record):
     """
 
     frame: tuple[tuple[expr.ExprNode, ...], ...]
+
+    def reads(self) -> set[str]:
+        return _free_variables(self.frame)
 
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
         av, ap, _ = expr.eval_table(self.frame, chart, point)
@@ -187,6 +198,11 @@ class PullbackField(Record):
 
     components: tuple[expr.ExprNode, ...]
 
+    def reads(self) -> set[str]:
+        """Only phi's partials and Hessians enter J: a term linear in a
+        variable, such as the x2 of ``x2 + x1^2``, reads nothing."""
+        return set().union(*map(expr.partial_variables, self.components))
+
     @_quiet
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
         _, p, h = expr.eval_table([[c] for c in self.components], chart, point, order=2)
@@ -215,6 +231,9 @@ class MetricField(Record):
     """
 
     entries: tuple[tuple[expr.ExprNode, ...], ...]
+
+    def reads(self) -> set[str]:
+        return _free_variables(self.entries)
 
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
         values, partials = expr.eval_table(self.entries, chart, point, upper=True)[:2]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from pathlib import Path
@@ -12,7 +13,6 @@ import numpy as np
 
 from . import obstruction
 from ._record import Record
-from .geometry import JetMatrix
 from .obstruction import BATCH, _check_tolerances, _refusal, batch_size
 from .obstruction import identity_report  # unused: the benchmark's traced run patches it here
 from .structures import StructureFile
@@ -102,49 +102,41 @@ def _row_format(n: int) -> str:
     return ",".join(["%.17g"] * (n + len(NUMERIC_COLUMNS))) + ",%s\n"
 
 
-def _jet_keys(jms, count: int) -> list:
-    """Per point, the bytes of its jets' values and partials, `jms` in order:
-    points with equal keys have reports of equal bits.  Bytes, unlike
-    floats, keep -0.0 apart from 0.0."""
-    flat = np.concatenate([a.reshape(count, -1) for jm in jms for a in (jm.values, jm.partials)], axis=1)
-    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel().tolist()
+def _keys(points: np.ndarray, read: list) -> list:
+    """Per point, the bytes of its coordinates of indices `read`, those the
+    fields read: points with equal keys have rows of equal bits.  Bytes,
+    unlike floats, keep -0.0 apart from 0.0."""
+    if not read:
+        return [b""] * len(points)
+    coords = np.ascontiguousarray(points[:, read])
+    return coords.view(np.dtype((np.void, coords.itemsize * len(read)))).ravel().tolist()
 
 
-def _take(jm: Optional[JetMatrix], index: list) -> Optional[JetMatrix]:
-    return None if jm is None else JetMatrix(jm.values[index], jm.partials[index])
+def _flagged(exc: Exception) -> str:
+    """The CSV text after the coordinates of a row that `exc` flags."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerow(["nan"] * len(NUMERIC_COLUMNS) + ["error: " + _refusal(exc)])
+    return text.getvalue()
 
 
-def _table(rep: dict) -> list:
-    """The rows of a batch report: per point its numeric columns and verdict."""
-    return list(zip(*(rep[name].tolist() for name in NUMERIC_COLUMNS + ("verdict",))))
-
-
-def _rows(structure: StructureFile, points: np.ndarray, memo: dict, tol_alg: float, tol_identity: float):
-    """Per point of `points`: the key of its jets (see `_jet_keys`), and the
-    numeric columns and the verdict, or the message of the error that point
-    raises.  A point whose key is in `memo` (key -> row) takes that row, and
-    points with one key share one row; one point of each other key is
-    reported, all in one batch.  If the fields or that report raise a
-    ValueError or run out of memory, each point is run again as a chunk of
-    one, with the same memo, so an error flags only its own row and carries
-    the text a check of that point gives; the keys are then empty."""
+def _rows(structure: StructureFile, points: np.ndarray, tol_alg: float, tol_identity: float) -> list:
+    """Per point of `points`, in one batch: its |obstruction| and the CSV
+    text after its coordinates, or None and the text of a flagged row.  If
+    the fields or the report raise a ValueError or run out of memory, each
+    point is run again as a chunk of one, so an error flags only its own row
+    and carries the text a check of that point gives."""
     chart, metric = structure.chart, structure.metric
     try:
         j_jm = structure.j_field.eval(chart, points)
         g_jm = metric.eval(chart, points) if metric is not None else None
-        keys = _jet_keys([jm for jm in (j_jm, g_jm) if jm is not None], len(points))
-        # one point of each key that memo lacks
-        index = [k for key, k in dict(zip(keys, range(len(keys)))).items() if key not in memo]
-        known = memo.copy()
-        if index:
-            j_jm, g_jm = _take(j_jm, index), _take(g_jm, index)
-            rep = obstruction.report_from_jets(j_jm, g_jm, points[index], tol_alg, tol_identity)
-            known.update(zip([keys[k] for k in index], _table(rep)))
-        return keys, [known[key] for key in keys]
+        rep = obstruction.report_from_jets(j_jm, g_jm, points, tol_alg, tol_identity)
     except (MemoryError, ValueError) as exc:
         if len(points) == 1:
-            return [], [_refusal(exc)]
-        return [], [_rows(structure, points[k:k + 1], memo, tol_alg, tol_identity)[1][0] for k in range(len(points))]
+            return [(None, _flagged(exc))]
+        return [row for k in range(len(points)) for row in _rows(structure, points[k:k + 1], tol_alg, tol_identity)]
+    tail = _row_format(0)
+    columns = zip(*(rep[name].tolist() for name in NUMERIC_COLUMNS + ("verdict",)))
+    return list(zip(np.abs(rep["obstruction"]).tolist(), [tail % row for row in columns]))
 
 
 def run_scan(
@@ -157,39 +149,44 @@ def run_scan(
     """Scan the grid, writing one CSV row per point in enumeration order.
 
     Points are evaluated in chunks of `batch_size(n^3)`, n^3 the floats of a
-    point's report tensors.  A point's row is a function of its jets' bits
-    alone, so each chunk reports only the points whose jets it has not met
-    in itself or in the chunk before.  A failing point (singular frame,
-    non-SPD metric, expression domain error, non-finite report) is flagged
-    in the status column and the scan continues.
+    point's report tensors.  A point's row is a function of the coordinates
+    its fields read (`reads`) alone, so each chunk evaluates only the points
+    whose coordinates it has not met in itself or in the chunk before.  A
+    failing point (singular frame, non-SPD metric, expression domain error,
+    non-finite report) is flagged in the status column and the scan
+    continues.
     """
-    chart = structure.chart
+    chart, metric = structure.chart, structure.metric
     _check_tolerances(tol_alg, tol_identity)  # before a chunk could flag every row with it
     if len(grid.axes) != chart.n:
         raise ValueError(f"grid has {len(grid.axes)} axes, chart has {chart.n}")
-    row_format, size = _row_format(chart.n), batch_size(chart.n**3)
+    names = structure.j_field.reads() | (metric.reads() if metric is not None else set())
+    read = [i for i, name in enumerate(chart.var_names) if name in names]
+    coords, size = "%.17g," * chart.n, batch_size(chart.n**3)
     rows = 0
     flagged = 0
     best: Optional[float] = None
     best_point: Optional[tuple[float, ...]] = None
-    memo: dict = {}  # the last chunk's rows by their jets' keys
+    memo: dict = {}  # the last chunk's rows by their keys
     out_path = Path(out_path)
     points = grid.points()
     with out_path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(list(chart.var_names) + list(NUMERIC_COLUMNS) + ["status"])
+        csv.writer(handle, lineterminator="\n").writerow(list(chart.var_names) + list(NUMERIC_COLUMNS) + ["status"])
         while chunk := list(itertools.islice(points, size)):
-            keys, chunk_rows = _rows(structure, np.array(chunk), memo, tol_alg, tol_identity)
-            memo = dict(zip(keys, chunk_rows))
-            for point, row in zip(chunk, chunk_rows):
-                rows += 1
-                if isinstance(row, str):
+            pts = np.array(chunk)
+            keys = _keys(pts, read)
+            # one point of each key that memo lacks
+            fresh = [k for key, k in dict(zip(keys, range(len(keys)))).items() if key not in memo]
+            if fresh:
+                memo.update(zip([keys[k] for k in fresh], _rows(structure, pts[fresh], tol_alg, tol_identity)))
+            memo = {key: memo[key] for key in keys}
+            rows += len(chunk)
+            for point, key in zip(chunk, keys):
+                obs, tail = memo[key]
+                handle.write(coords % point + tail)
+                if obs is None:
                     flagged += 1
-                    coords = [format(v, ".17g") for v in point]
-                    writer.writerow(coords + ["nan"] * len(NUMERIC_COLUMNS) + [f"error: {row}"])
-                    continue
-                handle.write(row_format % (point + row))
-                if best is None or abs(row[1]) > best:
-                    best = abs(row[1])
+                elif best is None or obs > best:
+                    best = obs
                     best_point = point
     return ScanSummary(rows, flagged, best, best_point, str(out_path))

@@ -71,7 +71,13 @@ The set, built from the benchmark's inputs in `bench/run.py`:
 - a scan of the conjugation `1 2 = x1` over `-0.0:0:2,0:0:1`, whose first
   row is at `x1 = -0.0`, and a scan of the benchmark's overflow probe over
   `600:800:64,0:1:4`, where every report is non-finite, so that both chunks
-  are run again point by point.
+  are run again point by point;
+- scans whose points repeat the coordinates their fields read: the
+  constant `standard2n:8` over 512 points in four chunks, the pullback
+  `2 = x2 + sin(x1)`, which reads `x1` alone, over `-1:1:3,-1:1:200` with
+  `x2` fastest, and the singular conjugation frame over `-1:1:3,0:1:1000`,
+  whose chunks of points 896..1023 and 1920..2047 each hold two values of
+  `x1`, one of them failing.
 
 Every other metric case above has a vanishing obstruction (the compatible
 `pullback4`) or a constant `J` (MIRRORED).  Besides the invocations,
@@ -85,7 +91,7 @@ recorded as a process would end: exit 1 and a traceback's first and last
 lines on stderr.  Per invocation NAME the directory holds
 NAME.out (stdout), NAME.err (stderr, when there is any) and NAME.csv for a
 scan; `invocations.txt` lists each name, its arguments and its exit code.
-It writes 205 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
+It writes 212 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
 host.
 """
 
@@ -116,6 +122,7 @@ STRUCTURES = {  # file name -> structure text
     "non-finite-conjugation.acs": "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = 1e300*x1*1e300\n",
     "non-finite-pullback.acs": "[chart]\ndim = 2\n[J]\nkind = pullback\n1 = 1e300*x1*x1*1e300\n",
     "conjugation-x1.acs": "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 2 = x1\n",
+    "pullback-sine.acs": "[chart]\ndim = 2\n[J]\nkind = pullback\n2 = x2 + sin(x1)\n",
 }
 DEEP_SUM = "+".join(["x1"] * 791)  # a tree of 790 levels
 MIRRORED = f"[chart]\ndim = 2\n[J]\n1 2 = -1\n2 1 = 1\n[metric]\n1 2 = {DEEP_SUM}\n2 1 = {DEEP_SUM}\n"
@@ -235,6 +242,12 @@ def invocations(bench) -> list:
     out.append(("scan-negative-zero-bound", ["scan", "conjugation-x1.acs", *grid]))
     grid = ["--grid=600:800:64,0:1:4", "--out", "scan-overflow-every-point.csv"]
     out.append(("scan-overflow-every-point", ["scan", _structure(bench.PROBE_FILE), *grid]))
+    grid = ["--grid=" + ",".join(["-1:1:4"] * 4 + ["0:1:2"] + ["0:0:1"] * 3), "--out", "scan-standard2n-8-chunks.csv"]
+    out.append(("scan-standard2n-8-chunks", ["scan", "gallery:standard2n:8", *grid]))
+    grid = ["--grid=-1:1:3,-1:1:200", "--out", "scan-pullback-sine.csv"]
+    out.append(("scan-pullback-sine", ["scan", "pullback-sine.acs", *grid]))
+    grid = ["--grid=-1:1:3,0:1:1000", "--out", "scan-singular-conjugation-chunks.csv"]
+    out.append(("scan-singular-conjugation-chunks", ["scan", "singular-conjugation.acs", *grid]))
     return out
 
 

@@ -433,15 +433,39 @@ def random_polynomial_maps(rng: np.random.Generator, points, scale: float = 0.1)
     ``[k, i, j] = d_k d_j phi^i``."""
     x = np.asarray(points, dtype=float)
     batch, n = x.shape
-    q = rng.uniform(-scale, scale, (batch, n, n, n))
-    q = (q + np.swapaxes(q, -1, -2)) / 2
-    c = rng.uniform(-scale, scale, (batch, n, n, n, n))
-    c = sum(np.moveaxis(c, (-3, -2, -1), p) for p in itertools.permutations((-3, -2, -1))) / 6
+    q, c = random_polynomial_coefficients(rng, batch, n, scale)
     phi = x + np.einsum("...ijk,...j,...k->...i", q, x, x) / 2
     phi = phi + np.einsum("...ijkl,...j,...k,...l->...i", c, x, x, x) / 6
     dphi = np.eye(n) + np.einsum("...ijk,...k->...ij", q, x) + np.einsum("...ijkl,...k,...l->...ij", c, x, x) / 2
     ddphi = np.einsum("...ijk->...kij", q + np.einsum("...ijkl,...l->...ijk", c, x))
     return phi, dphi, ddphi
+
+
+def random_polynomial_coefficients(rng: np.random.Generator, batch: int, n: int, scale: float = 0.1):
+    """The q ``(batch, n, n, n)`` and c ``(batch, n, n, n, n)`` of
+    `random_polynomial_maps`, drawn as it draws them."""
+    q = rng.uniform(-scale, scale, (batch, n, n, n))
+    q = (q + np.swapaxes(q, -1, -2)) / 2
+    c = rng.uniform(-scale, scale, (batch, n, n, n, n))
+    c = sum(np.moveaxis(c, (-3, -2, -1), p) for p in itertools.permutations((-3, -2, -1))) / 6
+    return q, c
+
+
+def polynomial_map_components(q, c, names) -> tuple:
+    """phi^i = x_i + q^i(x, x) / 2 + c^i(x, x, x) / 6 as pullback components,
+    from one map's q ``(n, n, n)`` and c ``(n, n, n, n)``: one term a nonzero
+    coefficient, ``((q/2) x_j) x_k`` or ``(((c/6) x_j) x_k) x_l``."""
+    components = []
+    for i, name in enumerate(names):
+        node = ("var", name)
+        for coeffs, scale in ((q[i], 2.0), (c[i], 6.0)):
+            for index in zip(*np.nonzero(coeffs)):
+                term = ("const", float(coeffs[index]) / scale)
+                for j in index:
+                    term = ("mul", term, ("var", names[j]))
+                node = ("add", node, term)
+        components.append(node)
+    return tuple(components)
 
 
 def pull_back_jets(j: geometry.JetMatrix, g: Optional[geometry.JetMatrix], dphi, ddphi):

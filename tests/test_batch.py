@@ -83,21 +83,22 @@ def _scan(tmp_path, sf, grid):
 
 
 @pytest.mark.parametrize(
-    "text,grid,bad,reported",
+    "text,grid,bad,keys,reported",
     [
-        # x1 = 0 makes the conjugation frame singular
-        ("[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = x1\n", "-1:1:5,0:1:3", 0.0, [1] * 12),
-        ("[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = x1\n", "-1:1:5,0:0:1", 0.0, [1] * 4),
-        (OVERFLOW2, "0:800:2,0:1:3", 800.0, [1] * 3),  # exp(800) overflows
-        (POWER2, "-1:2:4,0:0:1", None, [4]),  # no failing point
+        # x1 = 0 makes the conjugation frame singular; J reads x1 alone
+        ("[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = x1\n", "-1:1:5,0:1:3", 0.0, 5, [1] * 4),
+        ("[chart]\ndim = 2\n[J]\nkind = conjugation\n1 1 = x1\n", "-1:1:5,0:0:1", 0.0, 5, [1] * 4),
+        (OVERFLOW2, "0:800:2,0:1:3", 800.0, 2, [1]),  # exp(800) overflows
+        (POWER2, "-1:2:4,0:0:1", None, 4, [4]),  # no failing point
         # the exponent x2*x2 reads a variable: exp(x2*x2 * log(x1)) at every
         # point, also at x2 = 0 where its gradient vanishes; there x1^0 has
-        # the same jets at every x1, so the chunk reports 7 of its 9 points
-        (VARIABLE_POWER2, "0.5:2:3,-1:1:3", None, [7]),
+        # the same jets at every x1, but J reads x1 and x2, so the chunk
+        # reports each of its 9 points
+        (VARIABLE_POWER2, "0.5:2:3,-1:1:3", None, 9, [9]),
     ],
     ids=["singular-frame", "one-failing-point", "exp-overflow", "no-failure", "mixed-exponent"],
 )
-def test_failing_point_flags_only_its_row(tmp_path, monkeypatch, text, grid, bad, reported):
+def test_failing_point_flags_only_its_row(tmp_path, monkeypatch, text, grid, bad, keys, reported):
     sf = parse_structure(text)
     evals, reports = [], []
     field_eval = type(sf.j_field).eval
@@ -115,9 +116,10 @@ def test_failing_point_flags_only_its_row(tmp_path, monkeypatch, text, grid, bad
     summary, rows = _scan(tmp_path, sf, grid)
     k = len(list(GridSpec.parse(grid).points()))
     assert summary.rows == len(rows) == k < BATCH
-    # one evaluation of the chunk and one report of its distinct jets or, if
-    # the evaluation raises, one of each point, and a report of each that passes
-    assert evals == ([k] if bad is None else [k] + [1] * k)
+    # one evaluation and one report of a point of each distinct key (the
+    # coordinates J reads) or, if the evaluation raises, one evaluation of
+    # each of those points alone, and a report of each that passes
+    assert evals == ([keys] if bad is None else [keys] + [1] * keys)
     assert reports == reported
     for row, point in zip(rows, GridSpec.parse(grid).points()):
         if point[0] == bad:
@@ -151,7 +153,7 @@ def test_scan_chunks_cover_the_grid(tmp_path):
 
 
 def test_out_of_memory_retries_the_chunk_and_flags_its_point(tmp_path, monkeypatch, capsys):
-    sf = gallery("standard2n:2")
+    sf = parse_structure(OVERFLOW2)  # an explicit J, as standard2n's, that reads x1: a key per point
     field_eval = type(sf.j_field).eval
 
     def eval_spy(field, chart, point, *args, **kwargs):

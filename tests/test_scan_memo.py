@@ -1,10 +1,12 @@
-"""A scan reports each distinct point once: rows are reused by their jets' bits.
+"""A scan evaluates each distinct point once: rows are reused by the
+coordinates the fields read.
 
-A point's row is a function of the bits of its jets (and of the metric's),
-so `run_scan` reports only the points whose jets neither an earlier point of
-their chunk nor the chunk before had.  Every row must still carry the bits
-of that point's own report, and a failing point must still flag only its
-own row.
+A point's row is a function of the coordinates that its fields read (their
+`reads`, see `tests/test_field_reads.py`), so `run_scan` keys rows by the
+bytes of those coordinates before it evaluates anything, and evaluates and
+reports only the points whose key neither an earlier point of their chunk
+nor the chunk before had.  Every row must still carry the bits of that
+point's own report, and a failing point must still flag only its own row.
 """
 
 import csv
@@ -53,6 +55,28 @@ def test_a_slab_reports_its_distinct_jets_once(tmp_path, reported):
     summary, rows = _scan(tmp_path, gallery("pullback4"), "0.3:0.3:1,-1:1:10,-1:1:10,-1:1:10")
     assert summary.rows == len(rows) == 1000 and summary.flagged == 0
     assert reported == [10]
+
+
+def test_a_constant_structure_is_evaluated_once_a_scan(tmp_path, monkeypatch, reported):
+    # standard2n:8 reads no coordinate: every point has the same key, so the
+    # first chunk evaluates one point and each later chunk takes its row
+    sf = gallery("standard2n:8")
+    evals = []
+    field_eval = type(sf.j_field).eval
+
+    def spy(field, chart, points):
+        evals.append(len(points))
+        return field_eval(field, chart, points)
+
+    monkeypatch.setattr(type(sf.j_field), "eval", spy)
+    grid = "-1:1:4,-1:1:4,-1:1:4,-1:1:4,0:1:2," + ",".join(["0:0:1"] * 3)  # 512 points, 4 chunks
+    summary, rows = _scan(tmp_path, sf, grid)
+    assert summary.rows == len(rows) == 512 == 4 * BATCH and summary.flagged == 0
+    assert evals == [1] and reported == [1]
+    report = identity_report(sf.j_field, sf.metric, sf.chart, (0.0,) * 8)
+    expected = [format(report[c], ".17g") for c in NUMERIC_COLUMNS] + [report["verdict"]]
+    for row, point in zip(rows, GridSpec.parse(grid).points()):
+        assert row == [format(v, ".17g") for v in point] + expected
 
 
 def test_the_memo_holds_the_last_chunk_alone(tmp_path, reported):
@@ -132,12 +156,12 @@ def test_a_failing_chunks_points_take_the_rows_of_the_chunk_before(tmp_path, mon
     monkeypatch.setattr(obstruction, "report_from_jets", spy)
     summary, rows = _scan(tmp_path, parse_structure(SINGULAR_AT_X1_0), "-1:1:3,0:1:1000")
     assert summary.rows == len(rows) == 3000 and summary.flagged == 1000
-    # x1 = -1 is reported once, in the first chunk: its 104 retried points
-    # take the row of the chunk before.  Each of the 48 retried points at
-    # x1 = 1 is reported alone, and the next chunk, after a failing one,
-    # reports x1 = 1 once more: 50 report rows, where a retry that reported
-    # every point it ran again built 154
-    assert reports == [(1, -1.0)] + [(1, 1.0)] * 49
+    # x1 = -1 is reported once, in the first chunk.  x1 = 0 is the one new
+    # key of the chunk of points 896..1023 and fails there once, while its
+    # other points take the row of the chunk before; the chunks after it take
+    # its error row.  x1 = 1 is reported once, in the chunk of points
+    # 1920..2047
+    assert reports == [(1, -1.0), (1, 1.0)]
 
 
 def test_every_failing_row_carries_the_text_check_prints(tmp_path, capsys):

@@ -296,4 +296,4 @@ def identity_report(
     """
     j_jm = j_field.eval(chart, point)
     g_jm = metric.eval(chart, point) if metric is not None else None
-    return report_from_jets(j_jm, g_jm, point, tol_alg=tol_alg, tol_identity=tol_identity)
+    return report_from_jets(j_jm, g_jm, point, tol_alg, tol_identity)

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import csv
 import io
-import itertools
 import math
 from pathlib import Path
 from typing import Optional
@@ -46,8 +44,9 @@ class GridSpec(Record):
             grid = cls(grid.axes + (axis,))  # each axis is checked before the next is read
         return grid
 
-    def points(self):
-        """The points in order as tuples of floats; the axes are built, or refused, first."""
+    def chunks(self, size: int):
+        """The axes' values, built or refused first, and an iterator over the
+        points in order in chunks of `size`, each as one index array per axis."""
         counts = [count for _, _, count in self.axes]
         total = math.prod(counts)
         try:
@@ -59,14 +58,19 @@ class GridSpec(Record):
         except (MemoryError, ValueError):
             raise ValueError(f"grid {' x '.join(map(str, counts))} is too large to allocate") from None
 
-        def chunk(k):  # BATCH flat indices, split by divmod into axis indices, last axis first
-            flat, index = np.arange(k, min(k + BATCH, total)), []
+        def chunk(k):  # flat indices split by divmod into axis indices, last axis first
+            flat, index = np.arange(k, min(k + size, total)), []
             for count in reversed(counts):
                 flat, i = np.divmod(flat, count)
                 index.insert(0, i)
-            return zip(*(axis[i].tolist() for axis, i in zip(values, index)))
+            return index
 
-        return (point for k in range(0, total, BATCH) for point in chunk(k))
+        return values, map(chunk, range(0, total, size))
+
+    def points(self):
+        """The points in order as tuples of floats; the axes are built, or refused, first."""
+        values, chunks = self.chunks(BATCH)
+        return (point for index in chunks for point in zip(*(axis[i].tolist() for axis, i in zip(values, index))))
 
 
 class ScanSummary(Record):
@@ -82,22 +86,10 @@ class ScanSummary(Record):
         if self.max_abs_obstruction is None:
             lines.append("max |obstruction|: n/a (no successful rows)")
         else:
-            lines.append(
-                "max |obstruction| = "
-                + g17(self.max_abs_obstruction)
-                + " at ("
-                + ", ".join(g17(v) for v in self.argmax_point)
-                + ")"
-            )
+            at = ", ".join(map(g17, self.argmax_point))
+            lines.append(f"max |obstruction| = {g17(self.max_abs_obstruction)} at ({at})")
         lines.append(f"csv: {self.out_path}")
         return "\n".join(lines) + "\n"
-
-
-def _row_format(n: int) -> str:
-    """One successful CSV row of an n-dimensional scan: the coordinates and
-    numeric columns as ``%.17g``, then the verdict.  It gives the bytes
-    ``csv.writer`` writes for the same fields, which need no quoting."""
-    return ",".join(["%.17g"] * (n + len(NUMERIC_COLUMNS))) + ",%s\n"
 
 
 def _keys(points: np.ndarray, read: list) -> list:
@@ -112,6 +104,8 @@ def _keys(points: np.ndarray, read: list) -> list:
 
 def _flagged(exc: Exception) -> str:
     """The CSV text after the coordinates of a row that `exc` flags."""
+    import csv  # the message can hold commas and quotes; only a flagged row loads csv
+
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerow(["nan"] * len(NUMERIC_COLUMNS) + ["error: " + _refusal(exc)])
     return text.getvalue()
@@ -129,7 +123,8 @@ def _rows(structure: StructureFile, points: np.ndarray, tol_alg: float, tol_iden
         if len(points) == 1:
             return [(None, _flagged(exc))]
         return [row for k in range(len(points)) for row in _rows(structure, points[k:k + 1], tol_alg, tol_identity)]
-    tail = _row_format(0)
+    # the numeric columns as %.17g, then the verdict: the bytes csv.writer gives, as no field needs quoting
+    tail = "%.17g," * len(NUMERIC_COLUMNS) + "%s\n"
     columns = zip(*(rep[name].tolist() for name in NUMERIC_COLUMNS + ("verdict",)))
     return list(zip(np.abs(rep["obstruction"]).tolist(), [tail % row for row in columns]))
 
@@ -146,10 +141,10 @@ def run_scan(
     Points are evaluated in chunks of `batch_size(n^3)`, n^3 the floats of a
     point's report tensors.  A point's row is a function of the coordinates
     its fields read (`reads`) alone, so each chunk evaluates only the points
-    whose coordinates it has not met in itself or in the chunk before.  A
-    failing point (singular frame, non-SPD metric, expression domain error,
-    non-finite report) is flagged in the status column and the scan
-    continues.
+    whose coordinates it has not met in itself or in the chunk before, and
+    formats each distinct axis value it holds once.  A failing point
+    (singular frame, non-SPD metric, expression domain error, non-finite
+    report) is flagged in the status column and the scan continues.
     """
     chart, metric = structure.chart, structure.metric
     _check_tolerances(tol_alg, tol_identity)  # before a chunk could flag every row with it
@@ -157,31 +152,33 @@ def run_scan(
         raise ValueError(f"grid has {len(grid.axes)} axes, chart has {chart.n}")
     names = structure.j_field.reads() | (metric.reads() if metric is not None else set())
     read = [i for i, name in enumerate(chart.var_names) if name in names]
-    coords, size = "%.17g," * chart.n, batch_size(chart.n**3)
-    rows = 0
-    flagged = 0
+    rows = flagged = 0
     best: Optional[float] = None
     best_point: Optional[tuple[float, ...]] = None
     memo: dict = {}  # the last chunk's rows by their keys
     out_path = Path(out_path)
-    points = grid.points()
+    values, chunks = grid.chunks(batch_size(chart.n**3))
     with out_path.open("w", encoding="utf-8", newline="") as handle:
-        csv.writer(handle, lineterminator="\n").writerow(list(chart.var_names) + list(NUMERIC_COLUMNS) + ["status"])
-        while chunk := list(itertools.islice(points, size)):
-            pts = np.array(chunk)
+        handle.write(",".join((*chart.var_names, *NUMERIC_COLUMNS, "status")) + "\n")  # identifiers: no quoting
+        for index in chunks:
+            pts = np.stack([axis[i] for axis, i in zip(values, index)], axis=1)
             keys = _keys(pts, read)
             # one point of each key that memo lacks
             fresh = [k for key, k in dict(zip(keys, range(len(keys)))).items() if key not in memo]
             if fresh:
                 memo.update(zip([keys[k] for k in fresh], _rows(structure, pts[fresh], tol_alg, tol_identity)))
             memo = {key: memo[key] for key in keys}
-            rows += len(chunk)
-            for point, key in zip(chunk, keys):
-                obs, tail = memo[key]
-                handle.write(coords % point + tail)
+            found = [memo[key] for key in keys]
+            texts = []  # per axis, the text of each point's coordinate, one format a distinct value
+            for axis, i in zip(values, [i.tolist() for i in index]):
+                distinct = list(set(i))
+                text = dict(zip(distinct, [format(v, ".17g") for v in axis[distinct].tolist()]))
+                texts.append(map(text.__getitem__, i))
+            handle.write("".join(map(",".join, zip(*texts, [tail for _, tail in found]))))
+            for k, (obs, _) in enumerate(found):
                 if obs is None:
                     flagged += 1
                 elif best is None or obs > best:
-                    best = obs
-                    best_point = point
+                    best, best_point = obs, tuple(pts[k].tolist())
+            rows += len(found)
     return ScanSummary(rows, flagged, best, best_point, str(out_path))

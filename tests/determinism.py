@@ -78,6 +78,12 @@ The set, built from the benchmark's inputs in `bench/run.py`:
   `x2` fastest, and the singular conjugation frame over `-1:1:3,0:1:1000`,
   whose chunks of points 896..1023 and 1920..2047 each hold two values of
   `x1`, one of them failing.
+- scans whose axes repeat or sign their values, where a chunk formats each
+  distinct axis value once: `pullback4` over `-0.0:1:3,-1:1:3,-0.0:0:2,0:1:2`,
+  whose read axes `x1` and `x3` start at `-0.0`, and over
+  `0.5:0.5:3,0.1:0.3:7,0.1:0.3:7,0.5:0.5:3`, whose equal values of `x1`
+  are one key and whose steps of 0.3/6 are not exact, and `standard2n:4`
+  over `1e-300:1e300:3` on each axis.
 
 Every other metric case above has a vanishing obstruction (the compatible
 `pullback4`) or a constant `J` (MIRRORED).  Besides the invocations,
@@ -91,7 +97,7 @@ recorded as a process would end: exit 1 and a traceback's first and last
 lines on stderr.  Per invocation NAME the directory holds
 NAME.out (stdout), NAME.err (stderr, when there is any) and NAME.csv for a
 scan; `invocations.txt` lists each name, its arguments and its exit code.
-It writes 212 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
+It writes 218 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
 host.
 """
 
@@ -248,6 +254,12 @@ def invocations(bench) -> list:
     out.append(("scan-pullback-sine", ["scan", "pullback-sine.acs", *grid]))
     grid = ["--grid=-1:1:3,0:1:1000", "--out", "scan-singular-conjugation-chunks.csv"]
     out.append(("scan-singular-conjugation-chunks", ["scan", "singular-conjugation.acs", *grid]))
+    for name, spec, axes in (
+        ("scan-negative-zero-read-axes", "gallery:pullback4", "-0.0:1:3,-1:1:3,-0.0:0:2,0:1:2"),
+        ("scan-equal-and-inexact-values", "gallery:pullback4", "0.5:0.5:3,0.1:0.3:7,0.1:0.3:7,0.5:0.5:3"),
+        ("scan-wide-magnitudes", "gallery:standard2n:4", ",".join(["1e-300:1e300:3"] * 4)),
+    ):
+        out.append((name, ["scan", spec, f"--grid={axes}", "--out", f"{name}.csv"]))
     return out
 
 

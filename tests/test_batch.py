@@ -340,6 +340,15 @@ def test_selftest_refuses_a_negative_degree(capsys):
     assert captured.err == "acscheck selftest: error: argument --degree: must be non-negative, got -1\n"
 
 
+def test_selftest_refuses_residuals_it_cannot_count_at_once(capsys):
+    # 2**62 doubles are 32 EiB: array repetition refuses the size before it
+    # allocates, so this runs in process
+    code = main(["selftest", "--dims", "2", "--samples", str(2**62)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"acscheck: error: residuals of 1 x {2**62} samples are too large to allocate\n"
+
+
 @pytest.mark.parametrize(
     "args,where",
     [

@@ -2,8 +2,12 @@ import csv
 import io
 import itertools
 import json
+import math
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,6 +119,20 @@ def test_grid_points_start_without_copying_an_axis():
         tracemalloc.stop()
     assert first == (0.0, 0.0, 0.0, 0.0)
     assert peak <= 12e6  # the first axis alone is 8e6 bytes
+
+
+def test_a_scan_formats_its_coordinates_a_chunk_at_a_time(tmp_path):
+    # 200,000 values of x1: their texts would take about 15 MB at once, the
+    # axis itself 1.6 MB; each chunk formats only the values it holds
+    out = tmp_path / "scan.csv"
+    tracemalloc.start()
+    try:
+        summary = run_scan(gallery("standard2n:2"), GridSpec.parse("0:1:200000,0:0:1"), out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.rows == 200000 and summary.flagged == 0
+    assert peak <= 4e6  # measured 1.7e6
 
 
 def test_scan_constant_structure(tmp_path):
@@ -535,16 +553,26 @@ _SPECIAL_FLOATS = st.sampled_from(
 
 @given(
     n=st.sampled_from([2, 4, 6]),
-    floats=st.lists(st.one_of(st.floats(), _SPECIAL_FLOATS), min_size=10, max_size=10),
-    numpy_coords=st.booleans(),
+    coords=st.lists(st.one_of(st.floats(allow_infinity=False, allow_nan=False), _SPECIAL_FLOATS.filter(math.isfinite)),
+                    min_size=6, max_size=6),
+    numbers=st.lists(st.one_of(st.floats(), _SPECIAL_FLOATS), min_size=4, max_size=4),
     verdict=st.sampled_from([VERDICT_CONSISTENT, VERDICT_LEDGER_ANOMALY, VERDICT_INVALID_ACS]),
 )
-def test_row_format_writes_the_csv_writer_bytes(n, floats, numpy_coords, verdict):
-    coords = tuple(map(np.float64, floats[:n])) if numpy_coords else tuple(floats[:n])
-    numbers = tuple(floats[n : n + len(scan.NUMERIC_COLUMNS)])
+def test_row_format_writes_the_csv_writer_bytes(n, coords, numbers, verdict):
+    # a scan joins its header and rows itself: over one-point axes of any
+    # finite value and a report of any floats, it writes csv.writer's bytes
+    coords = coords[:n]
+    report = {name: np.array([v]) for name, v in zip(scan.NUMERIC_COLUMNS, numbers)}
+    report["verdict"] = np.array([verdict])
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(scan, "identity_report", lambda *args: report):
+        out = Path(tmp) / "scan.csv"
+        run_scan(gallery(f"standard2n:{n}"), GridSpec(tuple((v, v, 1) for v in coords)), out)
+        written = out.read_bytes().decode("utf-8")
     text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerow([format(v, ".17g") for v in coords + numbers] + [verdict])
-    assert scan._row_format(n) % (coords + numbers + (verdict,)) == text.getvalue()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow([f"x{i + 1}" for i in range(n)] + list(scan.NUMERIC_COLUMNS) + ["status"])
+    writer.writerow([format(v, ".17g") for v in coords + numbers] + [verdict])
+    assert written == text.getvalue()
 
 
 SWAP = "swap identity N(Je_i,Je_j) = -N(e_i,e_j) (scaled <= 1e-09)"

@@ -5,8 +5,8 @@ standard-library modules only they or `check --json` use, nor `dataclasses`,
 whose decorator compiles code at import, and `import acscheck.selftest` must
 not load `statistics`; `import acscheck` resolves each public name on first
 access.  No command loads `numpy.random`, nor `secrets` and `_hashlib`,
-which it imports, and only `selftest` loads `acscheck._pcg64`.  Each check
-runs in a fresh interpreter.
+which it imports, nor `csv`, which only a flagged scan row needs, and only
+`selftest` loads `acscheck._pcg64`.  Each check runs in a fresh interpreter.
 """
 
 import os
@@ -56,7 +56,7 @@ def test_no_module_builds_dataclass_code():
 )
 def test_no_command_loads_numpy_random(tmp_path, argv):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-    watched = ("numpy.random", "secrets", "_hashlib", "acscheck._pcg64")
+    watched = ("numpy.random", "secrets", "_hashlib", "acscheck._pcg64", "csv")
     code = (
         "import contextlib, io, sys\n"
         "from acscheck.cli import main\n"

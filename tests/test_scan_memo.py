@@ -55,6 +55,11 @@ def test_a_slab_reports_its_distinct_jets_once(tmp_path, reported):
     summary, rows = _scan(tmp_path, gallery("pullback4"), "0.3:0.3:1,-1:1:10,-1:1:10,-1:1:10")
     assert summary.rows == len(rows) == 1000 and summary.flagged == 0
     assert reported == [10]
+    # three equal values of x1 are one key, met once with each value of x3
+    reported.clear()
+    summary, rows = _scan(tmp_path, gallery("pullback4"), "0.5:0.5:3,-1:1:4,-1:1:5,0:1:2")
+    assert summary.rows == len(rows) == 120 and reported == [5]
+    assert {row[0] for row in rows} == {"0.5"}
 
 
 def test_a_constant_structure_is_evaluated_once_a_scan(tmp_path, monkeypatch, reported):
@@ -95,6 +100,8 @@ def _grids():
     yield "pullback4-compatible", parse_structure(PULLBACK4_COMPATIBLE), "-1:1:3,0:1:2,-1:1:5,0:1:4"
     # 150 distinct jets, more than a chunk holds, each at two points
     yield "pullback4-many", gallery("pullback4"), "-1:1:3,-1:1:2,-1:1:50,0:0:1"
+    # equal values, steps of 0.3/6 that are not exact, and -0.0 bounds on a read and an unread axis
+    yield "pullback4-values", gallery("pullback4"), "0.5:0.5:3,0.1:0.3:7,-0.0:0:2,-0.0:1:3"
 
 
 @pytest.mark.parametrize("name,sf,grid", list(_grids()), ids=[name for name, _, _ in _grids()])
@@ -179,7 +186,7 @@ def test_every_failing_row_carries_the_text_check_prints(tmp_path, capsys):
         assert row[2:] == ["nan"] * 4 + ["error: " + err.removeprefix("acscheck: error: ")[:-1]]
 
 
-def test_a_negative_zero_lower_bound_is_kept(tmp_path, capsys):
+def test_a_negative_zero_lower_bound_is_kept(tmp_path, capsys, reported):
     # linspace computes an axis's first value as lo + 0 * step, which is
     # +0.0 for lo = -0.0
     grid = "-0.0:0:2,0:0:1"
@@ -189,6 +196,7 @@ def test_a_negative_zero_lower_bound_is_kept(tmp_path, capsys):
     path.write_text("[chart]\ndim = 2\n[J]\nkind = conjugation\n1 2 = x1\n", encoding="utf-8")
     out = tmp_path / "scan.csv"
     assert main(["scan", str(path), f"--grid={grid}", "--out", str(out)]) == 0
+    assert reported == [2]  # x1 is read: -0.0 and 0.0 are two keys
     with out.open() as handle:
         rows = list(csv.reader(handle))[1:]
     assert ",".join(rows[0]).startswith("-0,0,") and ",".join(rows[1]).startswith("0,0,")

@@ -224,7 +224,7 @@ MatrixField = Union[ExplicitField, ConjugationField, PullbackField]
 
 
 class MetricField(Record):
-    """Symmetric matrix of expressions; must be SPD at queried points.
+    """Symmetric matrix of expressions; the report refuses one that is not positive definite.
 
     Only the upper triangle of `entries` is read; values and partials are
     mirrored so the evaluated jets are exactly symmetric.
@@ -238,10 +238,6 @@ class MetricField(Record):
     def eval(self, chart: ChartSpec, point) -> JetMatrix:
         values, partials = expr.eval_table(self.entries, chart, point, upper=True)[:2]
         _require_finite(values, partials)
-        try:
-            np.linalg.cholesky(values)
-        except np.linalg.LinAlgError as exc:
-            raise MetricError("metric is not positive definite at the point") from exc
         return JetMatrix(values, partials)
 
 

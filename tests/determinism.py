@@ -83,7 +83,11 @@ The set, built from the benchmark's inputs in `bench/run.py`:
   whose read axes `x1` and `x3` start at `-0.0`, and over
   `0.5:0.5:3,0.1:0.3:7,0.1:0.3:7,0.5:0.5:3`, whose equal values of `x1`
   are one key and whose steps of 0.3/6 are not exact, and `standard2n:4`
-  over `1e-300:1e300:3` on each axis.
+  over `1e-300:1e300:3` on each axis;
+- metrics the report refuses as not positive definite: `check`, text and
+  `--json`, at the origin of `1 1 = x1^2`, which is degenerate at `x1 = 0`,
+  and of `1 1 = -1`, indefinite everywhere, and scans of each over
+  `-1:1:3,0:1:2`.
 
 Every other metric case above has a vanishing obstruction (the compatible
 `pullback4`) or a constant `J` (MIRRORED).  Besides the invocations,
@@ -97,7 +101,7 @@ recorded as a process would end: exit 1 and a traceback's first and last
 lines on stderr.  Per invocation NAME the directory holds
 NAME.out (stdout), NAME.err (stderr, when there is any) and NAME.csv for a
 scan; `invocations.txt` lists each name, its arguments and its exit code.
-It writes 218 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
+It writes 232 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
 host.
 """
 
@@ -129,6 +133,8 @@ STRUCTURES = {  # file name -> structure text
     "non-finite-pullback.acs": "[chart]\ndim = 2\n[J]\nkind = pullback\n1 = 1e300*x1*x1*1e300\n",
     "conjugation-x1.acs": "[chart]\ndim = 2\n[J]\nkind = conjugation\n1 2 = x1\n",
     "pullback-sine.acs": "[chart]\ndim = 2\n[J]\nkind = pullback\n2 = x2 + sin(x1)\n",
+    "metric-degenerate.acs": "[chart]\ndim = 2\n[J]\n1 2 = -1\n2 1 = 1\n[metric]\n1 1 = x1^2\n",
+    "metric-indefinite.acs": "[chart]\ndim = 2\n[J]\n1 2 = -1\n2 1 = 1\n[metric]\n1 1 = -1\n",
 }
 DEEP_SUM = "+".join(["x1"] * 791)  # a tree of 790 levels
 MIRRORED = f"[chart]\ndim = 2\n[J]\n1 2 = -1\n2 1 = 1\n[metric]\n1 2 = {DEEP_SUM}\n2 1 = {DEEP_SUM}\n"
@@ -260,6 +266,11 @@ def invocations(bench) -> list:
         ("scan-wide-magnitudes", "gallery:standard2n:4", ",".join(["1e-300:1e300:3"] * 4)),
     ):
         out.append((name, ["scan", spec, f"--grid={axes}", "--out", f"{name}.csv"]))
+    for kind in ("degenerate", "indefinite"):
+        name = f"metric-{kind}"
+        out.append((f"check-{name}", ["check", f"{name}.acs", "--point=0,0"]))
+        out.append((f"check-json-{name}", ["check", f"{name}.acs", "--point=0,0", "--json"]))
+        out.append((f"scan-{name}", ["scan", f"{name}.acs", "--grid=-1:1:3,0:1:2", "--out", f"scan-{name}.csv"]))
     return out
 
 

@@ -635,10 +635,10 @@ def random_spd_metric_ast(rng: np.random.Generator, chart: ChartSpec, point) -> 
     sym = 0.2 * (b + b.T)
     lin = rng.uniform(-0.05, 0.05, (n, n, n))  # lin[k, i, j]: x_k coefficient
     metric = field(0.0)
-    try:
-        metric.eval(chart, point)
-    except geometry.MetricError:
-        values = ExplicitField(metric.entries).eval(chart, point).values  # not refused as indefinite
+    values = metric.eval(chart, point).values
+    try:  # the test NormalChange.from_metric applies, as selftest._spd_metrics does
+        np.linalg.cholesky(values)
+    except np.linalg.LinAlgError:
         return field(float(1.0 - np.linalg.eigvalsh(values)[0]))
     return metric
 

@@ -185,6 +185,7 @@ def test_scan_flags_bad_points_and_continues(tmp_path):
     flagged = [r for r in rows[1:] if r[-1].startswith("error:")]
     assert len(flagged) == 2
     assert all(r[2] == "nan" for r in flagged)
+    assert all(r[-1] == "error: metric is not positive definite at the point" for r in flagged)
 
 
 def test_scan_byte_deterministic(tmp_path):

@@ -178,8 +178,15 @@ def test_metric_eval_symmetric_and_spd_checked():
     assert np.array_equal(gm.values, gm.values.T)
     assert np.array_equal(gm.partials, gm.partials.transpose(0, 2, 1))
     bad = _metric_from_texts((("-1", "0"), ("0", "1")))
-    with pytest.raises(MetricError):
-        bad.eval(chart, (0.0, 0.0))
+    assert np.array_equal(bad.eval(chart, (0.0, 0.0)).values, np.diag([-1.0, 1.0]))  # eval returns it
+    j = ExplicitField(tuple(tuple(parse_expr(t) for t in row) for row in (("0", "-1"), ("1", "0"))))
+    refusal = "^metric is not positive definite at the point$"
+    with pytest.raises(MetricError, match=refusal):  # the report refuses it
+        identity_report(j, bad, chart, (0.0, 0.0))
+    one_bad = _metric_from_texts((("x1", "0"), ("0", "1")))  # indefinite at x1 = -1 only
+    identity_report(j, one_bad, chart, np.array([[1.0, 0.0], [0.5, 0.0]]))
+    with pytest.raises(MetricError, match=refusal):
+        identity_report(j, one_bad, chart, np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0]]))
 
 
 def test_christoffel_and_normal_change_refuse_a_metric_they_cannot_use():

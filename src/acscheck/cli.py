@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 = consistent report / suite passed, 1 = operational error
-(bad flags, unreadable file, singular metric, ...), 2 = the structure fails
-the pointwise J^2 = -I check, 3 = ledger anomaly (expansion total and
-contraction disagree at the requested tolerance; also used by `selftest`
-for hard-invariant failures).
+(bad flags, unreadable file, a metric that is not positive definite, ...),
+2 = the structure fails the pointwise J^2 = -I check, 3 = ledger anomaly
+(expansion total and contraction disagree at the requested tolerance; also
+used by `selftest` for hard-invariant failures).
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ class SingularFrameError(GeometryError):
 
 
 class MetricError(GeometryError):
-    """Metric is singular or not positive definite at the point."""
+    """Metric is not positive definite at the point."""
 
 
 class ChartSpec(Record):
@@ -267,25 +267,15 @@ def contract_first(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (np.swapaxes(m, -1, -2) @ flat).reshape(lead + (m.shape[-1],) + p[1:])
 
 
-def _metric_inverse(g: JetMatrix) -> np.ndarray:
-    """g^{kl} at the point; MetricError for a singular metric."""
-    try:
-        return np.linalg.inv(g.values)
-    except np.linalg.LinAlgError as exc:
-        raise MetricError("singular metric") from exc
-
-
-def christoffel(g: JetMatrix, ginv: np.ndarray | None = None) -> np.ndarray:
-    """Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij); `ginv`, g^{kl}
-    at the point, is inverted from g when it is not given.
+def christoffel(g: JetMatrix, ginv: np.ndarray) -> np.ndarray:
+    """Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), given `ginv`,
+    g^{kl} at the point.
 
     Exactly symmetric in (i, j): the second term is the first with (i, j)
     swapped and the two are added commutatively, and the metric partials are
     stored symmetrically, so the last term's columns (i, j) and (j, i) are
     products of the same numbers.
     """
-    if ginv is None:
-        ginv = _metric_inverse(g)
     p = g.partials
     t1 = np.moveaxis(p @ np.swapaxes(ginv, -1, -2)[..., None, :, :], -1, -3)  # g^{kl} d_i g_jl
     t2 = np.swapaxes(t1, -1, -2)  # g^{kl} d_j g_il
@@ -309,10 +299,9 @@ class NormalChange(Record):
     @classmethod
     def from_metric(cls, g: JetMatrix) -> "NormalChange":
         try:
-            lo = np.linalg.cholesky(g.values)
+            lo, ginv = np.linalg.cholesky(g.values), np.linalg.inv(g.values)
         except np.linalg.LinAlgError as exc:
             raise MetricError("metric is not positive definite at the point") from exc
-        ginv = _metric_inverse(g)
         return cls(np.swapaxes(np.linalg.inv(lo), -1, -2), np.swapaxes(lo, -1, -2), christoffel(g, ginv), ginv)
 
     def transform_endomorphism(self, jm: JetMatrix) -> JetMatrix:

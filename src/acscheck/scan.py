@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
+import os
+import stat
 from pathlib import Path
 from typing import Optional
 
@@ -158,27 +161,40 @@ def run_scan(
     memo: dict = {}  # the last chunk's rows by their keys
     out_path = Path(out_path)
     values, chunks = grid.chunks(batch_size(chart.n**3))
-    with out_path.open("w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join((*chart.var_names, *NUMERIC_COLUMNS, "status")) + "\n")  # identifiers: no quoting
-        for index in chunks:
-            pts = np.stack([axis[i] for axis, i in zip(values, index)], axis=1)
-            keys = _keys(pts, read)
-            # one point of each key that memo lacks
-            fresh = [k for key, k in dict(zip(keys, range(len(keys)))).items() if key not in memo]
-            if fresh:
-                memo.update(zip([keys[k] for k in fresh], _rows(structure, pts[fresh], tol_alg, tol_identity)))
-            memo = {key: memo[key] for key in keys}
-            found = [memo[key] for key in keys]
-            texts = []  # per axis, the text of each point's coordinate, one format a distinct value
-            for axis, i in zip(values, [i.tolist() for i in index]):
-                distinct = list(set(i))
-                text = dict(zip(distinct, [format(v, ".17g") for v in axis[distinct].tolist()]))
-                texts.append(map(text.__getitem__, i))
-            handle.write("".join(map(",".join, zip(*texts, [tail for _, tail in found]))))
-            for k, (obs, _) in enumerate(found):
-                if obs is None:
-                    flagged += 1
-                elif best is None or obs > best:
-                    best, best_point = obs, tuple(pts[k].tolist())
-            rows += len(found)
+    mode = os.lstat(out_path).st_mode if os.path.lexists(out_path) else stat.S_IFREG
+    part = out_path.with_name(f".{out_path.name}.{os.getpid()}.part") if stat.S_ISREG(mode) else out_path
+    try:  # a missing or regular file is replaced whole, on success only; any other (a FIFO, a link) in place
+        with part.open("w", encoding="utf-8", newline="") as handle:
+            handle.write(",".join((*chart.var_names, *NUMERIC_COLUMNS, "status")) + "\n")  # identifiers: no quoting
+            for index in chunks:
+                pts = np.stack([axis[i] for axis, i in zip(values, index)], axis=1)
+                keys = _keys(pts, read)
+                # one point of each key that memo lacks
+                fresh = [k for key, k in dict(zip(keys, range(len(keys)))).items() if key not in memo]
+                if fresh:
+                    memo.update(zip([keys[k] for k in fresh], _rows(structure, pts[fresh], tol_alg, tol_identity)))
+                memo = {key: memo[key] for key in keys}
+                found = [memo[key] for key in keys]
+                texts = []  # per axis, the text of each point's coordinate, one format a distinct value
+                for axis, i in zip(values, [i.tolist() for i in index]):
+                    distinct = list(set(i))
+                    text = dict(zip(distinct, [format(v, ".17g") for v in axis[distinct].tolist()]))
+                    texts.append(map(text.__getitem__, i))
+                handle.write("".join(map(",".join, zip(*texts, [tail for _, tail in found]))))
+                for k, (obs, _) in enumerate(found):
+                    if obs is None:
+                        flagged += 1
+                    elif best is None or obs > best:
+                        best, best_point = obs, tuple(pts[k].tolist())
+                rows += len(found)
+        if part != out_path:  # unlinked first: a rename over a file can cost as much as truncating it
+            out_path.unlink(missing_ok=True)
+            part.rename(out_path)
+    except BaseException as exc:
+        if part != out_path:
+            with contextlib.suppress(OSError):  # a part never made: the error to raise is exc
+                part.unlink()
+        if isinstance(exc, OSError) and exc.filename == str(part):  # named as an open of out_path names it
+            exc.filename = str(out_path)
+        raise
     return ScanSummary(rows, flagged, best, best_point, str(out_path))

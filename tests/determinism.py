@@ -87,7 +87,12 @@ The set, built from the benchmark's inputs in `bench/run.py`:
 - metrics the report refuses as not positive definite: `check`, text and
   `--json`, at the origin of `1 1 = x1^2`, which is degenerate at `x1 = 0`,
   and of `1 1 = -1`, indefinite everywhere, and scans of each over
-  `-1:1:3,0:1:2`.
+  `-1:1:3,0:1:2`;
+- CSVs that a scan writes over: `pullback4` scanned over 400 points and
+  then over 6 to the same `--out`, `scan-rewrite.csv`, so that the second
+  run replaces a longer CSV; and a scan whose `--out`, `scan-symlink.csv`,
+  is a symbolic link to `scan-symlink-target.csv`, which holds older and
+  longer text, so that the scan writes through the link.
 
 Every other metric case above has a vanishing obstruction (the compatible
 `pullback4`) or a constant `J` (MIRRORED).  Besides the invocations,
@@ -101,7 +106,7 @@ recorded as a process would end: exit 1 and a traceback's first and last
 lines on stderr.  Per invocation NAME the directory holds
 NAME.out (stdout), NAME.err (stderr, when there is any) and NAME.csv for a
 scan; `invocations.txt` lists each name, its arguments and its exit code.
-It writes 232 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
+It writes 238 files.  Not collected by pytest; about 4 s on a 2-vCPU x86-64
 host.
 """
 
@@ -271,6 +276,10 @@ def invocations(bench) -> list:
         out.append((f"check-{name}", ["check", f"{name}.acs", "--point=0,0"]))
         out.append((f"check-json-{name}", ["check", f"{name}.acs", "--point=0,0", "--json"]))
         out.append((f"scan-{name}", ["scan", f"{name}.acs", "--grid=-1:1:3,0:1:2", "--out", f"scan-{name}.csv"]))
+    for k, grid in enumerate(("-1:1:20,0:0:1,-1:1:20,0:0:1", "-1:1:3,0:0:1,-1:1:2,0:0:1")):
+        out.append((f"scan-rewrite-{k}", ["scan", "gallery:pullback4", f"--grid={grid}", "--out", "scan-rewrite.csv"]))
+    grid = "--grid=-1:1:20,0:0:1,-1:1:20,0:0:1"
+    out.append(("scan-symlink", ["scan", "gallery:pullback4", grid, "--out", "scan-symlink.csv"]))
     return out
 
 
@@ -301,6 +310,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         outcome = f"ValueError: {exc}"
     Path("random-frame-16-3.out").write_text(outcome + "\n", encoding="utf-8")
+    Path("scan-symlink-target.csv").write_text("old\n" * 10000, encoding="utf-8")
+    Path("scan-symlink.csv").unlink(missing_ok=True)
+    Path("scan-symlink.csv").symlink_to("scan-symlink-target.csv")
     lines = []
     for name, argv_ in invocations(bench):
         stdout, stderr = io.StringIO(), io.StringIO()

@@ -183,7 +183,7 @@ def test_criterion_5_normal_coordinates():
         change = NormalChange.from_metric(gm)
         tg = oracle.transform_metric(change, gm)
         worst_metric = max(worst_metric, float(np.max(np.abs(tg.values - np.eye(dim)))))
-        worst_gamma = max(worst_gamma, float(np.max(np.abs(christoffel(tg)))))
+        worst_gamma = max(worst_gamma, float(np.max(np.abs(christoffel(tg, np.linalg.inv(tg.values))))))
     ok = worst_metric <= 1e-10 and worst_gamma <= 1e-8
     _announce(5, "normal coordinates", ok,
               f"worst |g~-I| {worst_metric:.3e}, worst |Gamma~| {worst_gamma:.3e}")

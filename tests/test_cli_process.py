@@ -192,6 +192,28 @@ def test_a_mirrored_metric_entry_790_levels_deep_is_checked(tmp_path):
     assert proc.stdout.startswith("point: (0, 0)\nverdict: consistent\n")
 
 
+def _cap_file_size():
+    resource.setrlimit(resource.RLIMIT_FSIZE, (16384, 16384))
+
+
+# A scan whose CSV outgrows the process's file-size limit ends in one line,
+# and the CSV it would have replaced keeps its bytes.
+def test_a_scan_cut_short_by_the_file_size_limit_keeps_the_old_csv(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    assert cli.main(["scan", "gallery:pullback4", "--grid=0:1:2,0:1:2,-1:0:2,0:0.5:2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    old = out.read_bytes()
+    argv = ["scan", "gallery:pullback4", "--grid=" + ",".join(["-1:1:20"] * 4), "--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "acscheck.cli", *argv], env=env, capture_output=True, text=True,
+        preexec_fn=_cap_file_size, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "acscheck: error: [Errno 27] File too large\n")
+    assert out.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 

@@ -3,8 +3,11 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import stat
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -196,6 +199,88 @@ def test_scan_byte_deterministic(tmp_path):
     run_scan(sf, grid, a)
     run_scan(sf, grid, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# A scan replaces a missing or regular --out whole, and only when it succeeds:
+# it writes a part file beside it, removes the old file and renames the part
+# onto it.  Any other --out is written in place.
+SCAN_GRID = "-1:1:20,0:0:1,-1:1:20,0:0:1"  # 400 keys of pullback4, in several chunks
+
+
+def test_a_scan_replaces_an_existing_csv_whole(tmp_path):
+    sf, out, fresh = gallery("pullback4"), tmp_path / "scan.csv", tmp_path / "fresh.csv"
+    run_scan(sf, GridSpec.parse(SCAN_GRID), out)
+    run_scan(sf, GridSpec.parse("-1:1:3,0:0:1,-1:1:2,0:0:1"), out)  # fewer rows over more
+    run_scan(sf, GridSpec.parse("-1:1:3,0:0:1,-1:1:2,0:0:1"), fresh)
+    assert out.read_bytes() == fresh.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "scan.csv"]
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+def test_a_scan_that_fails_keeps_the_old_csv_and_leaves_no_part(error, tmp_path, monkeypatch, capsys):
+    sf, out = gallery("pullback4"), tmp_path / "scan.csv"
+    out.write_text("old\n", encoding="utf-8")
+    calls, rows = [], scan._rows
+
+    def failing(*args):  # the second chunk fails, after the first was written
+        calls.append(1)
+        if len(calls) == 2:
+            raise error
+        return rows(*args)
+
+    monkeypatch.setattr(scan, "_rows", failing)
+    argv = ["scan", "gallery:pullback4", f"--grid={SCAN_GRID}", "--out", str(out)]
+    if isinstance(error, OSError):  # refused in one line, as every OSError is
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "acscheck: error: [Errno 28] No space left on device\n")
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            run_scan(sf, GridSpec.parse(SCAN_GRID), out)
+    assert len(calls) == 2
+    assert out.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
+
+
+def test_a_scan_that_cannot_create_its_csv_names_the_out_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "scan.csv"
+    assert main(["scan", "gallery:pullback4", "--grid=0:1:2,0:0:1,0:0:1,0:0:1", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"acscheck: error: [Errno 2] No such file or directory: '{out}'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_scan_writes_a_fifo_in_place(tmp_path):
+    sf, grid = gallery("pullback4"), GridSpec.parse(SCAN_GRID)
+    regular, fifo = tmp_path / "regular.csv", tmp_path / "fifo.csv"
+    run_scan(sf, grid, regular)
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        run_scan(sf, grid, fifo)
+    finally:  # a reader still waiting for a writer is let go with an empty read
+        try:
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:  # no reader waits
+            pass
+        reader.join(60)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert got == [regular.read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo.csv", "regular.csv"]
+
+
+def test_a_scan_writes_through_a_symlink(tmp_path):
+    sf, grid = gallery("pullback4"), GridSpec.parse(SCAN_GRID)
+    regular, target, link = tmp_path / "regular.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+    run_scan(sf, grid, regular)
+    target.write_text("old\n" * 10000, encoding="utf-8")
+    link.symlink_to(target)
+    summary = run_scan(sf, grid, link)
+    assert summary.out_path == str(link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == regular.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "regular.csv", "target.csv"]
 
 
 def test_scan_axis_count_checked(tmp_path):

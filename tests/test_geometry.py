@@ -135,7 +135,7 @@ def test_validate_acs_examples():
 
 def test_christoffel_euclidean_zero():
     g = JetMatrix(np.eye(3), np.zeros((3, 3, 3)))
-    assert np.array_equal(christoffel(g), np.zeros((3, 3, 3)))
+    assert np.array_equal(christoffel(g, np.linalg.inv(g.values)), np.zeros((3, 3, 3)))
 
 
 def test_christoffel_polar_like_metric():
@@ -143,7 +143,7 @@ def test_christoffel_polar_like_metric():
     chart = ChartSpec.default(2)
     g = _metric_from_texts((("1", "0"), ("0", "x1^2")))
     gm = g.eval(chart, (2.0, 0.0))
-    gamma = christoffel(gm)
+    gamma = christoffel(gm, np.linalg.inv(gm.values))
     assert gamma[0, 1, 1] == pytest.approx(-2.0, rel=1e-12)
     assert gamma[1, 0, 1] == pytest.approx(0.5, rel=1e-12)
     assert gamma[1, 1, 0] == pytest.approx(0.5, rel=1e-12)
@@ -157,7 +157,7 @@ def test_christoffel_conformal_metric():
     chart = ChartSpec.default(2)
     g = _metric_from_texts((("exp(2*x1)", "0"), ("0", "exp(2*x1)")))
     gm = g.eval(chart, (0.0, 0.0))
-    gamma = christoffel(gm)
+    gamma = christoffel(gm, np.linalg.inv(gm.values))
     assert gamma[0, 0, 0] == pytest.approx(1.0, rel=1e-12)
     assert gamma[0, 1, 1] == pytest.approx(-1.0, rel=1e-12)
     assert gamma[1, 0, 1] == pytest.approx(1.0, rel=1e-12)
@@ -167,7 +167,7 @@ def test_christoffel_exactly_symmetric(rng):
     chart = ChartSpec.default(4)
     metric = oracle.random_spd_metric_ast(rng, chart, np.zeros(4))
     gm = metric.eval(chart, rng.uniform(-0.3, 0.3, 4))
-    gamma = christoffel(gm)
+    gamma = christoffel(gm, np.linalg.inv(gm.values))
     assert np.array_equal(gamma, gamma.transpose(0, 2, 1))
 
 
@@ -190,12 +190,11 @@ def test_metric_eval_symmetric_and_spd_checked():
 
 
 def test_christoffel_and_normal_change_refuse_a_metric_they_cannot_use():
-    singular = JetMatrix(np.zeros((2, 2)), np.zeros((2, 2, 2)))
-    with pytest.raises(MetricError, match="^singular metric$"):
-        christoffel(singular)
+    zero = JetMatrix(np.zeros((2, 2)), np.zeros((2, 2, 2)))
     indefinite = JetMatrix(np.diag([-1.0, 1.0]), np.zeros((2, 2, 2)))
-    with pytest.raises(MetricError, match="^metric is not positive definite at the point$"):
-        NormalChange.from_metric(indefinite)
+    for g in (zero, indefinite):  # christoffel takes g^-1 from its caller: from_metric is the one refusal
+        with pytest.raises(MetricError, match="^metric is not positive definite at the point$"):
+            NormalChange.from_metric(g)
 
 
 def test_normal_transform_euclidean_is_identity_exactly():
@@ -216,7 +215,7 @@ def test_normal_change_kills_metric_derivatives(rng):
         change = NormalChange.from_metric(gm)
         tg = oracle.transform_metric(change, gm)
         assert np.max(np.abs(tg.values - np.eye(dim))) < 1e-10
-        assert np.max(np.abs(christoffel(tg))) < 1e-8
+        assert np.max(np.abs(christoffel(tg, np.linalg.inv(tg.values)))) < 1e-8
         assert np.max(np.abs(tg.partials)) < 1e-8
 
 

@@ -45,7 +45,7 @@ def test_kernels_match_einsum_references(rng, dim):
         _assert_array_close(comps, oracle.nijenhuis_standard_einsum(j, d))
         _assert_array_close(nijenhuis.nijenhuis_reduced(jm), oracle.nijenhuis_reduced_einsum(j, d))
         _assert_array_close(geometry.contract_first(j, d), oracle.ledger_jd_einsum(j, d))
-        gamma = geometry.christoffel(g)
+        gamma = geometry.christoffel(g, g_inv)
         _assert_array_close(gamma, oracle.christoffel_einsum(g.values, g.partials))
         change = NormalChange.from_metric(g)
         quad = oracle.normal_quad_einsum(change.gamma, change.a)
@@ -91,7 +91,7 @@ def _kernels(jm: JetMatrix, g: JetMatrix):
         "obstruction_scalar": obstruction.obstruction_scalar(jm),
         "ledger_terms": np.stack([ledger[name] for name in obstruction.TERM_NAMES], -1),
         "first_quadratic": ledger["first_quadratic"],
-        "christoffel": geometry.christoffel(g),
+        "christoffel": geometry.christoffel(g, np.linalg.inv(g.values)),
         "quad": oracle.normal_quad_einsum(change.gamma, change.a),
         "transform_endomorphism": change.transform_endomorphism(jm).partials,
     }
